@@ -24,13 +24,10 @@ from .numtheory import (
     BudgetError,
     FactoredNatural,
     PrimeInProgression,
-    PrimitiveRootCert,
     divisors,
-    element_of_order,
     is_prime,
     least_prime_congruent_one,
     mobius,
-    primitive_root,
 )
 from .orbits import (
     CountSequence,

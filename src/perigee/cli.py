@@ -1,8 +1,8 @@
 """Command-line surface: reproducible tables over the library calls.
 
 Every command emits either CSV (a table followed by '# key=value' summary
-lines) or the JSON mirror of the same content.  All randomness is seeded and
-all precision explicit, so identical invocations produce byte-identical
+lines) or the JSON mirror of the same content.  Nothing is random and all
+precision is explicit, so identical invocations produce byte-identical
 output.
 
 Exit codes: 0 ok, 1 oracle mismatch, 2 invalid configuration or parse error,
@@ -14,7 +14,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp
@@ -39,8 +39,6 @@ class RunConfig:
     command: str
     output_format: str
     precision_bits: int
-    seed: int
-    parameters: dict = field(default_factory=dict)
 
 
 def _default_precision_bits():
@@ -112,7 +110,7 @@ def cmd_construct(config, args, out):
             orbits.write_sequence_csv(construction.fixed_sequence(plan), fh)
 
     bits = config.precision_bits
-    header = ["n", "p", "g", "K", "F_factored", "F_log", "L_exact", "L_claimed", "rate"]
+    header = ["n", "p", "K", "F_factored", "F_log", "L_exact", "L_claimed", "rate"]
     rows = []
     rates = []
     with mp.workprec(bits + 12):
@@ -126,7 +124,6 @@ def cmd_construct(config, args, out):
                 [
                     n,
                     comp.p,
-                    comp.g,
                     comp.K,
                     str(factored),
                     _fmt(f_log, bits),
@@ -139,6 +136,9 @@ def cmd_construct(config, args, out):
         tail = [r for (_, r) in rates[-window:]]
         report = construction.claimed_vs_exact_report(plan, plan.N)
         max_n, max_rate = max(rates, key=lambda item: item[1])
+        # is_prime is a proof only below DETERMINISTIC_LIMIT; above it,
+        # Baillie-PSW makes p_n a probable prime.
+        probable = [c.n for c in plan.components if c.p >= numtheory.DETERMINISTIC_LIMIT]
         summary = {
             "target": target.describe(),
             "strategy": plan.strategy,
@@ -148,6 +148,7 @@ def cmd_construct(config, args, out):
             "max_rate": _fmt(max_rate, bits),
             "max_rate_n": max_n,
             "claimed_vs_exact_discrepancies": report.discrepancy_count,
+            "probable_primes": ";".join(str(n) for n in probable) or "none",
         }
         if plan.strategy == construction.STRATEGY_COMPENSATED:
             deficits = construction.deficit_report(plan, precision_bits=bits)
@@ -315,9 +316,6 @@ def build_parser():
         help="fractional bits for logs and rates (default: $%s or %d)"
         % (PRECISION_ENV_VAR, DEFAULT_PRECISION_BITS),
     )
-    common.add_argument(
-        "--seed", type=int, default=0, help="seed for any randomized generation"
-    )
 
     parser = argparse.ArgumentParser(
         prog="perigee",
@@ -416,6 +414,10 @@ def build_parser():
 
 
 def main(argv=None):
+    # Counts and Lehmer integers routinely exceed the default 4300-digit
+    # int<->str conversion limit (Python >= 3.10.7), in output and in input.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -428,8 +430,6 @@ def main(argv=None):
             command=args.command,
             output_format=args.format,
             precision_bits=precision_bits,
-            seed=args.seed,
-            parameters={},
         )
         return args.func(config, args, sys.stdout)
     except BudgetError as exc:

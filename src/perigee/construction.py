@@ -1,11 +1,13 @@
 """Product-group automorphism plans with prescribed periodic-point growth.
 
 A plan assembles, for each index n up to a horizon, a finite component: the
-least prime p_n ≡ 1 (mod n) (optionally above a search floor), a primitive
-root g_n, an exponent K_n, and the multiplier g_n**((p_n-1)/n), which acts on
-(Z/p_n)^{K_n} by coordinate-wise multiplication and has multiplicative order
-exactly n.  The product of the components over all n is a compact group
-automorphism whose period counts are exactly
+least prime p_n ≡ 1 (mod n) (optionally above a search floor), an exponent
+K_n, and a multiplier of multiplicative order exactly n mod p_n, which acts on
+(Z/p_n)^{K_n} by coordinate-wise multiplication.  The multiplier is
+a**((p_n-1)/n) for the least base a that passes the exact-order test, so only
+n is factored, never p_n - 1 (no primitive root is needed).  The product of
+the components over all n is a compact group automorphism whose period counts
+are exactly
 
     F_n = product over d | n of p_d**K_d,
 
@@ -43,7 +45,6 @@ from .numtheory import (
     is_prime,
     least_prime_congruent_one,
     mobius,
-    primitive_root,
 )
 from .orbits import KIND_FIXED, KIND_LEAST, CountSequence
 from .precision import (
@@ -74,7 +75,6 @@ class ComponentSpec:
 
     n: int
     p: int
-    g: int
     K: int
     multiplier: int
 
@@ -195,7 +195,6 @@ def build_plan(
         floor = n**n if strategy == STRATEGY_INFINITE else 0
         found = least_prime_congruent_one(n, search_floor=floor, max_candidates=scan_ceiling)
         p = found.p
-        g = primitive_root(p).g
         if strategy == STRATEGY_TRIVIAL:
             K = 0
         elif strategy == STRATEGY_INFINITE:
@@ -211,8 +210,8 @@ def build_plan(
                 if d != n and components[d - 1].K > 0
             ]
             K = _compensated_exponent(n, C, p, spent, precision_bits)
-        multiplier = element_of_order(p, g, n)
-        components.append(ComponentSpec(n=n, p=p, g=g, K=K, multiplier=multiplier))
+        multiplier = element_of_order(p, n)
+        components.append(ComponentSpec(n=n, p=p, K=K, multiplier=multiplier))
     return ConstructionPlan(
         target=target, strategy=strategy, components=tuple(components), gamma=gamma
     )
@@ -530,7 +529,6 @@ def plan_to_json(plan):
             {
                 "n": str(c.n),
                 "p": str(c.p),
-                "g": str(c.g),
                 "K": str(c.K),
                 "multiplier": str(c.multiplier),
             }
@@ -543,6 +541,7 @@ def plan_to_json(plan):
 
 
 def plan_from_json(obj):
+    """Inverse of plan_to_json; a component's legacy "g" field is ignored."""
     target = GrowthTarget.from_json(obj["target"])
     strategy = obj["strategy"]
     gamma = Fraction(obj["gamma"]) if "gamma" in obj else None
@@ -552,7 +551,6 @@ def plan_from_json(obj):
             ComponentSpec(
                 n=int(raw["n"]),
                 p=int(raw["p"]),
-                g=int(raw["g"]),
                 K=int(raw["K"]),
                 multiplier=int(raw["multiplier"]),
             )

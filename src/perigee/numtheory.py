@@ -1,9 +1,10 @@
 """Exact integer number theory.
 
-Primality testing, least primes in the progression 1 mod n, primitive roots,
-elements of prescribed multiplicative order, divisors and the Moebius
-function.  All routines are deterministic; searches and factorisations take
-explicit budgets so pathological inputs raise BudgetError instead of hanging.
+Primality testing, least primes in the progression 1 mod n, elements of
+prescribed multiplicative order (found from the factorisation of the order
+alone, never of p - 1), divisors and the Moebius function.  All routines are
+deterministic; searches and factorisations take explicit budgets so
+pathological inputs raise BudgetError instead of hanging.
 """
 
 import math
@@ -44,25 +45,6 @@ class PrimeInProgression:
     modulus_n: int
     p: int
     search_floor: int = 0
-
-
-@dataclass(frozen=True)
-class PrimitiveRootCert:
-    """A primitive root g mod p, certified by the factorisation of p - 1."""
-
-    p: int
-    g: int
-    factorization: tuple[tuple[int, int], ...]
-
-    def verify(self):
-        n = 1
-        for q, e in self.factorization:
-            n *= q**e
-        if n != self.p - 1:
-            return False
-        if pow(self.g, self.p - 1, self.p) != 1 and self.p > 2:
-            return False
-        return all(pow(self.g, (self.p - 1) // q, self.p) != 1 for q, _ in self.factorization)
 
 
 @dataclass(frozen=True)
@@ -345,30 +327,31 @@ def factorize(n, trial_bound=DEFAULT_TRIAL_BOUND, rho_iterations=DEFAULT_RHO_ITE
     return tuple(sorted(factors.items()))
 
 
-# --- primitive roots and prescribed orders ----------------------------------
+# --- prescribed orders --------------------------------------------------------
 
 
-def primitive_root(p, trial_bound=DEFAULT_TRIAL_BOUND, rho_iterations=DEFAULT_RHO_ITERATIONS):
-    """Smallest primitive root mod p, with the certifying factorisation of p - 1."""
-    if not is_prime(p):
-        raise ValueError("%d is not prime" % p)
-    if p == 2:
-        return PrimitiveRootCert(p=2, g=1, factorization=())
-    fact = factorize(p - 1, trial_bound, rho_iterations)
-    exponents = [(p - 1) // q for q, _ in fact]
-    for g in range(2, p):
-        if all(pow(g, e, p) != 1 for e in exponents):
-            return PrimitiveRootCert(p=p, g=g, factorization=fact)
-    raise ArithmeticError("no primitive root found mod %d" % p)  # unreachable for prime p
+def element_of_order(p, n):
+    """An element of multiplicative order exactly n mod the prime p.
 
-
-def element_of_order(p, g, n):
-    """g**((p-1)/n) mod p: an element of multiplicative order exactly n."""
+    Returns h = a**((p-1)/n) mod p for the least base a >= 2 with
+    h**(n/q) != 1 for every prime q | n (and 1 for n = 1).  Every such h has
+    h**n = 1, so the test certifies order exactly n from the factorisation
+    of n alone.  For prime p a fraction phi(n)/n of all bases succeeds, so
+    the search ends quickly; p itself is not re-tested for primality.
+    """
     if n < 1:
         raise ValueError("order must be positive")
     if (p - 1) % n != 0:
         raise ValueError("%d does not divide p - 1 = %d" % (n, p - 1))
-    return pow(g, (p - 1) // n, p)
+    if n == 1:
+        return 1
+    cofactor = (p - 1) // n
+    exponents = [n // q for q, _ in factorize(n)]
+    for a in range(2, p):
+        h = pow(a, cofactor, p)
+        if all(pow(h, e, p) != 1 for e in exponents):
+            return h
+    raise ArithmeticError("no element of order %d mod %d" % (n, p))  # unreachable for prime p
 
 
 # --- divisors and Moebius ----------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -13,6 +14,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def table_rows(out):
+    """The CSV table as one dict per row, keyed by header name."""
+    lines = [line for line in out.splitlines() if not line.startswith("# ")]
+    header = lines[0].split(",")
+    return [dict(zip(header, line.split(","))) for line in lines[1:]]
+
+
 def test_construct_csv_row(capsys):
     code, out, _ = run(
         capsys,
@@ -21,28 +29,41 @@ def test_construct_csv_row(capsys):
     )
     assert code == 0
     lines = out.splitlines()
-    assert lines[0] == "n,p,g,K,F_factored,F_log,L_exact,L_claimed,rate"
-    row6 = lines[6].split(",")
-    assert row6[:5] == ["6", "7", "3", "2", "2^1*3^1*7^3"]
-    assert row6[5].startswith("7.62948991")
-    assert row6[6] == "2040"
-    assert row6[7] == "48"
-    assert row6[8].startswith("1.27158165")
+    assert lines[0] == "n,p,K,F_factored,F_log,L_exact,L_claimed,rate"
+    row6 = table_rows(out)[5]
+    assert [row6[k] for k in ("n", "p", "K", "F_factored")] == ["6", "7", "2", "2^1*3^1*7^3"]
+    assert row6["F_log"].startswith("7.62948991")
+    assert row6["L_exact"] == "2040"
+    assert row6["L_claimed"] == "48"
+    assert row6["rate"].startswith("1.27158165")
     assert any(line.startswith("# window_sup=") for line in lines)
 
 
 def test_construct_zero_target(capsys):
     code, out, _ = run(capsys, "construct", "--target", "zero", "--max-n", "3")
     assert code == 0
-    for line in out.splitlines()[1:4]:
-        fields = line.split(",")
-        assert fields[3] == "0" and fields[4] == "1"
+    rows = table_rows(out)
+    assert len(rows) == 3
+    for row in rows:
+        assert row["K"] == "0" and row["F_factored"] == "1"
 
 
 def test_construct_infinite_target(capsys):
     code, out, _ = run(capsys, "construct", "--target", "infinite", "--max-n", "3")
     assert code == 0
     assert out.splitlines()[3].split(",")[1] == "31"
+
+
+def test_construct_reports_probable_primes(capsys):
+    # p_n > n**n passes DETERMINISTIC_LIMIT (about 3.3e24) from n = 20 on
+    code, out, _ = run(capsys, "construct", "--target", "infinite", "--max-n", "22")
+    assert code == 0
+    assert "# probable_primes=20;21;22" in out.splitlines()
+    code, out, _ = run(
+        capsys, "construct", "--C", "1", "--strategy", "compensated", "--max-n", "30"
+    )
+    assert code == 0
+    assert "# probable_primes=none" in out.splitlines()
 
 
 def test_construct_json_mirror(capsys):
@@ -185,6 +206,24 @@ def test_analyze_command(capsys, tmp_path):
     assert code == 0
     assert "# sandwich_ok=True" in out.splitlines()
     assert "# skipped=none" in out.splitlines()
+
+
+def test_analyze_reads_values_beyond_int_str_limit(capsys, tmp_path):
+    # F_2 = 10**5000 + 1 has 5001 digits, above Python's default 4300-digit
+    # int<->str limit, which main must lift for parsing and for output
+    seq = tmp_path / "seq.csv"
+    big = "1" + "0" * 4999 + "1"
+    seq.write_text("n,value\n1,1\n2,%s\n" % big)
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run(capsys, "analyze", "--sequence", str(seq), "--window", "2")
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    assert code == 0, err
+    assert table_rows(out)[1]["value"] == big
 
 
 def test_analyze_bad_file_exit_code(capsys, tmp_path):

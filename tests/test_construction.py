@@ -8,6 +8,7 @@ from perigee.construction import (
     ClaimedVsExactReport,
     ConstructionPlan,
     DEFAULT_ENUMERATION_BUDGET,
+    _multiplier_order,
     build_plan,
     claimed_vs_exact_report,
     deficit_report,
@@ -36,7 +37,8 @@ C_ABOVE_LOG2 = Fraction(6932, 10000)
 def test_paper_plan_above_log2():
     plan = build_plan(GrowthTarget.finite(C_ABOVE_LOG2), "paper", n_max=6)
     assert [c.p for c in plan.components] == [2, 3, 7, 5, 11, 7]
-    assert [c.g for c in plan.components] == [1, 2, 3, 2, 2, 3]
+    assert [c.multiplier for c in plan.components] == [1, 2, 4, 2, 4, 3]
+    assert [_multiplier_order(c.multiplier, c.p) for c in plan.components] == [1, 2, 3, 4, 5, 6]
     assert [c.K for c in plan.components] == [1, 1, 1, 1, 1, 2]
     plan.validate()
 
@@ -236,6 +238,13 @@ def test_infinite_plan_rate_certificate():
         assert value < math.inf
 
 
+def test_infinite_plan_builds_past_rho_range():
+    # p_n > n**n: no factorisation of p_n - 1 is needed for the multiplier
+    plan = build_plan(GrowthTarget.infinite(), n_max=40)
+    assert plan.N == 40
+    plan.validate()
+
+
 def test_orbit_size_divides_least_counts():
     # points of least period n come in orbits of size n
     plans = (
@@ -275,6 +284,20 @@ def test_plan_json_round_trip(tmp_path):
         obj = plan_to_json(plan)
         assert all(isinstance(c["p"], str) for c in obj["components"])
         assert plan_from_json(obj) == plan
+
+
+def test_plan_json_accepts_legacy_g_field():
+    # plans written before the multiplier search carried a primitive root g
+    plan = build_plan(GrowthTarget.finite(C_ABOVE_LOG2), "paper", n_max=6)
+    obj = plan_to_json(plan)
+    for c, g in zip(obj["components"], (1, 2, 3, 2, 2, 3)):
+        c["g"] = str(g)
+        c["multiplier"] = str(pow(g, (int(c["p"]) - 1) // int(c["n"]), int(c["p"])))
+    legacy = plan_from_json(obj)
+    legacy.validate()
+    assert [c.multiplier for c in legacy.components] == [1, 2, 2, 2, 4, 3]
+    assert [c.K for c in legacy.components] == [c.K for c in plan.components]
+    assert "g" not in plan_to_json(legacy)["components"][0]
 
 
 def test_plan_json_rejects_misnumbered_components(tmp_path):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from perigee.construction import _multiplier_order
 from perigee.numtheory import (
     BudgetError,
     FactoredNatural,
@@ -14,7 +15,6 @@ from perigee.numtheory import (
     is_prime,
     least_prime_congruent_one,
     mobius,
-    primitive_root,
 )
 
 
@@ -97,44 +97,35 @@ def test_prime_bound_small_sweep():
         assert found.p <= n**PRIME_BOUND_EXPONENT
 
 
-def test_primitive_root_examples():
-    assert primitive_root(2).g == 1
-    assert primitive_root(7).g == 3
-    assert primitive_root(11).g == 2
-
-
-def test_primitive_root_certificates():
-    for p in (2, 3, 5, 7, 11, 101, 257, 65537, 10**9 + 7):
-        cert = primitive_root(p)
-        assert cert.verify()
-        prod = 1
-        for q, e in cert.factorization:
-            assert is_prime(q)
-            prod *= q**e
-        assert prod == p - 1
-        # smallest: no smaller g passes the same certificate
-        exps = [(p - 1) // q for q, _ in cert.factorization]
-        for g in range(1, cert.g):
-            assert any(pow(g, e, p) == 1 for e in exps)
-
-
 def test_element_of_order_examples():
-    assert element_of_order(7, 3, 3) == 2
-    assert element_of_order(5, 2, 4) == 2
-    assert element_of_order(7, 3, 1) == 1
+    assert element_of_order(2, 1) == 1
+    assert element_of_order(7, 1) == 1
+    assert element_of_order(7, 3) == 4
+    assert element_of_order(5, 4) == 2
+    assert element_of_order(7, 6) == 3
 
 
 def test_element_of_order_exact_order():
-    for p, n in ((7, 3), (11, 5), (13, 4), (31, 6), (101, 20)):
-        g = primitive_root(p).g
-        m = element_of_order(p, g, n)
-        for j in range(1, 4 * n + 1):
-            assert (pow(m, j, p) == 1) == (j % n == 0)
+    # every n | p - 1 for p < 200, against brute-force power iteration: the
+    # result is a**((p-1)/n) for the least base a whose power has order n
+    for p in range(2, 200):
+        if not is_prime(p):
+            continue
+        for n in divisors(p - 1):
+            m = element_of_order(p, n)
+            assert _multiplier_order(m, p) == n
+            least = next(
+                a for a in range(1, p)
+                if _multiplier_order(pow(a, (p - 1) // n, p), p) == n
+            )
+            assert m == pow(least, (p - 1) // n, p)
 
 
 def test_element_of_order_rejects_bad_order():
     with pytest.raises(ValueError):
-        element_of_order(7, 3, 4)  # 4 does not divide 6
+        element_of_order(7, 4)  # 4 does not divide 6
+    with pytest.raises(ValueError):
+        element_of_order(7, 0)
 
 
 def test_divisors_and_mobius_examples():
