@@ -14,6 +14,7 @@ import json
 import os
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -74,6 +75,24 @@ def _emit(config, header, rows, summary, out):
         out.write(json.dumps(payload, indent=2) + "\n")
 
 
+@contextmanager
+def _atomic_output(path):
+    """Yield a temporary path beside `path`, moved over `path` on success.
+
+    On any exception the temporary file is removed, so a failed write leaves
+    neither a truncated output nor a stray file behind.
+    """
+    directory, name = os.path.split(path)
+    temp = os.path.join(directory, ".%s.%d.tmp" % (name, os.getpid()))
+    try:
+        yield temp
+        os.replace(temp, path)
+    except BaseException:
+        if os.path.exists(temp):
+            os.unlink(temp)
+        raise
+
+
 # --- construct ---------------------------------------------------------------
 
 
@@ -103,20 +122,23 @@ def cmd_construct(config, args, out):
         gamma=gamma,
         precision_bits=config.precision_bits,
     )
+    fixed = construction.fixed_sequence(plan)
+    report = construction.claimed_vs_exact_report(plan, orbits.least_from_fixed(fixed))
     if args.plan_out:
-        construction.save_plan(plan, args.plan_out)
+        with _atomic_output(args.plan_out) as path:
+            construction.save_plan(plan, path)
     if args.sequence_out:
-        with open(args.sequence_out, "w", encoding="utf-8", newline="") as fh:
-            orbits.write_sequence_csv(construction.fixed_sequence(plan), fh)
+        with _atomic_output(args.sequence_out) as path:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                orbits.write_sequence_csv(fixed, fh)
 
     bits = config.precision_bits
     header = ["n", "p", "K", "F_factored", "F_log", "L_exact", "L_claimed", "rate"]
     rows = []
     rates = []
     with mp.workprec(bits + 12):
-        for comp in plan.components:
+        for comp, counts in zip(plan.components, report.rows):
             n = comp.n
-            factored = construction.fixed_count(plan, n)
             f_log = construction.fixed_count_log(plan, n, bits)
             rate = f_log / n
             rates.append((n, rate))
@@ -125,16 +147,15 @@ def cmd_construct(config, args, out):
                     n,
                     comp.p,
                     comp.K,
-                    str(factored),
+                    str(construction.fixed_count(plan, n)),
                     _fmt(f_log, bits),
-                    construction.least_count_exact(plan, n),
-                    construction.least_count_claimed(plan, n),
+                    counts.exact,
+                    counts.claimed,
                     _fmt(rate, bits),
                 ]
             )
         window = max(1, min(args.window, len(rates)))
         tail = [r for (_, r) in rates[-window:]]
-        report = construction.claimed_vs_exact_report(plan, plan.N)
         max_n, max_rate = max(rates, key=lambda item: item[1])
         # is_prime is a proof only below DETERMINISTIC_LIMIT; above it,
         # Baillie-PSW makes p_n a probable prime.

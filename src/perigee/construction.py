@@ -21,8 +21,9 @@ carried here in factored form.  Exponent strategies:
   infinite       K_n = 1 with p_n forced above n**n
   trivial        K_n = 0 (zero growth target)
 
-Floors of (rational)/log(prime) are decided with adaptive-precision interval
-arithmetic; they are never integers, so every decision terminates.
+Floors of (rational)/log(prime) are decided on exact integer balls (see
+precision) at escalating precision; they are never integers, so every
+decision terminates.
 
 The companion closed forms (exact least-period counts via Moebius inversion,
 the per-component lower bound p_n**K_n - 1) and a brute-force enumeration
@@ -51,10 +52,8 @@ from .precision import (
     DEFAULT_PRECISION_BITS,
     adaptive_decide,
     adaptive_floor,
-    interval_precision,
-    log_interval,
+    log_ball,
     log_real,
-    rational_interval,
 )
 from .targets import FINITE, INFINITE, ZERO, GrowthTarget
 
@@ -133,25 +132,43 @@ def _floor_root(x, k):
     return r
 
 
-def _paper_exponent(n, C, p, precision_bits):
+def _spent(components, n):
+    """(K_d, p_d) over the proper divisors d of n with K_d > 0."""
+    return [
+        (components[d - 1].K, components[d - 1].p)
+        for d in divisors(n)
+        if d != n and components[d - 1].K > 0
+    ]
+
+
+def _budget_ball(n, C, spent, bits):
+    """Integers (lo, hi) with lo <= (n*C - sum of K_d*log p_d) * 2**bits <= hi."""
+    scaled = C.numerator * n << bits
+    lo = scaled // C.denominator
+    hi = -(-scaled // C.denominator)
+    for k_d, p_d in spent:
+        log_lo, log_hi = log_ball(p_d, bits)
+        lo -= k_d * log_hi
+        hi -= k_d * log_lo
+    return lo, hi
+
+
+def _exponent(n, C, p, spent, precision_bits):
+    """max(0, floor((n*C - sum of K_d*log p_d) / log p)), certified.
+
+    Both floor bounds are clamped at 0, so a negative budget decides K = 0
+    without escalating.
+    """
+
     def build(bits):
-        with interval_precision(bits):
-            return rational_interval(n * C) / log_interval(p, bits)
+        lo, hi = _budget_ball(n, C, spent, bits)
+        log_lo, log_hi = log_ball(p, bits)
+        return (
+            max(0, min(lo // log_lo, lo // log_hi)),
+            max(0, hi // log_lo, hi // log_hi),
+        )
 
     return adaptive_floor(build, start_bits=precision_bits)
-
-
-def _compensated_exponent(n, C, p, spent, precision_bits):
-    """spent: list of (K_d, p_d) over proper divisors d of n with K_d > 0."""
-
-    def build(bits):
-        with interval_precision(bits):
-            budget = rational_interval(n * C)
-            for k_d, p_d in spent:
-                budget -= k_d * log_interval(p_d, bits)
-            return budget / log_interval(p, bits)
-
-    return max(0, adaptive_floor(build, start_bits=precision_bits))
 
 
 def build_plan(
@@ -202,14 +219,9 @@ def build_plan(
         elif strategy == STRATEGY_SUBEXPONENTIAL:
             K = _floor_root(n**gamma.numerator, gamma.denominator)
         elif strategy == STRATEGY_PAPER:
-            K = _paper_exponent(n, C, p, precision_bits)
+            K = _exponent(n, C, p, (), precision_bits)
         else:
-            spent = [
-                (components[d - 1].K, components[d - 1].p)
-                for d in divisors(n)
-                if d != n and components[d - 1].K > 0
-            ]
-            K = _compensated_exponent(n, C, p, spent, precision_bits)
+            K = _exponent(n, C, p, _spent(components, n), precision_bits)
         multiplier = element_of_order(p, n)
         components.append(ComponentSpec(n=n, p=p, K=K, multiplier=multiplier))
     return ConstructionPlan(
@@ -401,12 +413,9 @@ class ClaimedVsExactReport:
     equality_matches_predicate: bool
     discrepancy_count: int
 
-    def discrepancies(self):
-        return tuple(r for r in self.rows if r.difference != 0)
 
-
-def claimed_vs_exact_report(plan, n_max):
-    """Tabulate p_n**K_n - 1 against the exact inversion count.
+def claimed_vs_exact_report(plan, least):
+    """Tabulate p_n**K_n - 1 against `least`, the exact counts L_1..L_m.
 
     Checks that the closed form never exceeds the exact count and that, for
     n >= 2, equality holds exactly when all proper-divisor blocks are trivial
@@ -414,16 +423,16 @@ def claimed_vs_exact_report(plan, n_max):
     the exact count always exceeds the closed form by 1: the zero point has
     least period 1 but the closed form excludes it.
     """
-    if not 1 <= n_max <= plan.N:
-        raise ValueError("n_max outside 1..%d" % plan.N)
+    if least.kind != KIND_LEAST:
+        raise ValueError("expected a least-period sequence")
+    if not 1 <= least.N <= plan.N:
+        raise ValueError("least-period horizon outside 1..%d" % plan.N)
     rows = []
-    for n in range(1, n_max + 1):
-        claimed = least_count_claimed(plan, n)
-        exact = least_count_exact(plan, n)
+    for n, exact in enumerate(least.values, start=1):
         trivial = all(
             plan.components[d - 1].K == 0 for d in divisors(n) if d != n
         )
-        rows.append(ClaimedVsExactRow(n, claimed, exact, trivial))
+        rows.append(ClaimedVsExactRow(n, least_count_claimed(plan, n), exact, trivial))
     lower_ok = all(r.exact >= max(r.claimed, 0) for r in rows)
     predicate_ok = all(
         (r.difference == 0) == r.proper_blocks_trivial for r in rows if r.n >= 2
@@ -463,10 +472,10 @@ def deficit_report(plan, n_max=None, precision_bits=DEFAULT_PRECISION_BITS):
     For the compensated strategy the deficit n*C - log F_n is the floor
     remainder of the final budget division, so whenever the running budget
     n*C - sum over proper divisors of K_d*log p_d is nonnegative the deficit
-    must land in [0, log p_n).  Both inequalities are certified with interval
-    arithmetic at escalating precision (they are strict in exact arithmetic:
-    n*C never equals the log of an integer).  Rows with a negative running
-    budget are reported, not checked.
+    must land in [0, log p_n).  Both inequalities are certified on the budget
+    balls build_plan floors, at escalating precision (they are strict in
+    exact arithmetic: n*C never equals the log of an integer).  Rows with a
+    negative running budget are reported, not checked.
     """
     if plan.strategy != STRATEGY_COMPENSATED:
         raise ValueError("deficit certification applies to the compensated strategy")
@@ -477,34 +486,24 @@ def deficit_report(plan, n_max=None, precision_bits=DEFAULT_PRECISION_BITS):
     rows = []
     for n in range(1, top + 1):
         comp = plan.components[n - 1]
-        spent = [
-            (plan.components[d - 1].K, plan.components[d - 1].p)
-            for d in divisors(n)
-            if d != n and plan.components[d - 1].K > 0
-        ]
+        spent = _spent(plan.components, n)
 
-        def budget_iv(bits):
-            with interval_precision(bits):
-                b = rational_interval(n * C)
-                for k_d, p_d in spent:
-                    b -= k_d * log_interval(p_d, bits)
-                return b
+        def budget_positive(bits):
+            lo, hi = _budget_ball(n, C, spent, bits)
+            return True if lo > 0 else False if hi <= 0 else None
 
-        nonneg = adaptive_decide(
-            lambda bits: budget_iv(bits) > 0, start_bits=precision_bits
-        )
-        if not nonneg:
+        if not adaptive_decide(budget_positive, start_bits=precision_bits):
             rows.append(DeficitRow(n, False, False))
             continue
 
         def in_window(bits):
-            with interval_precision(bits):
-                deficit = budget_iv(bits) - comp.K * log_interval(comp.p, bits)
-                above = deficit > 0
-                below = deficit < log_interval(comp.p, bits)
-            if above is False or below is False:
+            lo, hi = _budget_ball(n, C, spent, bits)
+            log_lo, log_hi = log_ball(comp.p, bits)
+            lo -= comp.K * log_hi
+            hi -= comp.K * log_lo
+            if hi <= 0 or lo >= log_hi:
                 return False
-            if above and below:
+            if lo > 0 and hi < log_lo:
                 return True
             return None
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from mpmath import mp
 
 from .numtheory import divisors, mobius
-from .precision import DEFAULT_PRECISION_BITS, digits_for_bits
+from .precision import DEFAULT_PRECISION_BITS
 from .targets import FINITE, INFINITE, GrowthTarget
 
 KIND_FIXED = "fixed"
@@ -266,8 +266,3 @@ def read_sequence_csv(fh, kind=KIND_FIXED):
     if not values:
         raise ValueError("empty sequence file")
     return CountSequence(kind, tuple(values))
-
-
-def format_rate(x, precision_bits=DEFAULT_PRECISION_BITS):
-    """Decimal rendering of a high-precision real at the precision-implied digits."""
-    return mp.nstr(x, digits_for_bits(precision_bits))

@@ -1,4 +1,4 @@
-"""Adaptive-precision real and interval helpers.
+"""Adaptive-precision integer balls and real helpers.
 
 Every exact quantity in this package is an integer or a rational; logarithms
 of integers are the only transcendental values that ever enter a comparison.
@@ -8,18 +8,24 @@ inequalities involving such quantities are always decidable: compute an
 enclosure, and if it straddles the decision boundary, double the precision
 and try again.
 
-mpmath's contexts are process-global, so the helpers here save and restore
-the interval precision around each evaluation.  That makes them reentrant
-but not thread safe; run concurrent work in separate processes.
+Enclosures are integer balls at a binary scale b: a pair of Python integers
+(lo, hi) with lo <= x * 2**b <= hi, the fixed-point analogue of Arb's
+midpoint-radius balls (F. Johansson, IEEE Trans. Computers 66, 2017).  Sums,
+integer multiples and floors of quotients of balls are exact integer
+arithmetic, so a decision never touches a floating-point context.  The one
+transcendental input, log(n), is enclosed once per (n, b) by log_ball from
+an mpmath interval evaluation.
+
+mpmath's contexts are process-global.  log_ball saves and restores the
+interval precision around its evaluation, and log_real works inside
+mp.workprec; both are reentrant but not thread safe, so run concurrent work
+in separate processes.
 """
 
-import math
-from contextlib import contextmanager
-from fractions import Fraction
 from functools import lru_cache
 
 from mpmath import iv, mp
-from mpmath.libmp import mpf_floor, to_int
+from mpmath.libmp import mpf_ceil, mpf_floor, mpf_shift, to_int
 
 DEFAULT_PRECISION_BITS = 128
 
@@ -35,57 +41,36 @@ class PrecisionError(ArithmeticError):
     """An interval decision failed to resolve below MAX_DECISION_BITS."""
 
 
-@contextmanager
-def interval_precision(bits):
-    """Temporarily set the shared interval context to `bits` of precision."""
+@lru_cache(maxsize=None)
+def log_ball(n, bits):
+    """Integers (lo, hi) with lo <= log(n) * 2**bits <= hi, for an integer n >= 1.
+
+    The enclosure comes from one mpmath interval logarithm at bits plus
+    guard bits of precision; scaling its ends by 2**bits is exact.
+    """
     saved = iv.prec
-    iv.prec = bits
+    iv.prec = bits + _GUARD_BITS
     try:
-        yield iv
+        lo, hi = iv.log(iv.mpf(n))._mpi_
     finally:
         iv.prec = saved
-
-
-def rational_interval(q):
-    """Enclosure of an int or Fraction at the current interval precision."""
-    if isinstance(q, Fraction):
-        return iv.mpf(q.numerator) / iv.mpf(q.denominator)
-    return iv.mpf(q)
-
-
-_log_iv_cache = {}
-
-
-def log_interval(n, bits):
-    """Cached enclosure of log(n) for an integer n >= 1."""
-    key = (n, bits)
-    got = _log_iv_cache.get(key)
-    if got is None:
-        with interval_precision(bits):
-            got = iv.log(iv.mpf(n))
-        _log_iv_cache[key] = got
-    return got
-
-
-def interval_floor(x):
-    """Exact floor of an enclosure, or None if it straddles an integer."""
-    lo, hi = x._mpi_
-    fl = int(to_int(mpf_floor(lo, 0)))
-    fh = int(to_int(mpf_floor(hi, 0)))
-    return fl if fl == fh else None
+    return (
+        int(to_int(mpf_floor(mpf_shift(lo, bits), 0))),
+        int(to_int(mpf_ceil(mpf_shift(hi, bits), 0))),
+    )
 
 
 def adaptive_floor(build, start_bits=DEFAULT_PRECISION_BITS, max_bits=MAX_DECISION_BITS):
-    """Floor of the value enclosed by build(bits), escalating until unambiguous.
+    """Floor of a value, escalating until its integer bounds agree.
 
-    `build` must return enclosures of the same mathematical value at any
-    requested precision.
+    `build(bits)` must return integers (lo, hi) with lo <= floor(x) <= hi for
+    the same mathematical value x at any requested precision.
     """
     bits = start_bits
     while True:
-        f = interval_floor(build(bits))
-        if f is not None:
-            return f
+        lo, hi = build(bits)
+        if lo == hi:
+            return lo
         if bits >= max_bits:
             raise PrecisionError("floor still undecided at %d bits" % bits)
         bits *= 2

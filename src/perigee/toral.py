@@ -37,10 +37,6 @@ class DegeneracyError(ValueError):
 class ConvergenceError(ArithmeticError):
     """Root isolation did not certify within the iteration budget."""
 
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
-
 
 @dataclass(frozen=True)
 class IntegerPolynomial:
@@ -81,15 +77,6 @@ def _trim(c):
     while i > 0 and c[i - 1] == 0:
         i -= 1
     return c[:i]
-
-
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
 
 
 def _poly_divmod(a, b):
@@ -429,8 +416,7 @@ def mahler_measure(f, precision_bits=DEFAULT_PRECISION_BITS):
                     )
         dps *= 2
     raise ConvergenceError(
-        "root certification failed for %s at %d working digits" % (f, dps // 2),
-        partial=None,
+        "root certification failed for %s at %d working digits" % (f, dps // 2)
     )
 
 

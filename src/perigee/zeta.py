@@ -231,13 +231,3 @@ def rationality_probe(S):
         numerator.pop()
     num, den = _normalize_pair(numerator, list(C))
     return ProbeVerdict(VERDICT_RATIONAL, num, den, L)
-
-
-def write_series_csv(S, fh):
-    """Shared series format: m,numerator,denominator with exact integers."""
-    import csv
-
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["m", "numerator", "denominator"])
-    for m, c in enumerate(S.coefficients):
-        writer.writerow([m, c.numerator, c.denominator])

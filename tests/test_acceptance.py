@@ -29,6 +29,7 @@ from perigee.construction import (
     enumerate_oracle,
     fixed_count,
     fixed_count_log,
+    fixed_sequence,
     least_count_claimed,
     least_count_exact,
     sigma_rate_target,
@@ -135,7 +136,7 @@ def test_criterion_03_claimed_formula_status():
         c = Fraction(rng.randint(1, 3000), 1000)
         plans.append(build_plan(GrowthTarget.finite(c), "paper", n_max=200))
     for plan in plans:
-        rep = claimed_vs_exact_report(plan, 200)
+        rep = claimed_vs_exact_report(plan, least_from_fixed(fixed_sequence(plan)))
         assert rep.lower_bound_ok
         assert rep.equality_matches_predicate
         # at n = 1 the exact count always exceeds the closed form by the zero point

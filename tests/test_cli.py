@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from perigee import construction, orbits
 from perigee.cli import main
 from perigee.construction import build_plan, load_plan, plan_to_json, save_plan
 from perigee.targets import GrowthTarget
@@ -128,6 +129,42 @@ def test_construct_sequence_out_feeds_zeta(capsys, tmp_path):
     code, out, _ = run(capsys, "zeta", "--sequence", str(seq_path), "--max-m", "10")
     assert code == 0
     assert out.splitlines()[1] == "0,1,1"
+
+
+def test_failed_sequence_write_leaves_no_file(capsys, tmp_path, monkeypatch):
+    def write_one_row_then_fail(S, fh):
+        fh.write("n,value\n1,%d\n" % S.values[0])
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(orbits, "write_sequence_csv", write_one_row_then_fail)
+    seq_path = tmp_path / "counts.csv"
+    code, _, err = run(
+        capsys,
+        "construct", "--C", "6932/10000", "--strategy", "paper", "--max-n", "12",
+        "--sequence-out", str(seq_path),
+    )
+    assert code != 0
+    assert "no space left" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_plan_write_keeps_previous_file(capsys, tmp_path, monkeypatch):
+    def fail_midway(plan, path):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("{")
+        raise OSError("no space left on device")
+
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text("previous\n")
+    monkeypatch.setattr(construction, "save_plan", fail_midway)
+    code, _, _ = run(
+        capsys,
+        "construct", "--C", "6932/10000", "--strategy", "paper", "--max-n", "6",
+        "--plan-out", str(plan_path),
+    )
+    assert code != 0
+    assert plan_path.read_text() == "previous\n"
+    assert list(tmp_path.iterdir()) == [plan_path]
 
 
 def test_oracle_mismatch_exit_code(capsys, tmp_path):

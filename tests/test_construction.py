@@ -1,13 +1,16 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
+from perigee import construction
 from perigee.construction import (
     ClaimedVsExactReport,
     ConstructionPlan,
     DEFAULT_ENUMERATION_BUDGET,
+    _exponent,
     _multiplier_order,
     build_plan,
     claimed_vs_exact_report,
@@ -114,13 +117,13 @@ def test_half_log_plan_claimed_equals_exact():
     assert [c.K for c in plan.components] == [0, 0, 0, 1]
     assert least_count_claimed(plan, 4) == 4
     assert least_count_exact(plan, 4) == 4
-    report = claimed_vs_exact_report(plan, 4)
+    report = claimed_vs_exact_report(plan, least_from_fixed(fixed_sequence(plan, 4)))
     assert report.lower_bound_ok and report.equality_matches_predicate
 
 
 def test_claimed_vs_exact_report():
     plan = build_plan(GrowthTarget.finite(C_ABOVE_LOG2), "paper", n_max=6)
-    report = claimed_vs_exact_report(plan, 6)
+    report = claimed_vs_exact_report(plan, least_from_fixed(fixed_sequence(plan)))
     assert report.lower_bound_ok
     assert report.equality_matches_predicate
     row = report.rows[5]
@@ -129,9 +132,17 @@ def test_claimed_vs_exact_report():
     assert report.rows[0].exact - report.rows[0].claimed == 1
 
 
+def test_claimed_vs_exact_report_reads_inverted_counts():
+    plan = build_plan(GrowthTarget.finite(Fraction(3, 2)), "compensated", n_max=24)
+    report = claimed_vs_exact_report(plan, least_from_fixed(fixed_sequence(plan)))
+    assert [r.exact for r in report.rows] == [least_count_exact(plan, n) for n in range(1, 25)]
+    with pytest.raises(ValueError):
+        claimed_vs_exact_report(plan, fixed_sequence(plan))
+
+
 def test_zero_plan_claimed_vs_exact():
     plan = build_plan(GrowthTarget.zero(), n_max=4)
-    report = claimed_vs_exact_report(plan, 4)
+    report = claimed_vs_exact_report(plan, least_from_fixed(fixed_sequence(plan, 4)))
     assert report.rows[0].claimed == 0 and report.rows[0].exact == 1
     assert all(r.claimed == 0 and r.exact == 0 for r in report.rows[1:])
 
@@ -209,6 +220,105 @@ def test_deficit_report_compensated():
             rate = fixed_count_log(plan, n) / n
             bound = mp.log(plan.components[n - 1].p) / n
             assert abs(rate - 1) < bound
+
+
+def _mp_exponent(n, C, p, spent):
+    """Independent floor in plain mp at 1024 bits, with its distance to an integer."""
+    with mp.workprec(1024):
+        budget = mp.mpf(C.numerator * n) / C.denominator
+        for k_d, p_d in spent:
+            budget -= k_d * mp.log(p_d)
+        q = budget / mp.log(p)
+        return max(0, int(mp.floor(q))), abs(q - mp.nint(q))
+
+
+@pytest.mark.parametrize("C", [Fraction(9, 10), Fraction(1), Fraction(107, 100)])
+def test_exponents_match_independent_mp_floor(C):
+    paper = build_plan(GrowthTarget.finite(C), "paper", n_max=300)
+    compensated = build_plan(GrowthTarget.finite(C), "compensated", n_max=300)
+    for plan in (paper, compensated):
+        for comp in plan.components:
+            n = comp.n
+            spent = []
+            if plan is compensated:
+                spent = [
+                    (plan.components[d - 1].K, plan.components[d - 1].p)
+                    for d in divisors(n)
+                    if d != n
+                ]
+            K, distance = _mp_exponent(n, C, comp.p, spent)
+            assert comp.K == K, (plan.strategy, n)
+            assert distance > mp.mpf(2) ** -900
+
+
+def test_low_start_precision_escalates_to_the_same_plan(monkeypatch):
+    bits_tried = []
+    real_floor, real_decide = construction.adaptive_floor, construction.adaptive_decide
+
+    def recording(real):
+        def wrapper(callable_, *args, **kwargs):
+            def counted(bits):
+                bits_tried.append(bits)
+                return callable_(bits)
+
+            return real(counted, *args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(construction, "adaptive_floor", recording(real_floor))
+    monkeypatch.setattr(construction, "adaptive_decide", recording(real_decide))
+    target = GrowthTarget.finite(1)
+    low = build_plan(target, "compensated", n_max=1000, precision_bits=8)
+    report = deficit_report(low, precision_bits=8)
+    # the safety net ran: some decisions at 8 bits were ambiguous
+    assert len(bits_tried) > 3 * 1000 and max(bits_tried) > 8
+    assert report.ok and not report.negative_budget
+    high = build_plan(target, "compensated", n_max=1000, precision_bits=128)
+    assert [c.K for c in low.components] == [c.K for c in high.components]
+    assert report.rows == deficit_report(high, precision_bits=128).rows
+
+
+def test_negative_budget_floors_to_zero():
+    # 2 - 10*log 2 < 0: the clamp decides K = 0 outright, at any precision
+    assert _exponent(2, Fraction(1), 3, [(10, 2)], 128) == 0
+    assert _exponent(2, Fraction(1), 3, [(10, 2)], 8) == 0
+    assert _exponent(2, Fraction(1), 3, [(1, 2)], 128) == 1
+
+
+def _with_exponent(plan, n, K):
+    components = list(plan.components)
+    components[n - 1] = dataclasses.replace(components[n - 1], K=K)
+    return dataclasses.replace(plan, components=tuple(components))
+
+
+def test_deficit_report_catches_shifted_exponents():
+    plan = build_plan(GrowthTarget.finite(1), "compensated", n_max=64)
+    assert deficit_report(plan).ok
+    for n in (1, 4, 5, 37):
+        K = plan.components[n - 1].K
+        assert K >= 1
+        for shifted in (K + 1, K - 1):
+            report = deficit_report(_with_exponent(plan, n, shifted))
+            assert n in report.unverified, (n, shifted)
+            assert all(m >= n for m in report.unverified)
+
+
+def test_deficit_report_lists_negative_budgets():
+    plan = _with_exponent(build_plan(GrowthTarget.finite(1), "compensated", n_max=12), 1, 20)
+    report = deficit_report(plan)
+    assert report.unverified == (1,)
+    assert report.negative_budget == tuple(range(2, 13))
+
+
+def test_loaded_plan_certifies_with_identical_rows(tmp_path):
+    plan = build_plan(GrowthTarget.finite(Fraction(21, 20)), "compensated", n_max=200)
+    path = tmp_path / "plan.json"
+    save_plan(plan, path)
+    loaded = load_plan(path)
+    assert loaded == plan
+    report = deficit_report(loaded)
+    assert report.ok
+    assert report.rows == deficit_report(plan).rows
 
 
 def test_deficit_report_requires_compensated():
