@@ -5,8 +5,9 @@ lines) or the JSON mirror of the same content.  Nothing is random and all
 precision is explicit, so identical invocations produce byte-identical
 output.
 
-Exit codes: 0 ok, 1 oracle mismatch, 2 invalid configuration or parse error,
-3 computation budget exceeded, 4 degenerate polynomial.
+Exit codes: 0 ok, 1 oracle mismatch, 2 invalid configuration or parse error
+(including a missing or unreadable input file), 3 computation budget exceeded
+or an output file that could not be written, 4 degenerate polynomial.
 """
 
 import argparse
@@ -75,18 +76,26 @@ def _emit(config, header, rows, summary, out):
         out.write(json.dumps(payload, indent=2) + "\n")
 
 
+class OutputError(Exception):
+    """An output file could not be written: a resource failure, exit 3."""
+
+
 @contextmanager
 def _atomic_output(path):
     """Yield a temporary path beside `path`, moved over `path` on success.
 
     On any exception the temporary file is removed, so a failed write leaves
-    neither a truncated output nor a stray file behind.
+    neither a truncated output nor a stray file behind.  An OSError while
+    writing or moving is re-raised as OutputError naming `path`.
     """
     directory, name = os.path.split(path)
     temp = os.path.join(directory, ".%s.%d.tmp" % (name, os.getpid()))
     try:
-        yield temp
-        os.replace(temp, path)
+        try:
+            yield temp
+            os.replace(temp, path)
+        except OSError as exc:
+            raise OutputError("cannot write %s: %s" % (path, exc)) from exc
     except BaseException:
         if os.path.exists(temp):
             os.unlink(temp)
@@ -458,6 +467,9 @@ def main(argv=None):
         return EXIT_BUDGET
     except PrecisionError as exc:
         print("precision budget exceeded: %s" % exc, file=sys.stderr)
+        return EXIT_BUDGET
+    except OutputError as exc:
+        print("error: %s" % exc, file=sys.stderr)
         return EXIT_BUDGET
     except DegeneracyError as exc:
         print(

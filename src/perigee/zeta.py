@@ -3,13 +3,16 @@
 The zeta function of a map with period counts F_n is the formal power series
 exp(sum over n >= 1 of F_n * z^n / n).  Its coefficients satisfy the exact
 recurrence m*c_m = sum over k = 1..m of F_k * c_{m-k}, which is how they are
-computed here, entirely in rational arithmetic.  For realizable sequences the
-same series is the truncated Euler product over orbits,
+computed here, exactly, on the integers m! * c_m.  For realizable sequences
+the same series is the truncated Euler product over orbits,
 prod over n of (1 - z^n)^(-L_n/n), with nonnegative integer coefficients.
 
 A minimal-linear-recurrence search over the coefficients probes whether the
-truncation is consistent with a rational function; with finitely many terms
-the verdict is only ever "consistent with", never a proof.
+truncation c_0..c_M is consistent with a rational function.  The verdict
+"no-low-order-recurrence" is a proof that no linear recurrence of length
+<= M//2 - 1 fits c_0..c_M, certified by a rank computation modulo a prime;
+"consistent-with-rational" is only ever "consistent with".  Both verdicts are
+statements about the truncation, never about the full series.
 """
 
 import math
@@ -25,6 +28,9 @@ from .orbits import (
 
 VERDICT_RATIONAL = "consistent-with-rational"
 VERDICT_NO_RECURRENCE = "no-low-order-recurrence"
+
+# The Mersenne prime 2**61 - 1: the rank check's field of residues.
+RANK_PRIME = 2**61 - 1
 
 
 @dataclass(frozen=True)
@@ -49,12 +55,19 @@ def zeta_truncate(F, order):
         raise ValueError("zeta series needs a fixed-count sequence")
     if order > F.N:
         raise ValueError("truncation order %d beyond horizon %d" % (order, F.N))
+    # a_m = m! * c_m is an integer:
+    # a_m = sum over k of F_k * ((m-1)!/(m-k)!) * a_{m-k}, summed by Horner.
+    values = F.values
+    scaled = [1]
     coeffs = [Fraction(1)]
+    factorial = 1
     for m in range(1, order + 1):
-        acc = Fraction(0)
-        for k in range(1, m + 1):
-            acc += F.values[k - 1] * coeffs[m - k]
-        coeffs.append(acc / m)
+        acc = 0
+        for k in range(m, 0, -1):
+            acc = acc * (m - k) + values[k - 1] * scaled[m - k]
+        scaled.append(acc)
+        factorial *= m
+        coeffs.append(Fraction(acc, factorial))
     return ZetaSeries(coefficients=tuple(coeffs), source=F)
 
 
@@ -73,15 +86,15 @@ def sequence_from_series(S):
 
 
 def _mul_trunc(a, b, order):
-    out = [Fraction(0)] * (order + 1)
-    for i, x in enumerate(a):
-        if i > order or x == 0:
+    out = [0] * (order + 1)
+    b_terms = [(j, y) for j, y in enumerate(b[: order + 1]) if y]
+    for i, x in enumerate(a[: order + 1]):
+        if x == 0:
             continue
-        for j, y in enumerate(b):
+        for j, y in b_terms:
             if i + j > order:
                 break
-            if y:
-                out[i + j] += x * y
+            out[i + j] += x * y
     return out
 
 
@@ -97,7 +110,7 @@ def orbit_product_form(F, order):
     if order > F.N:
         raise ValueError("truncation order %d beyond horizon %d" % (order, F.N))
     L = least_from_fixed(F)
-    series = [Fraction(1)] + [Fraction(0)] * order
+    series = [1] + [0] * order
     for n in range(1, order + 1):
         ln = L.values[n - 1]
         if ln < 0:
@@ -108,11 +121,9 @@ def orbit_product_form(F, order):
         if orbits == 0:
             continue
         # (1 - z^n)^(-orbits): coefficient binom(orbits - 1 + j, j) at z^(n*j)
-        factor = [Fraction(0)] * (order + 1)
-        j = 0
-        while n * j <= order:
-            factor[n * j] = Fraction(math.comb(orbits - 1 + j, j))
-            j += 1
+        factor = [0] * (order + 1)
+        for j in range(order // n + 1):
+            factor[n * j] = math.comb(orbits - 1 + j, j)
         series = _mul_trunc(series, factor, order)
     return ZetaSeries(coefficients=tuple(series), source=F)
 
@@ -166,6 +177,14 @@ def berlekamp_massey(sequence):
 
 @dataclass(frozen=True)
 class ProbeVerdict:
+    """Outcome of rationality_probe.
+
+    recurrence_length is the minimal recurrence length L found by
+    Berlekamp-Massey, except for a no-low-order-recurrence verdict certified
+    by the rank check, where it is the lower bound M//2 (every recurrence
+    that fits the truncation is at least that long) and BM never runs.
+    """
+
     verdict: str
     numerator: tuple[int, ...] | None
     denominator: tuple[int, ...] | None
@@ -206,21 +225,61 @@ def _normalize_pair(num, den):
     return tuple(n_int), tuple(d_int)
 
 
+def _window_has_full_rank(seq, cap):
+    """Whether the window matrix [s_{i-j}], i = cap..M, j = 0..cap, has full
+    column rank modulo RANK_PRIME, by Gaussian elimination on residues.
+
+    Reduction mod a prime is a ring homomorphism on the rationals whose
+    denominators it does not divide, so full rank mod RANK_PRIME implies full
+    rank over Q.  False means "not certified": the rank is deficient mod the
+    prime, or RANK_PRIME divides a denominator (impossible for zeta
+    coefficients with M < RANK_PRIME, whose denominators divide M!).
+    """
+    residues = []
+    for c in seq:
+        den = c.denominator % RANK_PRIME
+        if den == 0:
+            return False
+        residues.append(c.numerator * pow(den, -1, RANK_PRIME) % RANK_PRIME)
+    rows = [[residues[i - j] for j in range(cap + 1)] for i in range(cap, len(seq))]
+    # Eliminate column by column, dropping each pivot row and finished column.
+    for _ in range(cap + 1):
+        pivot = next((row for row in rows if row[0]), None)
+        if pivot is None:
+            return False
+        rows.remove(pivot)
+        inv = pow(pivot[0], -1, RANK_PRIME)
+        tail = [x * inv % RANK_PRIME for x in pivot[1:]]
+        rows = [
+            [(x - row[0] * y) % RANK_PRIME for x, y in zip(row[1:], tail)] if row[0] else row[1:]
+            for row in rows
+        ]
+    return True
+
+
 def rationality_probe(S):
     """Search for a low-order linear recurrence among the coefficients.
 
-    A recurrence of length q <= M//2 - 1 that fits every available term
-    leaves at least q + 1 verification terms beyond the fitting window; in
-    that case the candidate rational function is denominator = connection
-    polynomial, numerator = (denominator * series) truncated, which must have
-    no terms past the recurrence window.  The verdict is inherently about the
-    finite truncation: it never asserts that the full series is rational.
+    Any recurrence sum over j of C_j * c_{i-j} = 0 (C_0 = 1) of length
+    L <= cap = M//2 - 1 that fits c_0..c_M, padded with zeros, is a nonzero
+    kernel vector of the window matrix [c_{i-j}] (i = cap..M, j = 0..cap).
+    So when that matrix has full column rank mod RANK_PRIME the verdict
+    no-low-order-recurrence is proven, with recurrence_length = cap + 1 as a
+    lower bound.  Otherwise Berlekamp-Massey finds the minimal recurrence: if
+    it has length L <= cap it leaves at least L + 1 verification terms beyond
+    the fitting window, and the candidate rational function is denominator =
+    connection polynomial, numerator = (denominator * series) truncated,
+    which must have no terms past the recurrence window.  The verdict is
+    inherently about the finite truncation: it never asserts anything about
+    the full series.
     """
     if S.M < 8:
         raise ValueError("probe needs at least 8 coefficients beyond c_0")
+    cap = S.M // 2 - 1
+    if _window_has_full_rank(S.coefficients, cap):
+        return ProbeVerdict(VERDICT_NO_RECURRENCE, None, None, cap + 1)
     seq = list(S.coefficients)
     L, C = berlekamp_massey(seq)
-    cap = S.M // 2 - 1
     if L > cap:
         return ProbeVerdict(VERDICT_NO_RECURRENCE, None, None, L)
     product = _mul_trunc(list(C), seq, S.M)

@@ -143,8 +143,8 @@ def test_failed_sequence_write_leaves_no_file(capsys, tmp_path, monkeypatch):
         "construct", "--C", "6932/10000", "--strategy", "paper", "--max-n", "12",
         "--sequence-out", str(seq_path),
     )
-    assert code != 0
-    assert "no space left" in err
+    assert code == 3
+    assert "no space left" in err and str(seq_path) in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -157,12 +157,13 @@ def test_failed_plan_write_keeps_previous_file(capsys, tmp_path, monkeypatch):
     plan_path = tmp_path / "plan.json"
     plan_path.write_text("previous\n")
     monkeypatch.setattr(construction, "save_plan", fail_midway)
-    code, _, _ = run(
+    code, _, err = run(
         capsys,
         "construct", "--C", "6932/10000", "--strategy", "paper", "--max-n", "6",
         "--plan-out", str(plan_path),
     )
-    assert code != 0
+    assert code == 3
+    assert str(plan_path) in err
     assert plan_path.read_text() == "previous\n"
     assert list(tmp_path.iterdir()) == [plan_path]
 
@@ -233,6 +234,11 @@ def test_zeta_json(capsys, tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert payload["summary"]["probe"]["verdict"] == "consistent-with-rational"
+
+
+def test_zeta_missing_input_is_a_config_error(capsys, tmp_path):
+    code, _, err = run(capsys, "zeta", "--sequence", str(tmp_path / "missing.csv"))
+    assert code == 2 and "missing.csv" in err
 
 
 def test_analyze_command(capsys, tmp_path):

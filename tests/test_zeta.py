@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,7 +8,9 @@ from hypothesis import strategies as st
 
 from perigee.orbits import CountSequence, RealizabilityError, fixed_from_least
 from perigee.toral import IntegerPolynomial, toral_fix_sequence
+from perigee import zeta
 from perigee.zeta import (
+    RANK_PRIME,
     VERDICT_NO_RECURRENCE,
     VERDICT_RATIONAL,
     ZetaSeries,
@@ -30,6 +33,18 @@ def test_truncate_examples():
     assert ones.coefficients == (1, 1, 1, 1, 1)
     single = zeta_truncate(CountSequence.fixed([1, 0, 0]), 3)
     assert single.coefficients == (1, 1, Fraction(1, 2), Fraction(1, 6))
+
+
+@given(st.lists(st.integers(min_value=-10**6, max_value=10**6), min_size=1, max_size=64))
+@settings(max_examples=60, deadline=None)
+def test_truncate_matches_rational_recurrence(values):
+    # m * c_m = sum over k of F_k * c_{m-k}, in Fractions; no realizability needed
+    reference = [Fraction(1)]
+    for m in range(1, len(values) + 1):
+        acc = sum(values[k - 1] * reference[m - k] for k in range(1, m + 1))
+        reference.append(Fraction(acc) / m)
+    F = CountSequence.fixed(values)
+    assert zeta_truncate(F, F.N).coefficients == tuple(reference)
 
 
 def test_truncate_validation():
@@ -155,3 +170,118 @@ def test_probe_json():
 def test_series_requires_unit_constant():
     with pytest.raises(ValueError):
         ZetaSeries(coefficients=(Fraction(2),))
+
+
+def bm_only_probe(coefficients):
+    """The probe by Berlekamp-Massey alone: (verdict, numerator, denominator, L)."""
+    M = len(coefficients) - 1
+    L, C = berlekamp_massey(coefficients)
+    if L > M // 2 - 1:
+        return VERDICT_NO_RECURRENCE, None, None, L
+    product = [
+        sum(C[j] * coefficients[m - j] for j in range(min(m, len(C) - 1) + 1))
+        for m in range(M + 1)
+    ]
+    if any(product[L:]):
+        return VERDICT_NO_RECURRENCE, None, None, L
+    numerator = product[: max(L, 1)]
+    while len(numerator) > 1 and numerator[-1] == 0:
+        numerator.pop()
+    terms = numerator + list(C)
+    scale = math.lcm(*(Fraction(c).denominator for c in terms))
+    ints = [int(c * scale) for c in terms]
+    g = math.gcd(*ints)
+    if ints[len(numerator)] < 0:
+        g = -g
+    ints = [c // g for c in ints]
+    return VERDICT_RATIONAL, tuple(ints[: len(numerator)]), tuple(ints[len(numerator):]), L
+
+
+def assert_probe_matches_bm(coefficients):
+    verdict = rationality_probe(ZetaSeries(coefficients=tuple(coefficients)))
+    want, num, den, length = bm_only_probe(coefficients)
+    assert (verdict.verdict, verdict.numerator, verdict.denominator) == (want, num, den)
+    if want == VERDICT_RATIONAL:
+        assert verdict.recurrence_length == length
+    else:
+        # the rank path reports a lower bound on the minimal length
+        assert isinstance(verdict.recurrence_length, int)
+        assert (len(coefficients) - 1) // 2 <= verdict.recurrence_length <= length
+
+
+def series_of(num, den, order):
+    out = []
+    for m in range(order + 1):
+        c = num[m] if m < len(num) else 0
+        c -= sum(den[j] * out[m - j] for j in range(1, min(m, len(den) - 1) + 1))
+        out.append(c)
+    return out
+
+
+small_fractions = st.builds(
+    Fraction, st.integers(min_value=-4, max_value=4), st.integers(min_value=1, max_value=3)
+)
+
+
+@st.composite
+def rational_series(draw):
+    M = draw(st.integers(min_value=8, max_value=40))
+    cap = M // 2 - 1
+    den = [1] + draw(st.lists(st.integers(min_value=-3, max_value=3), max_size=cap))
+    num = [1] + draw(st.lists(small_fractions, max_size=cap))
+    return series_of(num, den, M)
+
+
+@st.composite
+def non_rational_series(draw):
+    M = draw(st.integers(min_value=8, max_value=40))
+    return [Fraction(1)] + draw(st.lists(small_fractions, min_size=M, max_size=M))
+
+
+@given(rational_series())
+@settings(max_examples=80, deadline=None)
+def test_probe_matches_bm_on_rational_series(coefficients):
+    assert_probe_matches_bm(coefficients)
+
+
+@given(non_rational_series())
+@settings(max_examples=80, deadline=None)
+def test_probe_matches_bm_on_random_series(coefficients):
+    assert_probe_matches_bm(coefficients)
+
+
+def test_probe_certifies_without_berlekamp_massey(monkeypatch):
+    def refuse(sequence):
+        raise AssertionError("the rank check should decide this series")
+
+    monkeypatch.setattr(zeta, "berlekamp_massey", refuse)
+    rng = random.Random(5)
+    least = CountSequence.least([n * rng.randint(0, 9) for n in range(1, 65)])
+    verdict = rationality_probe(zeta_truncate(fixed_from_least(least), 64))
+    assert verdict.verdict == VERDICT_NO_RECURRENCE
+    assert verdict.recurrence_length == 32
+
+
+@pytest.mark.parametrize(
+    "coefficients",
+    [
+        # non-rational, with a denominator the rank prime divides
+        [Fraction(1), Fraction(1, RANK_PRIME)] + [Fraction((3 * m) % 7 - 2, m) for m in range(2, 17)],
+        # the geometric series of 1/RANK_PRIME
+        [Fraction(1, RANK_PRIME**m) for m in range(17)],
+    ],
+)
+def test_probe_falls_back_when_the_prime_divides_a_denominator(coefficients, monkeypatch):
+    calls = []
+
+    def counting(sequence):
+        calls.append(len(sequence))
+        return berlekamp_massey(sequence)
+
+    monkeypatch.setattr(zeta, "berlekamp_massey", counting)
+    verdict = rationality_probe(ZetaSeries(coefficients=tuple(coefficients)))
+    assert calls == [len(coefficients)]
+    monkeypatch.undo()
+    want, num, den, length = bm_only_probe(coefficients)
+    assert (verdict.verdict, verdict.numerator, verdict.denominator) == (want, num, den)
+    assert verdict.recurrence_length == length
