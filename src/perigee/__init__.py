@@ -23,7 +23,6 @@ from .construction import (
 from .numtheory import (
     BudgetError,
     FactoredNatural,
-    PrimeInProgression,
     divisors,
     is_prime,
     least_prime_congruent_one,

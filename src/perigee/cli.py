@@ -23,7 +23,7 @@ from mpmath import mp
 
 from . import construction, numtheory, orbits, toral, zeta
 from .numtheory import BudgetError
-from .precision import DEFAULT_PRECISION_BITS, PrecisionError, digits_for_bits, log_real
+from .precision import DEFAULT_PRECISION_BITS, PrecisionError, digits_for_bits, working_precision
 from .targets import FINITE, GrowthTarget
 from .toral import DegeneracyError, IntegerPolynomial
 
@@ -145,7 +145,7 @@ def cmd_construct(config, args, out):
     header = ["n", "p", "K", "F_factored", "F_log", "L_exact", "L_claimed", "rate"]
     rows = []
     rates = []
-    with mp.workprec(bits + 12):
+    with working_precision(bits):
         for comp, counts in zip(plan.components, report.rows):
             n = comp.n
             f_log = construction.fixed_count_log(plan, n, bits)
@@ -240,7 +240,7 @@ def cmd_lehmer(config, args, out):
     measure = toral.mahler_measure(poly, precision_bits=bits)
     header = ["n", "delta", "rate"]
     rows = []
-    with mp.workprec(bits + 12):
+    with working_precision(bits):
         for n, value in enumerate(sequence.values, start=1):
             rate = mp.log(value) / n if value > 0 else mp.mpf(0)
             rows.append([n, value, _fmt(rate, bits)])
@@ -314,11 +314,11 @@ def cmd_primes(config, args, out):
     header = ["n", "p", "ratio"]
     rows = []
     worst = None
-    with mp.workprec(bits + 12):
+    with working_precision(bits):
         for n in range(1, args.max_n + 1):
-            found = numtheory.least_prime_congruent_one(n)
-            ratio = found.p / mp.mpf(n) ** numtheory.PRIME_BOUND_EXPONENT
-            rows.append([n, found.p, _fmt(ratio, bits)])
+            p = numtheory.least_prime_congruent_one(n)
+            ratio = p / mp.mpf(n) ** numtheory.PRIME_BOUND_EXPONENT
+            rows.append([n, p, _fmt(ratio, bits)])
             if n >= 2 and (worst is None or ratio > worst[1]):
                 worst = (n, ratio)
         summary = {

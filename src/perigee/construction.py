@@ -38,7 +38,6 @@ from fractions import Fraction
 
 from .numtheory import (
     BudgetError,
-    DEFAULT_SCAN_CEILING,
     FactoredNatural,
     divisors,
     element_of_order,
@@ -177,7 +176,6 @@ def build_plan(
     n_max=1,
     gamma=None,
     precision_bits=DEFAULT_PRECISION_BITS,
-    scan_ceiling=DEFAULT_SCAN_CEILING,
 ):
     """Build components n = 1..n_max for the given target and strategy.
 
@@ -210,8 +208,7 @@ def build_plan(
     components = []
     for n in range(1, n_max + 1):
         floor = n**n if strategy == STRATEGY_INFINITE else 0
-        found = least_prime_congruent_one(n, search_floor=floor, max_candidates=scan_ceiling)
-        p = found.p
+        p = least_prime_congruent_one(n, search_floor=floor)
         if strategy == STRATEGY_TRIVIAL:
             K = 0
         elif strategy == STRATEGY_INFINITE:

@@ -2,17 +2,16 @@
 
 Primality testing, least primes in the progression 1 mod n, elements of
 prescribed multiplicative order (found from the factorisation of the order
-alone, never of p - 1), divisors and the Moebius function.  All routines are
-deterministic; searches and factorisations take explicit budgets so
-pathological inputs raise BudgetError instead of hanging.
+alone, never of p - 1), divisors and the Moebius function.  Only plan indices
+are ever factored, so factorize is trial division to a fixed bound (no rho).
+All routines are deterministic; pathological inputs raise BudgetError
+instead of hanging.
 """
 
 import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-
-from .precision import DEFAULT_PRECISION_BITS, log_real
 
 # Least prime p ≡ 1 (mod n) satisfies p <= B * n**5.5 for an effective but
 # unpublished constant B (Heath-Brown's sharpening of Linnik's theorem).
@@ -30,21 +29,12 @@ DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
 RANDOM_ROUNDS = 64
 
 DEFAULT_SCAN_CEILING = 2**40
-DEFAULT_TRIAL_BOUND = 10**6
-DEFAULT_RHO_ITERATIONS = 1 << 22
+# factorize's trial-division bound: every n < TRIAL_BOUND**2 factors in full.
+TRIAL_BOUND = 10**6
 
 
 class BudgetError(RuntimeError):
-    """A configurable search or factorisation budget was exhausted."""
-
-
-@dataclass(frozen=True)
-class PrimeInProgression:
-    """The least prime p > search_floor with p ≡ 1 (mod modulus_n)."""
-
-    modulus_n: int
-    p: int
-    search_floor: int = 0
+    """A search budget or the trial-division bound was exhausted."""
 
 
 @dataclass(frozen=True)
@@ -71,12 +61,6 @@ class FactoredNatural:
 
     def __int__(self):
         return self.value()
-
-    def log(self, precision_bits=DEFAULT_PRECISION_BITS):
-        total = 0
-        for p, e in self.factors:
-            total += e * log_real(p, precision_bits)
-        return total
 
     def __str__(self):
         if not self.factors:
@@ -234,7 +218,7 @@ def is_prime(n):
 
 
 def least_prime_congruent_one(n, search_floor=0, max_candidates=DEFAULT_SCAN_CEILING):
-    """Least prime p > search_floor with p ≡ 1 (mod n), by linear scan.
+    """Least prime p > search_floor with p ≡ 1 (mod n), as an int, by linear scan.
 
     Scans p = k*n + 1 in increasing order (for n = 1 that is every integer
     above the floor).  Dirichlet guarantees termination; the candidate budget
@@ -248,7 +232,7 @@ def least_prime_congruent_one(n, search_floor=0, max_candidates=DEFAULT_SCAN_CEI
     for _ in range(max_candidates):
         candidate = k * n + 1
         if candidate > search_floor and candidate >= 2 and is_prime(candidate):
-            return PrimeInProgression(modulus_n=n, p=candidate, search_floor=search_floor)
+            return candidate
         k += 1
     raise BudgetError(
         "no prime ≡ 1 (mod %d) above %d within %d candidates" % (n, search_floor, max_candidates)
@@ -258,45 +242,13 @@ def least_prime_congruent_one(n, search_floor=0, max_candidates=DEFAULT_SCAN_CEI
 # --- factorisation ---------------------------------------------------------
 
 
-def _brent_rho(n, max_iterations):
-    """Brent's cycle-finding rho, deterministic seed schedule.  n odd composite."""
-    for c in range(1, 64):
-        y, r, q = 2, 1, 1
-        g = 1
-        count = 0
-        x = ys = y
-        while g == 1 and count <= max_iterations:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                batch = min(128, r - k)
-                for _ in range(batch):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                count += batch
-                g = math.gcd(q, n)
-                k += batch
-                if count > max_iterations:
-                    break
-            r *= 2
-        if g == n:
-            # gcd collapsed all at once; replay one step at a time from ys.
-            g = 1
-            for _ in range(max_iterations):
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-                if g > 1:
-                    break
-        if 1 < g < n:
-            return g
-    raise BudgetError("rho failed to split %d within budget" % n)
+def factorize(n):
+    """Full factorisation as a sorted tuple of (prime, exponent) pairs.
 
-
-def factorize(n, trial_bound=DEFAULT_TRIAL_BOUND, rho_iterations=DEFAULT_RHO_ITERATIONS):
-    """Full factorisation as a sorted tuple of (prime, exponent) pairs."""
+    Trial division by 2, 3, 5 and a mod-30 wheel up to TRIAL_BOUND.  A
+    cofactor left with no factor up to the bound is kept if is_prime accepts
+    it; a composite one raises BudgetError.
+    """
     if n < 1:
         raise ValueError("factorize needs a positive integer")
     factors = {}
@@ -307,23 +259,17 @@ def factorize(n, trial_bound=DEFAULT_TRIAL_BOUND, rho_iterations=DEFAULT_RHO_ITE
     f = 7
     increments = (4, 2, 4, 2, 4, 6, 2, 6)  # wheel mod 30
     i = 0
-    while f * f <= n and f <= trial_bound:
+    while f * f <= n and f <= TRIAL_BOUND:
         while n % f == 0:
             factors[f] = factors.get(f, 0) + 1
             n //= f
         f += increments[i]
         i = (i + 1) % 8
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_prime(m):
-            factors[m] = factors.get(m, 0) + 1
-            continue
-        d = _brent_rho(m, rho_iterations)
-        stack.append(d)
-        stack.append(m // d)
+    # Stopped below the square root: the cofactor is undecided by division.
+    if f * f <= n and not is_prime(n):
+        raise BudgetError("%d has no factor up to %d and is not prime" % (n, TRIAL_BOUND))
+    if n > 1:
+        factors[n] = 1
     return tuple(sorted(factors.items()))
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from mpmath import mp
 
 from .numtheory import divisors, mobius
-from .precision import DEFAULT_PRECISION_BITS
+from .precision import DEFAULT_PRECISION_BITS, working_precision
 from .targets import FINITE, INFINITE, GrowthTarget
 
 KIND_FIXED = "fixed"
@@ -166,7 +166,7 @@ def growth_diagnostics(S, target=None, window_len=10, precision_bits=DEFAULT_PRE
         raise ValueError("window length must be positive")
     entries = []
     skipped = []
-    with mp.workprec(precision_bits + 12):
+    with working_precision(precision_bits):
         for n, v in enumerate(S.values, start=1):
             if v <= 0:
                 skipped.append(n)

@@ -18,7 +18,7 @@ an mpmath interval evaluation.
 
 mpmath's contexts are process-global.  log_ball saves and restores the
 interval precision around its evaluation, and log_real works inside
-mp.workprec; both are reentrant but not thread safe, so run concurrent work
+working_precision; both are reentrant but not thread safe, so run concurrent work
 in separate processes.
 """
 
@@ -93,9 +93,14 @@ def digits_for_bits(bits):
     return max(1, int(bits * 0.3010299956639812))
 
 
+def working_precision(bits):
+    """mp.workprec context at bits plus the guard bits every printed value carries."""
+    return mp.workprec(bits + _GUARD_BITS)
+
+
 @lru_cache(maxsize=None)
 def _log_int(n, bits):
-    with mp.workprec(bits + _GUARD_BITS):
+    with working_precision(bits):
         return mp.log(n)
 
 

@@ -23,7 +23,7 @@ from mpmath import mp
 
 from .numtheory import euler_phi
 from .orbits import KIND_FIXED, CountSequence
-from .precision import DEFAULT_PRECISION_BITS, digits_for_bits
+from .precision import DEFAULT_PRECISION_BITS, digits_for_bits, working_precision
 
 
 class DegeneracyError(ValueError):
@@ -269,6 +269,8 @@ def toral_fix_sequence(f, n_max):
     Rejects polynomials vanishing at a root of unity: those hit delta_n = 0,
     and the induced toral map no longer has finite period counts at every n.
     """
+    if n_max < 1:
+        raise ValueError("n_max must be positive")
     k = cyclotomic_factor_index(f)
     if k is not None:
         raise DegeneracyError(k, "polynomial shares a factor with cyclotomic index %d" % k)
@@ -407,7 +409,7 @@ def mahler_measure(f, precision_bits=DEFAULT_PRECISION_BITS):
                         hi = mp.log(enc.modulus_upper)
                         measure += (lo + hi) / 2
                         error += (hi - lo) / 2
-                with mp.workprec(precision_bits + 12):
+                with working_precision(precision_bits):
                     return MahlerResult(
                         measure=+measure,
                         error_bound=+error,
@@ -439,7 +441,7 @@ def lehmer_growth_check(f, n_max, tolerance, precision_bits=DEFAULT_PRECISION_BI
         raise DegeneracyError(k, "polynomial shares a factor with cyclotomic index %d" % k)
     result = mahler_measure(f, precision_bits)
     value = delta_n(f, n_max)
-    with mp.workprec(precision_bits + 12):
+    with working_precision(precision_bits):
         rate = mp.log(value) / n_max
         gap = abs(rate - result.measure)
         tol = mp.mpf(tolerance)

@@ -257,7 +257,7 @@ def test_criterion_07_prime_bound_sweep():
     worst_ratio = 0.0
     worst_n = None
     for n in range(2, 10**4 + 1):
-        p = least_prime_congruent_one(n).p
+        p = least_prime_congruent_one(n)
         ratio = p / n**PRIME_BOUND_EXPONENT
         assert ratio < 1.0, (n, p)
         if ratio > worst_ratio:

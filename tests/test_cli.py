@@ -210,6 +210,12 @@ def test_lehmer_degenerate_exit_code(capsys):
     assert code == 4 and "cyclotomic index 4" in err
 
 
+def test_lehmer_rejects_nonpositive_max_n(capsys):
+    for max_n in ("0", "-3"):
+        code, out, err = run(capsys, "lehmer", "--poly", "-2,1", "--max-n", max_n)
+        assert code == 2 and out == "" and "n_max must be positive" in err
+
+
 def test_zeta_command(capsys, tmp_path):
     seq = tmp_path / "seq.csv"
     rows = ["n,value"] + ["%d,%d" % (n, 2**n - 1) for n in range(1, 33)]

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -8,6 +9,7 @@ from perigee.numtheory import (
     BudgetError,
     FactoredNatural,
     PRIME_BOUND_EXPONENT,
+    TRIAL_BOUND,
     divisors,
     element_of_order,
     euler_phi,
@@ -61,27 +63,27 @@ def test_is_prime_beyond_deterministic_range():
 
 
 def test_least_prime_examples():
-    assert least_prime_congruent_one(1).p == 2
-    assert least_prime_congruent_one(6).p == 7
-    assert least_prime_congruent_one(24).p == 73
-    assert least_prime_congruent_one(3, search_floor=27).p == 31
+    assert least_prime_congruent_one(1) == 2
+    assert least_prime_congruent_one(6) == 7
+    assert least_prime_congruent_one(24) == 73
+    assert least_prime_congruent_one(3, search_floor=27) == 31
 
 
 def test_least_prime_minimality_and_congruence():
     for n in range(1, 300):
-        found = least_prime_congruent_one(n)
-        assert found.p % n == 1 % n
-        assert is_prime(found.p)
+        p = least_prime_congruent_one(n)
+        assert p % n == 1 % n
+        assert is_prime(p)
         # minimality: no smaller candidate in the progression is prime
         q = n + 1
-        while q < found.p:
-            assert not (q >= 2 and is_prime(q)) or q % n != 1 % n or q == found.p
+        while q < p:
+            assert not (q >= 2 and is_prime(q)) or q % n != 1 % n or q == p
             q += n
 
 
 def test_least_prime_with_floor():
-    found = least_prime_congruent_one(12, search_floor=12**3)
-    assert found.p > 12**3 and found.p % 12 == 1 and is_prime(found.p)
+    p = least_prime_congruent_one(12, search_floor=12**3)
+    assert p > 12**3 and p % 12 == 1 and is_prime(p)
 
 
 def test_least_prime_budget_error():
@@ -93,8 +95,8 @@ def test_least_prime_budget_error():
 def test_prime_bound_small_sweep():
     # full 10**4 sweep lives in the acceptance suite
     for n in range(2, 500):
-        found = least_prime_congruent_one(n)
-        assert found.p <= n**PRIME_BOUND_EXPONENT
+        p = least_prime_congruent_one(n)
+        assert p <= n**PRIME_BOUND_EXPONENT
 
 
 def test_element_of_order_examples():
@@ -153,9 +155,18 @@ def test_factorize_reassembles():
         assert prod == n
 
 
-def test_factorize_large_semiprime():
-    p, q = 1_000_003, 1_000_033
-    assert factorize(p * q) == ((p, 1), (q, 1))
+def test_factorize_semiprime_above_trial_bound_is_a_budget_error():
+    # both factors exceed TRIAL_BOUND, so trial division cannot split the product
+    start = time.perf_counter()
+    with pytest.raises(BudgetError):
+        factorize(1_000_003 * 1_000_033)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_factorize_keeps_a_prime_cofactor_beyond_the_bound():
+    q = 10**13 + 37
+    assert is_prime(q) and q > TRIAL_BOUND**2
+    assert factorize(2 * q) == ((2, 1), (q, 1))
 
 
 def test_euler_phi():
