@@ -310,6 +310,8 @@ def cmd_analyze(config, args, out):
 
 
 def cmd_primes(config, args, out):
+    if args.max_n < 1:
+        raise ValueError("n_max must be positive")
     bits = config.precision_bits
     header = ["n", "p", "ratio"]
     rows = []

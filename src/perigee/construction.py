@@ -26,13 +26,15 @@ precision) at escalating precision; they are never integers, so every
 decision terminates.
 
 The companion closed forms (exact least-period counts via Moebius inversion,
-the per-component lower bound p_n**K_n - 1) and a brute-force enumeration
-oracle over truncated products let every claim be cross-checked exactly.
+the per-component lower bound p_n**K_n - 1) are cross-checked by enumerating
+truncated products: every block vector's least period is measured, blocks
+combine by lcm, and neither the F_n product nor Moebius inversion is used.
 """
 
 import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -322,32 +324,27 @@ class OracleCounts:
     points: int
 
 
-def _multiplier_order(multiplier, p):
-    """Multiplicative order by direct power iteration (independent of any
-    divisor bookkeeping; terminates within p - 1 steps for a unit mod p)."""
-    value = multiplier % p
-    if value == 0:
-        raise ValueError("multiplier must be a unit mod p")
-    order = 1
-    while value != 1:
-        value = value * multiplier % p
-        order += 1
-        if order >= p:
-            raise ValueError("multiplier is not a unit mod p")
-    return order
+def _point_period(multiplier, p, vector):
+    """Least j >= 1 with multiplier**j * vector = vector mod p, by iterating
+    the block map.  A unit mod p returns within p - 1 steps; a non-unit never
+    returns (0, ..., 0, 1), so the walk is cut after p steps."""
+    point = vector
+    for period in range(1, p + 1):
+        point = tuple(multiplier * x % p for x in point)
+        if point == vector:
+            return period
+    raise ValueError("multiplier is not a unit mod p")
 
 
 def enumerate_oracle(plan, component_limit, n_max, max_points=DEFAULT_ENUMERATION_BUDGET):
-    """Brute-force count of periods over the truncated product group.
+    """Count periods over the truncated product group by enumeration.
 
-    Materializes every coordinate vector of the product of the first
-    component_limit component groups and applies the coordinate-wise rule: a
-    point is fixed by the j-th iterate exactly when every block with a
-    nonzero coordinate has multiplier_i**j = 1, so its least period is the
-    lcm of the multiplier orders over its nonzero blocks (the zero point gets
-    least period 1).  Each block's order is measured by power iteration from
-    the multiplier itself, not assumed, so a plan whose multiplier does not
-    have order n is caught as a mismatch against the closed forms.
+    Each active block (Z/p)^K of the first component_limit components is
+    enumerated on its own and every vector's least period is measured by
+    _point_period, so neither p nor the multiplier's order is assumed.  A
+    product point's least period is the lcm of its blocks' periods, so the
+    block tallies fold by lcm of periods and product of counts: the work is
+    the sum of p**K, while max_points still caps the product of p**K.
     """
     limit = _check_index(plan, 1, component_limit)
     if n_max < 1:
@@ -361,26 +358,20 @@ def enumerate_oracle(plan, component_limit, n_max, max_points=DEFAULT_ENUMERATIO
                 "truncated group has more than %d points" % max_points
             )
 
-    ranges = []
-    slices = []
-    offset = 0
+    tally = Counter({1: 1})
     for c in active:
-        ranges.extend([range(c.p)] * c.K)
-        slices.append((_multiplier_order(c.multiplier, c.p), slice(offset, offset + c.K)))
-        offset += c.K
+        block = Counter(
+            _point_period(c.multiplier, c.p, vector)
+            for vector in itertools.product(range(c.p), repeat=c.K)
+        )
+        folded = Counter()
+        for a, count_a in tally.items():
+            for b, count_b in block.items():
+                folded[math.lcm(a, b)] += count_a * count_b
+        tally = folded
 
-    tally = {}
-    for vector in itertools.product(*ranges):
-        period = 1
-        for order, sl in slices:
-            if any(vector[sl]):
-                period = math.lcm(period, order)
-        tally[period] = tally.get(period, 0) + 1
-
-    least = [tally.get(n, 0) for n in range(1, n_max + 1)]
-    fixed = [
-        sum(tally.get(d, 0) for d in divisors(n)) for n in range(1, n_max + 1)
-    ]
+    least = [tally[n] for n in range(1, n_max + 1)]
+    fixed = [sum(tally[d] for d in divisors(n)) for n in range(1, n_max + 1)]
     return OracleCounts(
         fixed=CountSequence(KIND_FIXED, tuple(fixed)),
         least=CountSequence(KIND_LEAST, tuple(least)),

@@ -180,6 +180,19 @@ def test_oracle_mismatch_exit_code(capsys, tmp_path):
     assert "MISMATCH" in out
 
 
+def test_oracle_catches_composite_modulus(capsys, tmp_path):
+    # 4 has order 3 mod 9, so p**K matches, but 4 * 3 = 3 mod 9 fixes the vector 3
+    obj = plan_to_json(build_plan(GrowthTarget.finite(1), "compensated", n_max=8))
+    obj["components"][2].update(p="9", multiplier="4")
+    bad_path = tmp_path / "composite.json"
+    bad_path.write_text(json.dumps(obj))
+    code, out, _ = run(
+        capsys, "oracle", "--plan", str(bad_path), "--components", "3", "--max-n", "6"
+    )
+    assert code == 1
+    assert "MISMATCH" in out
+
+
 def test_oracle_budget_exit_code(capsys, tmp_path):
     plan_path = tmp_path / "plan.json"
     save_plan(build_plan(GrowthTarget.finite("6932/10000"), "paper", n_max=6), plan_path)
@@ -213,6 +226,12 @@ def test_lehmer_degenerate_exit_code(capsys):
 def test_lehmer_rejects_nonpositive_max_n(capsys):
     for max_n in ("0", "-3"):
         code, out, err = run(capsys, "lehmer", "--poly", "-2,1", "--max-n", max_n)
+        assert code == 2 and out == "" and "n_max must be positive" in err
+
+
+def test_primes_rejects_nonpositive_max_n(capsys):
+    for max_n in ("0", "-2"):
+        code, out, err = run(capsys, "primes", "--max-n", max_n)
         assert code == 2 and out == "" and "n_max must be positive" in err
 
 

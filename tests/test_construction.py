@@ -11,7 +11,7 @@ from perigee.construction import (
     ConstructionPlan,
     DEFAULT_ENUMERATION_BUDGET,
     _exponent,
-    _multiplier_order,
+    _point_period,
     build_plan,
     claimed_vs_exact_report,
     deficit_report,
@@ -41,7 +41,7 @@ def test_paper_plan_above_log2():
     plan = build_plan(GrowthTarget.finite(C_ABOVE_LOG2), "paper", n_max=6)
     assert [c.p for c in plan.components] == [2, 3, 7, 5, 11, 7]
     assert [c.multiplier for c in plan.components] == [1, 2, 4, 2, 4, 3]
-    assert [_multiplier_order(c.multiplier, c.p) for c in plan.components] == [1, 2, 3, 4, 5, 6]
+    assert [_point_period(c.multiplier, c.p, (1,)) for c in plan.components] == [1, 2, 3, 4, 5, 6]
     assert [c.K for c in plan.components] == [1, 1, 1, 1, 1, 2]
     plan.validate()
 
@@ -206,6 +206,26 @@ def test_oracle_budget():
     plan = build_plan(GrowthTarget.finite(C_ABOVE_LOG2), "paper", n_max=6)
     with pytest.raises(BudgetError):
         enumerate_oracle(plan, 6, 6, max_points=1000)
+
+
+def test_oracle_counts_eight_components():
+    # 7971810 points under the default budget; each block is walked on its own
+    plan = build_plan(GrowthTarget.finite(1), "compensated", n_max=8)
+    counts = enumerate_oracle(plan, 8, 24)
+    assert counts.points == 7971810
+    for n in range(1, 25):
+        assert counts.fixed.values[n - 1] == fixed_count(plan, n, component_limit=8).value()
+        assert counts.least.values[n - 1] == least_count_exact(plan, n, component_limit=8)
+
+
+@pytest.mark.parametrize("p, multiplier", [(7, 0), (6, 3)])
+def test_oracle_rejects_non_unit_multiplier(p, multiplier):
+    # at p = 6, 3 * 3 = 3 fixes the vector (3,), but (1,) never returns
+    plan = build_plan(GrowthTarget.finite(C_ABOVE_LOG2), "paper", n_max=3)
+    bad = dataclasses.replace(plan.components[2], p=p, multiplier=multiplier)
+    plan = dataclasses.replace(plan, components=plan.components[:2] + (bad,))
+    with pytest.raises(ValueError, match="not a unit"):
+        enumerate_oracle(plan, 3, 3)
 
 
 def test_deficit_report_compensated():

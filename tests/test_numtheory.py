@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from perigee.construction import _multiplier_order
+from perigee.construction import _point_period
 from perigee.numtheory import (
     BudgetError,
     FactoredNatural,
@@ -115,10 +115,10 @@ def test_element_of_order_exact_order():
             continue
         for n in divisors(p - 1):
             m = element_of_order(p, n)
-            assert _multiplier_order(m, p) == n
+            assert _point_period(m, p, (1,)) == n
             least = next(
                 a for a in range(1, p)
-                if _multiplier_order(pow(a, (p - 1) // n, p), p) == n
+                if _point_period(pow(a, (p - 1) // n, p), p, (1,)) == n
             )
             assert m == pow(least, (p - 1) // n, p)
 
