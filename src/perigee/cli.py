@@ -124,14 +124,18 @@ def cmd_construct(config, args, out):
     if target.kind != FINITE and strategy is not None:
         raise ValueError("--strategy only applies to finite targets")
     gamma = Fraction(args.gamma) if args.gamma is not None else None
+    bits = config.precision_bits
     plan = construction.build_plan(
         target,
         strategy=strategy if target.kind == FINITE else None,
         n_max=args.max_n,
         gamma=gamma,
-        precision_bits=config.precision_bits,
+        precision_bits=bits,
     )
     fixed = construction.fixed_sequence(plan)
+    diagnostics = orbits.growth_diagnostics(
+        fixed, window_len=min(args.window, plan.N), precision_bits=bits
+    )
     report = construction.claimed_vs_exact_report(plan, orbits.least_from_fixed(fixed))
     if args.plan_out:
         with _atomic_output(args.plan_out) as path:
@@ -141,60 +145,52 @@ def cmd_construct(config, args, out):
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 orbits.write_sequence_csv(fixed, fh)
 
-    bits = config.precision_bits
     header = ["n", "p", "K", "F_factored", "F_log", "L_exact", "L_claimed", "rate"]
-    rows = []
-    rates = []
-    with working_precision(bits):
-        for comp, counts in zip(plan.components, report.rows):
-            n = comp.n
-            f_log = construction.fixed_count_log(plan, n, bits)
-            rate = f_log / n
-            rates.append((n, rate))
-            rows.append(
-                [
-                    n,
-                    comp.p,
-                    comp.K,
-                    str(construction.fixed_count(plan, n)),
-                    _fmt(f_log, bits),
-                    counts.exact,
-                    counts.claimed,
-                    _fmt(rate, bits),
-                ]
-            )
-        window = max(1, min(args.window, len(rates)))
-        tail = [r for (_, r) in rates[-window:]]
-        max_n, max_rate = max(rates, key=lambda item: item[1])
-        # is_prime is a proof only below DETERMINISTIC_LIMIT; above it,
-        # Baillie-PSW makes p_n a probable prime.
-        probable = [c.n for c in plan.components if c.p >= numtheory.DETERMINISTIC_LIMIT]
-        summary = {
-            "target": target.describe(),
-            "strategy": plan.strategy,
-            "window_len": window,
-            "window_inf": _fmt(min(tail), bits),
-            "window_sup": _fmt(max(tail), bits),
-            "max_rate": _fmt(max_rate, bits),
-            "max_rate_n": max_n,
-            "claimed_vs_exact_discrepancies": report.discrepancy_count,
-            "probable_primes": ";".join(str(n) for n in probable) or "none",
-        }
-        if plan.strategy == construction.STRATEGY_COMPENSATED:
-            deficits = construction.deficit_report(plan, precision_bits=bits)
-            summary["deficit_unverified"] = (
-                ";".join(str(n) for n in deficits.unverified) or "none"
-            )
-            summary["deficit_negative_budget"] = (
-                ";".join(str(n) for n in deficits.negative_budget) or "none"
-            )
-        if plan.strategy == construction.STRATEGY_PAPER:
+    rows = [
+        [
+            n,
+            comp.p,
+            comp.K,
+            str(construction.fixed_count(plan, n)),
+            _fmt(f_log, bits),
+            counts.exact,
+            counts.claimed,
+            _fmt(rate, bits),
+        ]
+        for comp, counts, (n, f_log, rate) in zip(
+            plan.components, report.rows, diagnostics.entries
+        )
+    ]
+    max_n, _, max_rate = max(diagnostics.entries, key=lambda entry: entry[2])
+    # is_prime is a proof only below DETERMINISTIC_LIMIT; above it,
+    # Baillie-PSW makes p_n a probable prime.
+    probable = [c.n for c in plan.components if c.p >= numtheory.DETERMINISTIC_LIMIT]
+    summary = {
+        "target": target.describe(),
+        "strategy": plan.strategy,
+        "window_len": diagnostics.window_len,
+        "window_inf": _fmt(diagnostics.window_inf, bits),
+        "window_sup": _fmt(diagnostics.window_sup, bits),
+        "max_rate": _fmt(max_rate, bits),
+        "max_rate_n": max_n,
+        "claimed_vs_exact_discrepancies": report.discrepancy_count,
+        "probable_primes": ";".join(str(n) for n in probable) or "none",
+    }
+    if plan.strategy == construction.STRATEGY_COMPENSATED:
+        deficits = construction.deficit_report(plan, precision_bits=bits)
+        summary["deficit_unverified"] = (
+            ";".join(str(n) for n in deficits.unverified) or "none"
+        )
+        summary["deficit_negative_budget"] = (
+            ";".join(str(n) for n in deficits.negative_budget) or "none"
+        )
+    if plan.strategy == construction.STRATEGY_PAPER:
+        with working_precision(bits):
             gaps = []
-            for n, rate in rates:
+            for n, _, rate in diagnostics.entries:
                 nominal = construction.sigma_rate_target(plan, n)
-                nominal_mpf = mp.mpf(nominal.numerator) / nominal.denominator
-                gaps.append(abs(rate - nominal_mpf))
-            summary["sigma_rate_max_gap"] = _fmt(max(gaps), bits)
+                gaps.append(abs(rate - mp.mpf(nominal.numerator) / nominal.denominator))
+        summary["sigma_rate_max_gap"] = _fmt(max(gaps), bits)
     _emit(config, header, rows, summary, out)
     return EXIT_OK
 
@@ -238,20 +234,21 @@ def cmd_lehmer(config, args, out):
     sequence = toral.toral_fix_sequence(poly, args.max_n)
     bits = config.precision_bits
     measure = toral.mahler_measure(poly, precision_bits=bits)
+    diagnostics = orbits.growth_diagnostics(sequence, precision_bits=bits)
     header = ["n", "delta", "rate"]
-    rows = []
+    rows = [
+        [n, value, _fmt(rate, bits)]
+        for value, (n, _, rate) in zip(sequence.values, diagnostics.entries)
+    ]
     with working_precision(bits):
-        for n, value in enumerate(sequence.values, start=1):
-            rate = mp.log(value) / n if value > 0 else mp.mpf(0)
-            rows.append([n, value, _fmt(rate, bits)])
-        final_rate = mp.log(sequence.values[-1]) / args.max_n
-        summary = {
-            "mahler": _fmt(measure.measure, bits),
-            "mahler_error_bound": _fmt(measure.error_bound, bits),
-            "entropy": _fmt(measure.measure, bits),
-            "gap_at_max_n": _fmt(abs(final_rate - measure.measure), bits),
-            "near_unit_roots": len(measure.flagged),
-        }
+        gap = abs(diagnostics.entries[-1][2] - measure.measure)
+    summary = {
+        "mahler": _fmt(measure.measure, bits),
+        "mahler_error_bound": _fmt(measure.error_bound, bits),
+        "entropy": _fmt(measure.measure, bits),
+        "gap_at_max_n": _fmt(gap, bits),
+        "near_unit_roots": len(measure.flagged),
+    }
     _emit(config, header, rows, summary, out)
     return EXIT_OK
 
@@ -283,7 +280,7 @@ def cmd_analyze(config, args, out):
         sequence = orbits.read_sequence_csv(fh)
     bits = config.precision_bits
     diagnostics = orbits.growth_diagnostics(
-        sequence, target=None, window_len=args.window, precision_bits=bits
+        sequence, window_len=args.window, precision_bits=bits
     )
     least = orbits.least_from_fixed(sequence)
     sandwich = orbits.lemma_sandwich_check(sequence, least)

@@ -38,6 +38,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
+from mpmath import mp
+
 from .numtheory import (
     BudgetError,
     FactoredNatural,
@@ -54,7 +56,7 @@ from .precision import (
     adaptive_decide,
     adaptive_floor,
     log_ball,
-    log_real,
+    working_precision,
 )
 from .targets import FINITE, INFINITE, ZERO, GrowthTarget
 
@@ -262,16 +264,14 @@ def fixed_count(plan, n, component_limit=None):
 
 
 def fixed_count_log(plan, n, precision_bits=DEFAULT_PRECISION_BITS, component_limit=None):
-    """log F_n as an mpf, summed from the factored form (no giant integers)."""
-    limit = _check_index(plan, n, component_limit)
-    total = 0
-    for d in divisors(n):
-        if d > limit:
-            continue
-        comp = plan.components[d - 1]
-        if comp.K:
-            total += comp.K * log_real(comp.p, precision_bits)
-    return total
+    """log F_n as an mpf: mp.log of the exact count in working_precision.
+
+    This is the same evaluation orbits.growth_diagnostics makes for every
+    printed log, so a value here matches the construct table to the digit.
+    """
+    count = fixed_count(plan, n, component_limit).value()
+    with working_precision(precision_bits):
+        return mp.log(count)
 
 
 def least_count_exact(plan, n, component_limit=None):
@@ -558,5 +558,10 @@ def save_plan(plan, path):
 
 
 def load_plan(path):
+    """Read a plan file and validate() it, so a plan whose closed forms would
+    not hold (a composite p, a multiplier of the wrong order) is rejected with
+    ValueError naming n instead of being tabulated."""
     with open(path, "r", encoding="utf-8") as fh:
-        return plan_from_json(json.load(fh))
+        plan = plan_from_json(json.load(fh))
+    plan.validate()
+    return plan

@@ -19,7 +19,6 @@ from mpmath import mp
 
 from .numtheory import divisors, mobius
 from .precision import DEFAULT_PRECISION_BITS, working_precision
-from .targets import FINITE, INFINITE, GrowthTarget
 
 KIND_FIXED = "fixed"
 KIND_LEAST = "least"
@@ -109,9 +108,6 @@ class RealizabilityReport:
     rows: tuple[RealizabilityRow, ...]
     ok: bool
 
-    def failures(self):
-        return tuple(r for r in self.rows if not r.ok)
-
 
 def realizability_check(F):
     """Is F the period-count sequence of some map?
@@ -135,8 +131,7 @@ class GrowthDiagnostics:
     entries holds (n, log value, log value / n) for every n with a positive
     count; indices with value <= 0 are listed in skipped (log undefined).
     window_inf and window_sup bound the rate over the last window_len
-    computed entries; target_gap is the distance from that window to a finite
-    target, None for an infinite target.
+    computed entries.
     """
 
     entries: tuple[tuple[int, object, object], ...]
@@ -144,9 +139,6 @@ class GrowthDiagnostics:
     window_len: int
     window_inf: object
     window_sup: object
-    target: GrowthTarget | None
-    target_gap: object
-    precision_bits: int
 
     def rate(self, n):
         for m, _, r in self.entries:
@@ -155,12 +147,15 @@ class GrowthDiagnostics:
         raise KeyError("no rate computed at n = %d" % n)
 
 
-def growth_diagnostics(S, target=None, window_len=10, precision_bits=DEFAULT_PRECISION_BITS):
+def growth_diagnostics(S, window_len=10, precision_bits=DEFAULT_PRECISION_BITS):
     """Rates (1/n) log S_n with a trailing inf/sup window.
 
-    Logs are taken of exact integers, so precision_bits is purely an output
-    resolution.  Entries with S_n <= 0 are skipped and flagged; an all-zero
-    sequence has no growth rate and raises ValueError.
+    This is the one place the package turns exact counts into logs and
+    rates: construct, analyze and lehmer all print its entries.  Each log is
+    taken of the exact integer S_n in working_precision(precision_bits), so
+    precision_bits is purely an output resolution.  Entries with S_n <= 0
+    are skipped and flagged; an all-zero sequence has no growth rate and
+    raises ValueError, as does a window_len below 1.
     """
     if window_len < 1:
         raise ValueError("window length must be positive")
@@ -173,26 +168,15 @@ def growth_diagnostics(S, target=None, window_len=10, precision_bits=DEFAULT_PRE
                 continue
             lg = mp.log(v)
             entries.append((n, lg, lg / n))
-        if not entries:
-            raise ValueError("sequence has no positive entries; growth rate undefined")
-        window = [r for (_, _, r) in entries[-window_len:]]
-        window_inf = min(window)
-        window_sup = max(window)
-        gap = None
-        if target is not None and target.kind != INFINITE:
-            c = mp.mpf(0)
-            if target.kind == FINITE:
-                c = mp.mpf(target.value.numerator) / target.value.denominator
-            gap = max(abs(window_inf - c), abs(window_sup - c))
+    if not entries:
+        raise ValueError("sequence has no positive entries; growth rate undefined")
+    window = [r for (_, _, r) in entries[-window_len:]]
     return GrowthDiagnostics(
         entries=tuple(entries),
         skipped=tuple(skipped),
         window_len=window_len,
-        window_inf=window_inf,
-        window_sup=window_sup,
-        target=target,
-        target_gap=gap,
-        precision_bits=precision_bits,
+        window_inf=min(window),
+        window_sup=max(window),
     )
 
 

@@ -17,9 +17,8 @@ transcendental input, log(n), is enclosed once per (n, b) by log_ball from
 an mpmath interval evaluation.
 
 mpmath's contexts are process-global.  log_ball saves and restores the
-interval precision around its evaluation, and log_real works inside
-working_precision; both are reentrant but not thread safe, so run concurrent work
-in separate processes.
+interval precision around its evaluation; it is reentrant but not thread
+safe, so run concurrent work in separate processes.
 """
 
 from functools import lru_cache
@@ -97,15 +96,3 @@ def working_precision(bits):
     """mp.workprec context at bits plus the guard bits every printed value carries."""
     return mp.workprec(bits + _GUARD_BITS)
 
-
-@lru_cache(maxsize=None)
-def _log_int(n, bits):
-    with working_precision(bits):
-        return mp.log(n)
-
-
-def log_real(n, precision_bits=DEFAULT_PRECISION_BITS):
-    """log(n) of an exact integer n >= 1 as an mpf (cached per precision)."""
-    if n < 1:
-        raise ValueError("log_real needs a positive integer")
-    return _log_int(int(n), precision_bits)

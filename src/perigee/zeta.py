@@ -190,14 +190,6 @@ class ProbeVerdict:
     denominator: tuple[int, ...] | None
     recurrence_length: int
 
-    @property
-    def degree_numerator(self):
-        return None if self.numerator is None else len(self.numerator) - 1
-
-    @property
-    def degree_denominator(self):
-        return None if self.denominator is None else len(self.denominator) - 1
-
     def to_json(self):
         obj = {"verdict": self.verdict}
         if self.verdict == VERDICT_RATIONAL:

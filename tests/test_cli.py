@@ -5,7 +5,7 @@ import pytest
 
 from perigee import construction, orbits
 from perigee.cli import main
-from perigee.construction import build_plan, load_plan, plan_to_json, save_plan
+from perigee.construction import build_plan, load_plan, plan_from_json, plan_to_json, save_plan
 from perigee.targets import GrowthTarget
 
 
@@ -117,6 +117,43 @@ def test_construct_plan_out_and_oracle(capsys, tmp_path):
     assert "# mismatches=0" in lines
 
 
+def test_construct_rejects_nonpositive_window(capsys, tmp_path):
+    seq_path = tmp_path / "counts.csv"
+    for window in ("0", "-1"):
+        code, out, err = run(
+            capsys,
+            "construct", "--C", "1/2", "--strategy", "paper", "--max-n", "4",
+            "--window", window, "--sequence-out", str(seq_path),
+        )
+        assert code == 2 and out == "" and "window length must be positive" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_construct_and_analyze_print_the_same_logs(capsys, tmp_path):
+    seq_path = tmp_path / "counts.csv"
+    code, out, _ = run(
+        capsys,
+        "construct", "--C", "1/2", "--strategy", "paper", "--max-n", "4",
+        "--sequence-out", str(seq_path),
+    )
+    assert code == 0
+    built = table_rows(out)
+    code, out, _ = run(capsys, "analyze", "--sequence", str(seq_path))
+    assert code == 0
+    analyzed = table_rows(out)
+    assert [(r["F_log"], r["rate"]) for r in built] == [(r["log"], r["rate"]) for r in analyzed]
+    assert built[0]["F_factored"] == "1" and built[0]["F_log"] == "0.0"
+
+
+def test_construct_rate_is_rounded_from_the_exact_count(capsys):
+    # a sum of per-prime logs rounded the last digit up; 2000 bits give ...76992
+    code, out, _ = run(
+        capsys, "construct", "--C", "1", "--strategy", "compensated", "--max-n", "534"
+    )
+    assert code == 0
+    assert table_rows(out)[533]["rate"] == "0.99731411202689307674781251992734476992"
+
+
 def test_construct_sequence_out_feeds_zeta(capsys, tmp_path):
     seq_path = tmp_path / "counts.csv"
     code, _, _ = run(
@@ -168,29 +205,34 @@ def test_failed_plan_write_keeps_previous_file(capsys, tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == [plan_path]
 
 
-def test_oracle_mismatch_exit_code(capsys, tmp_path):
+def test_oracle_mismatch_exit_code(capsys, tmp_path, monkeypatch):
     plan = build_plan(GrowthTarget.finite("6932/10000"), "paper", n_max=3)
     obj = plan_to_json(plan)
-    # corrupt the order of one multiplier: closed forms and enumeration split
+    # corrupt the order of one multiplier: closed forms and enumeration split.
+    # load_plan would reject the plan, so read it unvalidated to reach the oracle.
     obj["components"][2]["multiplier"] = "1"
     bad_path = tmp_path / "bad.json"
     bad_path.write_text(json.dumps(obj))
+    monkeypatch.setattr(construction, "load_plan", lambda path: plan_from_json(obj))
     code, out, _ = run(capsys, "oracle", "--plan", str(bad_path), "--max-n", "3")
     assert code == 1
     assert "MISMATCH" in out
 
 
 def test_oracle_catches_composite_modulus(capsys, tmp_path):
-    # 4 has order 3 mod 9, so p**K matches, but 4 * 3 = 3 mod 9 fixes the vector 3
+    # load_plan validates: a modulus that is not prime is rejected by name
+    # before any row is printed (the oracle itself catches p = 9, see
+    # test_oracle_sees_composite_modulus)
     obj = plan_to_json(build_plan(GrowthTarget.finite(1), "compensated", n_max=8))
-    obj["components"][2].update(p="9", multiplier="4")
     bad_path = tmp_path / "composite.json"
-    bad_path.write_text(json.dumps(obj))
-    code, out, _ = run(
-        capsys, "oracle", "--plan", str(bad_path), "--components", "3", "--max-n", "6"
-    )
-    assert code == 1
-    assert "MISMATCH" in out
+    for p in ("9", "1", "0", "-3"):
+        obj["components"][2].update(p=p, multiplier="4")
+        bad_path.write_text(json.dumps(obj))
+        code, out, err = run(
+            capsys, "oracle", "--plan", str(bad_path), "--components", "3", "--max-n", "6"
+        )
+        assert code == 2 and out == ""
+        assert "p = %s at n = 3 is not prime" % p in err
 
 
 def test_oracle_budget_exit_code(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 from fractions import Fraction
 
@@ -228,6 +229,18 @@ def test_oracle_rejects_non_unit_multiplier(p, multiplier):
         enumerate_oracle(plan, 3, 3)
 
 
+def test_oracle_sees_composite_modulus():
+    # 4 has order 3 mod 9, so p**K matches, but 4 * 3 = 3 mod 9 fixes the
+    # vector 3: enumeration finds 3 fixed vectors where the closed form has 1
+    plan = build_plan(GrowthTarget.finite(1), "compensated", n_max=8)
+    bad = dataclasses.replace(plan.components[2], p=9, multiplier=4)
+    plan = dataclasses.replace(plan, components=plan.components[:2] + (bad,) + plan.components[3:])
+    counts = enumerate_oracle(plan, 3, 6)
+    closed = tuple(fixed_count(plan, n, component_limit=3).value() for n in range(1, 7))
+    assert counts.fixed.values[0] == 6 and closed[0] == 2
+    assert counts.fixed.values != closed
+
+
 def test_deficit_report_compensated():
     plan = build_plan(GrowthTarget.finite(1), "compensated", n_max=64)
     report = deficit_report(plan)
@@ -428,6 +441,15 @@ def test_plan_json_accepts_legacy_g_field():
     assert [c.multiplier for c in legacy.components] == [1, 2, 2, 2, 4, 3]
     assert [c.K for c in legacy.components] == [c.K for c in plan.components]
     assert "g" not in plan_to_json(legacy)["components"][0]
+
+
+def test_load_plan_validates(tmp_path):
+    obj = plan_to_json(build_plan(GrowthTarget.finite(1), "compensated", n_max=8))
+    obj["components"][2]["multiplier"] = "1"
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ValueError, match="order below n at n = 3"):
+        load_plan(path)
 
 
 def test_plan_json_rejects_misnumbered_components(tmp_path):

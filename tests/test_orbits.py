@@ -16,7 +16,6 @@ from perigee.orbits import (
     realizability_check,
     write_sequence_csv,
 )
-from perigee.targets import GrowthTarget
 
 
 def test_fixed_from_least_examples():
@@ -94,39 +93,37 @@ def test_sandwich_flags_violations():
 
 def test_growth_diagnostics_doubling():
     F = CountSequence.fixed([2**n - 1 for n in range(1, 201)])
-    diag = growth_diagnostics(F, GrowthTarget.finite("7/10"), window_len=10)
+    diag = growth_diagnostics(F, window_len=10)
     assert abs(diag.rate(200) - mp.log(2)) < 1e-2
     assert diag.window_inf <= diag.window_sup
-    assert diag.target_gap is not None
 
 
 def test_growth_diagnostics_rate_bound():
     # |rate(n) - log c| <= log(2)/n for F_n = c**n
     for c in (2, 3, 5):
         F = CountSequence.fixed([c**n for n in range(1, 51)])
-        diag = growth_diagnostics(F, None, window_len=5)
+        diag = growth_diagnostics(F, window_len=5)
         for n, _, rate in diag.entries:
             assert abs(rate - mp.log(c)) <= mp.log(2) / n + mp.mpf(2) ** -100
 
 
 def test_growth_diagnostics_constant_sequence():
     F = CountSequence.fixed([5] * 80)
-    diag = growth_diagnostics(F, GrowthTarget.zero(), window_len=10)
+    diag = growth_diagnostics(F, window_len=10)
     assert diag.window_sup < 0.03
-    assert diag.target_gap < 0.03
 
 
 def test_growth_diagnostics_zero_handling():
     F = CountSequence.fixed([0, 2, 0, 4])
-    diag = growth_diagnostics(F, None, window_len=2)
+    diag = growth_diagnostics(F, window_len=2)
     assert diag.skipped == (1, 3)
     with pytest.raises(ValueError):
-        growth_diagnostics(CountSequence.fixed([0, 0]), None, window_len=2)
+        growth_diagnostics(CountSequence.fixed([0, 0]), window_len=2)
 
 
 def test_rate_times_n_reproduces_log():
     F = CountSequence.fixed([3**n + 1 for n in range(1, 30)])
-    diag = growth_diagnostics(F, None, window_len=4, precision_bits=128)
+    diag = growth_diagnostics(F, window_len=4, precision_bits=128)
     with mp.workprec(160):
         for n, lg, rate in diag.entries:
             assert abs(rate * n - lg) <= abs(lg) * mp.mpf(2) ** -120
@@ -139,8 +136,8 @@ def test_finite_horizon_rate_agreement():
     N = 64
     F = CountSequence.fixed([2**n - 1 for n in range(1, N + 1)])
     L = least_from_fixed(F)
-    diag_f = growth_diagnostics(F, None, window_len=4)
-    diag_l = growth_diagnostics(L, None, window_len=4)
+    diag_f = growth_diagnostics(F, window_len=4)
+    diag_l = growth_diagnostics(L, window_len=4)
     tolerance = mp.log(N) / N
     assert abs(diag_f.rate(N) - diag_l.rate(N)) <= tolerance
 

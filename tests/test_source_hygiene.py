@@ -19,26 +19,32 @@ def unused_imports(source):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
-def unread_private_functions(sources):
-    """(file, line, name) of each module-level `_name` function that no module
-    of `sources` (a dict of file name to source) reads by name or attribute."""
-    trees = {name: ast.parse(source) for name, source in sources.items()}
+def unread_definitions(definitions, readers):
+    """(file, line, name) of each function, method or property of
+    `definitions` (a dict of file name to source) that no source of `readers`
+    reads by name or attribute.  Dunders are called by the language itself,
+    so they are exempt."""
     read = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
+    for source in readers.values():
+        for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
     return sorted(
         (name, node.lineno, node.name)
-        for name, tree in trees.items()
-        for node in tree.body
+        for name, source in definitions.items()
+        for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.FunctionDef)
-        and node.name.startswith("_")
-        and not node.name.startswith("__")
+        and not (node.name.startswith("__") and node.name.endswith("__"))
         and node.name not in read
     )
+
+
+def unread_private_functions(sources):
+    """(file, line, name) of each `_name` function that no module of
+    `sources` (a dict of file name to source) reads by name or attribute."""
+    return [entry for entry in unread_definitions(sources, sources) if entry[2].startswith("_")]
 
 
 def test_unused_imports_detector():
@@ -73,3 +79,32 @@ def test_no_unread_private_functions_in_package():
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert sources
     assert unread_private_functions(sources) == []
+
+
+def test_unread_definitions_detector():
+    definitions = {
+        "m.py": "class A:\n    def __init__(self):\n        pass\n\n"
+        "    @property\n    def used(self):\n        return 1\n\n"
+        "    @property\n    def dead_property(self):\n        return 2\n\n"
+        "    def dead_method(self):\n        return self.used\n\n"
+        "def tested():\n    def helper():\n        pass\n    return helper\n",
+    }
+    readers = dict(definitions, **{"test_m.py": "from m import tested\n\ntested()\n"})
+    assert unread_definitions(definitions, readers) == [
+        ("m.py", 10, "dead_property"),
+        ("m.py", 13, "dead_method"),
+    ]
+
+
+def test_no_unread_definitions_in_package():
+    # a definition counts as read if the package, its tests or the bench
+    # harness names it
+    root = PACKAGE.parent.parent
+    definitions = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    readers = {
+        str(p.relative_to(root)): p.read_text(encoding="utf-8")
+        for folder in ("src", "tests", "bench")
+        for p in (root / folder).rglob("*.py")
+    }
+    assert definitions and readers
+    assert unread_definitions(definitions, readers) == []
