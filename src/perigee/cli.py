@@ -12,18 +12,27 @@ or an output file that could not be written, 4 degenerate polynomial.
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from mpmath import mp
 
 from . import construction, numtheory, orbits, toral, zeta
 from .numtheory import BudgetError
-from .precision import DEFAULT_PRECISION_BITS, PrecisionError, digits_for_bits, working_precision
+from .precision import (
+    DEFAULT_PRECISION_BITS,
+    PrecisionError,
+    decimal_from_floors,
+    digits_for_bits,
+    unlimited_int_digits,
+    working_precision,
+)
 from .targets import FINITE, GrowthTarget
 from .toral import DegeneracyError, IntegerPolynomial
 
@@ -133,9 +142,7 @@ def cmd_construct(config, args, out):
         precision_bits=bits,
     )
     fixed = construction.fixed_sequence(plan)
-    diagnostics = orbits.growth_diagnostics(
-        fixed, window_len=min(args.window, plan.N), precision_bits=bits
-    )
+    diagnostics = orbits.growth_diagnostics(fixed, window_len=args.window, precision_bits=bits)
     report = construction.claimed_vs_exact_report(plan, orbits.least_from_fixed(fixed))
     if args.plan_out:
         with _atomic_output(args.plan_out) as path:
@@ -306,26 +313,36 @@ def cmd_analyze(config, args, out):
 # --- primes ---------------------------------------------------------------------
 
 
+def _bound_ratio_floor(p_squared, n_power, j):
+    """floor(x * 10**j) for x = p / n**PRIME_BOUND_EXPONENT, from x**2 =
+    p_squared / n_power: the integer square root of a floor is exact."""
+    if j >= 0:
+        return math.isqrt(p_squared * 10 ** (2 * j) // n_power)
+    return math.isqrt(p_squared // (n_power * 10 ** (-2 * j)))
+
+
 def cmd_primes(config, args, out):
     if args.max_n < 1:
         raise ValueError("n_max must be positive")
-    bits = config.precision_bits
+    dps = digits_for_bits(config.precision_bits)
+    # The bound exponent is a half-integer, so the squared ratio is rational.
+    twice_exponent = int(2 * numtheory.PRIME_BOUND_EXPONENT)
     header = ["n", "p", "ratio"]
     rows = []
-    worst = None
-    with working_precision(bits):
-        for n in range(1, args.max_n + 1):
-            p = numtheory.least_prime_congruent_one(n)
-            ratio = p / mp.mpf(n) ** numtheory.PRIME_BOUND_EXPONENT
-            rows.append([n, p, _fmt(ratio, bits)])
-            if n >= 2 and (worst is None or ratio > worst[1]):
-                worst = (n, ratio)
-        summary = {
-            "bound_exponent": numtheory.PRIME_BOUND_EXPONENT,
-            "bound_constant": numtheory.PRIME_BOUND_CONSTANT,
-            "max_ratio": _fmt(worst[1], bits) if worst else "none",
-            "max_ratio_n": worst[0] if worst else "none",
-        }
+    worst = None  # (n, p**2, n**11, ratio)
+    for n, p in enumerate(numtheory.least_primes_congruent_one(args.max_n), start=1):
+        p_squared, n_power = p * p, n**twice_exponent
+        ratio = decimal_from_floors(partial(_bound_ratio_floor, p_squared, n_power), dps)
+        rows.append((n, p, ratio))
+        # ratio > worst ratio, cross-multiplied; strict, so a tie keeps the first n
+        if n >= 2 and (worst is None or p_squared * worst[2] > worst[1] * n_power):
+            worst = (n, p_squared, n_power, ratio)
+    summary = {
+        "bound_exponent": numtheory.PRIME_BOUND_EXPONENT,
+        "bound_constant": numtheory.PRIME_BOUND_CONSTANT,
+        "max_ratio": worst[3] if worst else "none",
+        "max_ratio_n": worst[0] if worst else "none",
+    }
     _emit(config, header, rows, summary, out)
     return EXIT_OK
 
@@ -443,10 +460,6 @@ def build_parser():
 
 
 def main(argv=None):
-    # Counts and Lehmer integers routinely exceed the default 4300-digit
-    # int<->str conversion limit (Python >= 3.10.7), in output and in input.
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -460,7 +473,8 @@ def main(argv=None):
             output_format=args.format,
             precision_bits=precision_bits,
         )
-        return args.func(config, args, sys.stdout)
+        with unlimited_int_digits():
+            return args.func(config, args, sys.stdout)
     except BudgetError as exc:
         print("budget exceeded: %s" % exc, file=sys.stderr)
         return EXIT_BUDGET

@@ -56,6 +56,7 @@ from .precision import (
     adaptive_decide,
     adaptive_floor,
     log_ball,
+    unlimited_int_digits,
     working_precision,
 )
 from .targets import FINITE, INFINITE, ZERO, GrowthTarget
@@ -506,6 +507,7 @@ def deficit_report(plan, n_max=None, precision_bits=DEFAULT_PRECISION_BITS):
 # --- plan files ----------------------------------------------------------------
 
 
+@unlimited_int_digits()
 def plan_to_json(plan):
     """Plan as a JSON-ready dict; every integer is a decimal string."""
     obj = {
@@ -527,6 +529,7 @@ def plan_to_json(plan):
     return obj
 
 
+@unlimited_int_digits()
 def plan_from_json(obj):
     """Inverse of plan_to_json; a component's legacy "g" field is ignored."""
     target = GrowthTarget.from_json(obj["target"])

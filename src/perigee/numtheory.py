@@ -1,8 +1,9 @@
 """Exact integer number theory.
 
-Primality testing, least primes in the progression 1 mod n, elements of
-prescribed multiplicative order (found from the factorisation of the order
-alone, never of p - 1), divisors and the Moebius function.  Only plan indices
+Primality testing, least primes in the progression 1 mod n (one n at a time
+by a scan, or every n up to a bound from one sieve), elements of prescribed
+multiplicative order (found from the factorisation of the order alone, never
+of p - 1), divisors and the Moebius function.  Only plan indices
 are ever factored, so factorize is trial division to a fixed bound (no rho).
 All routines are deterministic; pathological inputs raise BudgetError
 instead of hanging.
@@ -29,6 +30,9 @@ DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
 RANDOM_ROUNDS = 64
 
 DEFAULT_SCAN_CEILING = 2**40
+# least_primes_congruent_one sieves up to SIEVE_FACTOR * n_max + 1, which
+# holds p_n for all but 2 of the first 20000 n.
+SIEVE_FACTOR = 64
 # factorize's trial-division bound: every n < TRIAL_BOUND**2 factors in full.
 TRIAL_BOUND = 10**6
 
@@ -237,6 +241,32 @@ def least_prime_congruent_one(n, search_floor=0, max_candidates=DEFAULT_SCAN_CEI
     raise BudgetError(
         "no prime ≡ 1 (mod %d) above %d within %d candidates" % (n, search_floor, max_candidates)
     )
+
+
+def least_primes_congruent_one(n_max):
+    """[p_1, ..., p_n_max]: p_n = least_prime_congruent_one(n) for every n.
+
+    One sieve of Eratosthenes up to SIEVE_FACTOR * n_max + 1, a bytearray
+    with memory linear in n_max, serves every n: p_n is its least prime
+    k*n + 1 with k >= 1.  An n with no such prime below the bound continues
+    with least_prime_congruent_one from the bound.
+    """
+    if n_max < 1:
+        raise ValueError("n_max must be positive")
+    bound = SIEVE_FACTOR * n_max + 1
+    sieve = bytearray([1]) * (bound + 1)
+    sieve[0] = sieve[1] = 0
+    # Slices of one zero buffer: a fresh buffer per q leaves about 0.4 MB
+    # of freed heap resident at n_max = 20000, which raises peak RSS.
+    zeros = memoryview(bytes(len(range(4, bound + 1, 2))))
+    for q in range(2, math.isqrt(bound) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = zeros[: len(range(q * q, bound + 1, q))]
+    primes = []
+    for n in range(1, n_max + 1):
+        p = next((c for c in range(n + 1, bound + 1, n) if sieve[c]), None)
+        primes.append(p or least_prime_congruent_one(n, search_floor=bound))
+    return primes
 
 
 # --- factorisation ---------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from mpmath import mp
 
 from .numtheory import divisors, mobius
-from .precision import DEFAULT_PRECISION_BITS, working_precision
+from .precision import DEFAULT_PRECISION_BITS, unlimited_int_digits, working_precision
 
 KIND_FIXED = "fixed"
 KIND_LEAST = "least"
@@ -131,7 +131,7 @@ class GrowthDiagnostics:
     entries holds (n, log value, log value / n) for every n with a positive
     count; indices with value <= 0 are listed in skipped (log undefined).
     window_inf and window_sup bound the rate over the last window_len
-    computed entries.
+    computed entries; window_len is at most the number of entries.
     """
 
     entries: tuple[tuple[int, object, object], ...]
@@ -155,7 +155,8 @@ def growth_diagnostics(S, window_len=10, precision_bits=DEFAULT_PRECISION_BITS):
     taken of the exact integer S_n in working_precision(precision_bits), so
     precision_bits is purely an output resolution.  Entries with S_n <= 0
     are skipped and flagged; an all-zero sequence has no growth rate and
-    raises ValueError, as does a window_len below 1.
+    raises ValueError, as does a window_len below 1.  A window longer than
+    the entries is shortened to all of them.
     """
     if window_len < 1:
         raise ValueError("window length must be positive")
@@ -170,6 +171,7 @@ def growth_diagnostics(S, window_len=10, precision_bits=DEFAULT_PRECISION_BITS):
             entries.append((n, lg, lg / n))
     if not entries:
         raise ValueError("sequence has no positive entries; growth rate undefined")
+    window_len = min(window_len, len(entries))
     window = [r for (_, _, r) in entries[-window_len:]]
     return GrowthDiagnostics(
         entries=tuple(entries),
@@ -223,6 +225,7 @@ def lemma_sandwich_check(F, L):
 # --- shared sequence file format --------------------------------------------
 
 
+@unlimited_int_digits()
 def write_sequence_csv(S, fh):
     """Write the shared sequence format: header n,value then one row per n."""
     writer = csv.writer(fh, lineterminator="\n")
@@ -231,6 +234,7 @@ def write_sequence_csv(S, fh):
         writer.writerow([n, v])
 
 
+@unlimited_int_digits()
 def read_sequence_csv(fh, kind=KIND_FIXED):
     """Read the shared sequence format; rows must start at 1 with no gaps."""
     reader = csv.reader(fh)

@@ -19,8 +19,14 @@ an mpmath interval evaluation.
 mpmath's contexts are process-global.  log_ball saves and restores the
 interval precision around its evaluation; it is reentrant but not thread
 safe, so run concurrent work in separate processes.
+
+decimal_from_floors prints a positive real from its exact decimal floors,
+correctly rounded, in the layout of mp.nstr; unlimited_int_digits lifts
+Python's int<->str digit limit around conversions of long counts.
 """
 
+import sys
+from contextlib import contextmanager
 from functools import lru_cache
 
 from mpmath import iv, mp
@@ -96,3 +102,57 @@ def working_precision(bits):
     """mp.workprec context at bits plus the guard bits every printed value carries."""
     return mp.workprec(bits + _GUARD_BITS)
 
+
+def decimal_from_floors(floor_at, dps):
+    """mp.nstr's string for a real x > 0, rounded half up from exact floors.
+
+    floor_at(j) must return floor(x * 10**j) exactly for every integer j.
+    The leading decimal exponent e (10**e <= x < 10**(e+1)) is found by exact
+    comparisons, x is rounded half up at digit dps + 1 to dps significant
+    digits, and the digits are laid out as mp.nstr(x, dps) lays out its own:
+    fixed notation when min(-(dps // 3), -5) < e < dps, else d.ddde+E or
+    d.ddde-E, with trailing zeros stripped down to one after the point.
+    """
+    j = 0
+    while (head := floor_at(j)) == 0:
+        j = 2 * j + 1
+    e = len(str(head)) - 1 - j
+    lead, rest = divmod(floor_at(dps - e), 10)
+    if rest >= 5:
+        lead += 1
+        if lead == 10**dps:
+            lead //= 10
+            e += 1
+    digits = str(lead)
+    if min(-(dps // 3), -5) < e < dps:
+        if e < 0:
+            digits, split = "0" * -e + digits, 1
+        else:
+            split = e + 1
+        exponent = ""
+    else:
+        split, exponent = 1, "e%+d" % e
+    text = (digits[:split] + "." + digits[split:]).rstrip("0")
+    if text.endswith("."):
+        text += "0"
+    return text + exponent
+
+
+@contextmanager
+def unlimited_int_digits():
+    """Lift Python's int<->str digit limit (3.10.7 and later) for the block.
+
+    Counts, plan primes and Lehmer integers routinely pass the default 4300
+    digits.  The previous limit comes back on exit; like mpmath's contexts the
+    limit is process-global, so this is reentrant but not thread safe.  Also
+    usable as a decorator.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)

@@ -1,11 +1,15 @@
+import hashlib
 import json
 import sys
+from decimal import ROUND_HALF_UP, Context, Decimal
 
 import pytest
 
 from perigee import construction, orbits
 from perigee.cli import main
 from perigee.construction import build_plan, load_plan, plan_from_json, plan_to_json, save_plan
+from perigee.numtheory import least_prime_congruent_one
+from perigee.precision import digits_for_bits
 from perigee.targets import GrowthTarget
 
 
@@ -336,6 +340,16 @@ def test_analyze_reads_values_beyond_int_str_limit(capsys, tmp_path):
     assert table_rows(out)[1]["value"] == big
 
 
+def test_analyze_clamps_window_to_the_rows(capsys, tmp_path):
+    # construct prints window_len=N for the same counts, so analyze must too
+    seq = tmp_path / "seq.csv"
+    seq.write_text("n,value\n1,1\n2,3\n3,7\n")
+    code, out, _ = run(capsys, "analyze", "--sequence", str(seq), "--window", "50")
+    assert code == 0
+    assert "# window_len=3" in out.splitlines()
+    assert "# window_inf=0.0" in out.splitlines()
+
+
 def test_analyze_bad_file_exit_code(capsys, tmp_path):
     seq = tmp_path / "seq.csv"
     seq.write_text("n,value\n1,5\n3,6\n")
@@ -351,6 +365,42 @@ def test_primes_command(capsys):
     assert lines[6].split(",")[:2] == ["6", "7"]
     assert any(line.startswith("# max_ratio=0.0662") for line in lines)
     assert "# max_ratio_n=2" in lines
+
+
+def test_primes_ratio_matches_a_decimal_oracle(capsys):
+    # p / n**5.5 = sqrt(p**2 / n**11) in decimal at three times the printed
+    # digits, rounded half up; independent of the exact-floor printer
+    p_at = {n: least_prime_congruent_one(n) for n in range(1, 2001)}
+    for bits in (128, 8):
+        code, out, _ = run(capsys, "primes", "--max-n", "2000", "--precision-bits", str(bits))
+        assert code == 0
+        dps = digits_for_bits(bits)
+        wide = Context(prec=3 * dps + 20)
+        rounded = Context(prec=dps, rounding=ROUND_HALF_UP)
+        ratios = {}
+        for row in table_rows(out):
+            n, p = int(row["n"]), int(row["p"])
+            assert p == p_at[n]
+            ratio = wide.sqrt(wide.divide(Decimal(p * p), Decimal(n**11)))
+            assert Decimal(row["ratio"]) == rounded.plus(ratio), (bits, n)
+            ratios[n] = ratio
+        worst_n = max(range(2, 2001), key=lambda n: (ratios[n], -n))
+        assert "# max_ratio_n=%d" % worst_n in out.splitlines()
+
+
+def test_primes_output_is_pinned(capsys):
+    # stdout of the mpmath-based primes command, which printed p / n**5.5 at
+    # bits + 12 through mp.nstr; the exact printer must reproduce it byte for byte
+    golden = {
+        ("csv", "128"): "0a6410ab1107cc56cdd6d9f02b600feeba821c65b5412c66150c26033f821078",
+        ("json", "8"): "cec3b632ca3776de194ac677f8a0489154aadcdfe628a51e90a171b1a7ce3f15",
+    }
+    for (fmt, bits), digest in golden.items():
+        code, out, _ = run(
+            capsys, "primes", "--max-n", "2000", "--precision-bits", bits, "--format", fmt
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, (fmt, bits)
 
 
 def test_unknown_flag_is_error(capsys):

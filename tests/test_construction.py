@@ -1,6 +1,8 @@
 import dataclasses
+import io
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -29,7 +31,7 @@ from perigee.construction import (
     sigma_rate_target,
 )
 from perigee.numtheory import BudgetError, divisors
-from perigee.orbits import least_from_fixed
+from perigee.orbits import least_from_fixed, read_sequence_csv, write_sequence_csv
 from perigee.targets import GrowthTarget
 
 # Two rational stand-ins for log 2 = 0.693147...: one a hair below (so the
@@ -450,6 +452,32 @@ def test_load_plan_validates(tmp_path):
     path.write_text(json.dumps(obj))
     with pytest.raises(ValueError, match="order below n at n = 3"):
         load_plan(path)
+
+
+def test_library_readers_lift_the_int_str_limit():
+    # Python's default int<->str limit is 4300 digits; plan and sequence
+    # files of long horizons pass it, and library callers have no main to
+    # lift it for them
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int<->str digit limit")
+    big, text = 10**5000 + 1, "1" + "0" * 4999 + "1"
+    obj = plan_to_json(build_plan(GrowthTarget.finite(1), "compensated", n_max=4))
+    obj["components"][2]["p"] = text
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        plan = plan_from_json(obj)
+        written = plan_to_json(plan)
+        sequence = read_sequence_csv(io.StringIO("n,value\n1,%s\n" % text))
+        out = io.StringIO()
+        write_sequence_csv(sequence, out)
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert plan.components[2].p == big
+    assert written["components"][2]["p"] == text
+    assert sequence.values == (big,)
+    assert out.getvalue() == "n,value\n1,%s\n" % text
 
 
 def test_plan_json_rejects_misnumbered_components(tmp_path):

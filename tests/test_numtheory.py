@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from perigee import numtheory
 from perigee.construction import _point_period
 from perigee.numtheory import (
     BudgetError,
@@ -16,6 +17,7 @@ from perigee.numtheory import (
     factorize,
     is_prime,
     least_prime_congruent_one,
+    least_primes_congruent_one,
     mobius,
 )
 
@@ -84,6 +86,25 @@ def test_least_prime_minimality_and_congruence():
 def test_least_prime_with_floor():
     p = least_prime_congruent_one(12, search_floor=12**3)
     assert p > 12**3 and p % 12 == 1 and is_prime(p)
+
+
+def test_sieved_least_primes_match_the_scan(monkeypatch):
+    expected = [least_prime_congruent_one(n) for n in range(1, 3001)]
+    assert least_primes_congruent_one(3000) == expected
+    # a sieve up to 2 * 3000 + 1 misses p_n for over a thousand n, which
+    # must then come from the scan above the bound
+    scanned = []
+
+    def recording(n, search_floor=0):
+        scanned.append(n)
+        return least_prime_congruent_one(n, search_floor=search_floor)
+
+    monkeypatch.setattr(numtheory, "SIEVE_FACTOR", 2)
+    monkeypatch.setattr(numtheory, "least_prime_congruent_one", recording)
+    assert least_primes_congruent_one(3000) == expected
+    assert len(scanned) > 1000
+    with pytest.raises(ValueError):
+        least_primes_congruent_one(0)
 
 
 def test_least_prime_budget_error():
