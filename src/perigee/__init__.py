@@ -44,10 +44,8 @@ from .toral import (
     DegeneracyError,
     IntegerPolynomial,
     MahlerResult,
-    degeneracy_check,
     delta_n,
     delta_n_resultant,
-    lehmer_growth_check,
     mahler_measure,
     toral_fix_sequence,
 )

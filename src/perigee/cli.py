@@ -42,27 +42,12 @@ EXIT_CONFIG = 2
 EXIT_BUDGET = 3
 EXIT_DEGENERATE = 4
 
-PRECISION_ENV_VAR = "PERIGEE_PRECISION_BITS"
-
 
 @dataclass
 class RunConfig:
     command: str
     output_format: str
     precision_bits: int
-
-
-def _default_precision_bits():
-    raw = os.environ.get(PRECISION_ENV_VAR)
-    if raw is None:
-        return DEFAULT_PRECISION_BITS
-    try:
-        bits = int(raw)
-    except ValueError:
-        raise ValueError("%s must be an integer, got %r" % (PRECISION_ENV_VAR, raw))
-    if bits < 8:
-        raise ValueError("%s must be at least 8" % PRECISION_ENV_VAR)
-    return bits
 
 
 def _fmt(x, bits):
@@ -212,14 +197,14 @@ def cmd_oracle(config, args, out):
     counts = construction.enumerate_oracle(
         plan, components, n_max, max_points=args.max_points
     )
+    fixed = construction.fixed_sequence(plan, n_max, components)
+    least = orbits.least_from_fixed(fixed)
     header = ["n", "F_oracle", "L_oracle", "F_closed", "L_closed", "status"]
     rows = []
     mismatches = 0
     for n in range(1, n_max + 1):
-        f_oracle = counts.fixed.values[n - 1]
-        l_oracle = counts.least.values[n - 1]
-        f_closed = construction.fixed_count(plan, n, component_limit=components).value()
-        l_closed = construction.least_count_exact(plan, n, component_limit=components)
+        f_oracle, f_closed = counts.fixed.values[n - 1], fixed.values[n - 1]
+        l_oracle, l_closed = counts.least.values[n - 1], least.values[n - 1]
         ok = f_oracle == f_closed and l_oracle == l_closed
         if not ok:
             mismatches += 1
@@ -358,9 +343,8 @@ def build_parser():
     common.add_argument(
         "--precision-bits",
         type=int,
-        default=None,
-        help="fractional bits for logs and rates (default: $%s or %d)"
-        % (PRECISION_ENV_VAR, DEFAULT_PRECISION_BITS),
+        default=DEFAULT_PRECISION_BITS,
+        help="fractional bits for logs and rates",
     )
 
     parser = argparse.ArgumentParser(
@@ -463,15 +447,12 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        precision_bits = (
-            args.precision_bits if args.precision_bits is not None else _default_precision_bits()
-        )
-        if precision_bits < 8:
+        if args.precision_bits < 8:
             raise ValueError("--precision-bits must be at least 8")
         config = RunConfig(
             command=args.command,
             output_format=args.format,
-            precision_bits=precision_bits,
+            precision_bits=args.precision_bits,
         )
         with unlimited_int_digits():
             return args.func(config, args, sys.stdout)

@@ -2,8 +2,13 @@
 
 For a monic integer polynomial f with roots a_1..a_d, the quantity
 delta_n = product of |a_i^n - 1| is an integer: it equals |det(M^n - I)| for
-the companion matrix M of f, and also |Res(f, x^n - 1)|.  Both routes are
-implemented with exact integer arithmetic and serve as each other's oracle.
+the companion matrix M of f, and also |Res(f, x^n - 1)|.  The determinant
+route never forms M: M is multiplication by x on Z[x]/(f), so column j of
+M^n is x^(n+j) mod f, and stepping n to n + 1 is one monic division by f
+followed by a fraction-free (Bareiss) determinant.  The resultant route is a
+separate rational remainder chain that shares no code with it, and the two
+serve as each other's oracle.
+
 When f does not vanish at any root of unity, delta_n is the number of points
 of period n of the toral automorphism induced by M, and its logarithmic
 growth rate is the Mahler measure
@@ -17,6 +22,7 @@ error radii.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 
 import mpmath
 from mpmath import mp
@@ -179,40 +185,22 @@ def cyclotomic_factor_index(f):
     return None
 
 
-def degeneracy_check(f):
-    """True iff f shares a factor with some cyclotomic polynomial."""
-    return cyclotomic_factor_index(f) is not None
-
-
 # --- exact delta_n --------------------------------------------------------------
 
 
-def companion_matrix(f):
+def _powers_minus_identity(f):
+    """Yield the transpose of M^n - I for n = 1, 2, ...: row j is x^(n+j) mod f
+    less x^j, as a coefficient list of length d.
+
+    The window of residues x^n, ..., x^(n+d-1) mod f advances by one power of
+    x per n, one monic division each; transposing leaves the determinant.
+    """
     d = f.degree
-    m = [[0] * d for _ in range(d)]
-    for i in range(1, d):
-        m[i][i - 1] = 1
-    for i in range(d):
-        m[i][d - 1] = -f.coefficients[i]
-    return m
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def _mat_pow(m, n):
-    size = len(m)
-    result = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
-    base = m
-    while n:
-        if n & 1:
-            result = _mat_mul(result, base)
-        base = _mat_mul(base, base)
-        n >>= 1
-    return result
+    window = [[int(i == j) for i in range(d)] for j in range(d)]
+    while True:
+        _, r = _poly_divmod_monic_int([0] + window[-1], f.coefficients)
+        window = window[1:] + [r + [0] * (d - len(r))]
+        yield [row[:j] + [row[j] - 1] + row[j + 1 :] for j, row in enumerate(window)]
 
 
 def _det_bareiss(m):
@@ -241,13 +229,10 @@ def _det_bareiss(m):
 
 
 def delta_n(f, n):
-    """|det(M^n - I)| with exact integer arithmetic (matrix power + Bareiss)."""
+    """|det(M^n - I)| with exact integer arithmetic (x^n mod f, then Bareiss)."""
     if n < 1:
         raise ValueError("n must be positive")
-    power = _mat_pow(companion_matrix(f), n)
-    for i in range(len(power)):
-        power[i][i] -= 1
-    return abs(_det_bareiss(power))
+    return abs(_det_bareiss(next(islice(_powers_minus_identity(f), n - 1, None))))
 
 
 def delta_n_resultant(f, n):
@@ -274,17 +259,8 @@ def toral_fix_sequence(f, n_max):
     k = cyclotomic_factor_index(f)
     if k is not None:
         raise DegeneracyError(k, "polynomial shares a factor with cyclotomic index %d" % k)
-    m = companion_matrix(f)
-    power = [row[:] for row in m]
-    values = []
-    for n in range(1, n_max + 1):
-        if n > 1:
-            power = _mat_mul(power, m)
-        shifted = [row[:] for row in power]
-        for i in range(len(shifted)):
-            shifted[i][i] -= 1
-        values.append(abs(_det_bareiss(shifted)))
-    return CountSequence(KIND_FIXED, tuple(values))
+    shifted = islice(_powers_minus_identity(f), n_max)
+    return CountSequence(KIND_FIXED, tuple(abs(_det_bareiss(m)) for m in shifted))
 
 
 # --- Mahler measure --------------------------------------------------------------
@@ -419,39 +395,4 @@ def mahler_measure(f, precision_bits=DEFAULT_PRECISION_BITS):
         dps *= 2
     raise ConvergenceError(
         "root certification failed for %s at %d working digits" % (f, dps // 2)
-    )
-
-
-@dataclass(frozen=True)
-class LehmerGrowthReport:
-    n: int
-    rate: object
-    measure: object
-    measure_error: object
-    gap: object
-    tolerance: object
-    within_tolerance: bool
-    entropy: object  # the measure again: it is the topological entropy of the toral map
-
-
-def lehmer_growth_check(f, n_max, tolerance, precision_bits=DEFAULT_PRECISION_BITS):
-    """Compare (1/N) log delta_N against the Mahler measure at N = n_max."""
-    k = cyclotomic_factor_index(f)
-    if k is not None:
-        raise DegeneracyError(k, "polynomial shares a factor with cyclotomic index %d" % k)
-    result = mahler_measure(f, precision_bits)
-    value = delta_n(f, n_max)
-    with working_precision(precision_bits):
-        rate = mp.log(value) / n_max
-        gap = abs(rate - result.measure)
-        tol = mp.mpf(tolerance)
-    return LehmerGrowthReport(
-        n=n_max,
-        rate=rate,
-        measure=result.measure,
-        measure_error=result.error_bound,
-        gap=gap,
-        tolerance=tol,
-        within_tolerance=bool(gap <= tol),
-        entropy=result.measure,
     )

@@ -35,14 +35,13 @@ from perigee.construction import (
     sigma_rate_target,
 )
 from perigee.numtheory import PRIME_BOUND_EXPONENT, least_prime_congruent_one
-from perigee.orbits import CountSequence, fixed_from_least, least_from_fixed
+from perigee.orbits import CountSequence, fixed_from_least, growth_diagnostics, least_from_fixed
 from perigee.targets import GrowthTarget
 from perigee.toral import (
     IntegerPolynomial,
-    degeneracy_check,
+    cyclotomic_factor_index,
     delta_n,
     delta_n_resultant,
-    lehmer_growth_check,
     mahler_measure,
     toral_fix_sequence,
 )
@@ -285,7 +284,7 @@ def test_criterion_08_integer_sequences():
         degree = rng.randint(1, 6)
         coeffs = tuple(rng.randint(-5, 5) for _ in range(degree)) + (1,)
         poly = IntegerPolynomial(coeffs)
-        if degeneracy_check(poly):
+        if cyclotomic_factor_index(poly) is not None:
             continue
         for n in range(1, 31):
             assert delta_n(poly, n) == delta_n_resultant(poly, n)
@@ -303,8 +302,10 @@ def test_criterion_08_integer_sequences():
 def test_criterion_09_mahler_convergence():
     started = time.perf_counter()
     for coeffs in ((-2, 1), (-1, -1, 1)):
-        rep = lehmer_growth_check(IntegerPolynomial(coeffs), 1000, 1e-3)
-        assert rep.within_tolerance, rep.gap
+        poly = IntegerPolynomial(coeffs)
+        rate = growth_diagnostics(toral_fix_sequence(poly, 1000)).entries[-1][2]
+        gap = abs(rate - mahler_measure(poly).measure)
+        assert gap <= 1e-3, gap
     lehmer10 = IntegerPolynomial((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))
     certified = mahler_measure(lehmer10)
     with mp.workdps(60):

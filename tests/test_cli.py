@@ -26,6 +26,11 @@ def table_rows(out):
     return [dict(zip(header, line.split(","))) for line in lines[1:]]
 
 
+def summary_lines(out):
+    """The '# key=value' summary lines as a dict."""
+    return dict(line[2:].split("=", 1) for line in out.splitlines() if line.startswith("# "))
+
+
 def test_construct_csv_row(capsys):
     code, out, _ = run(
         capsys,
@@ -264,9 +269,45 @@ def test_lehmer_golden(capsys):
     assert [line.split(",")[1] for line in out.splitlines()[1:6]] == ["1", "1", "4", "5", "11"]
 
 
+def test_lehmer_stdout_is_pinned(capsys):
+    # stdout of the companion-matrix route (repeated matrix products, then
+    # Bareiss); the x^n mod f window must reproduce it byte for byte
+    lehmer10 = "1,1,0,-1,-1,-1,-1,-1,0,1,1"
+    golden = {
+        (lehmer10, "300", "csv", "128"):
+        "4702c89dafa1094d974ae05bab5ccfd2033805f1296f8a98d89dbe541c8a62ad",
+        (lehmer10, "300", "json", "8"):
+        "07c10e93e3729303cfe68049da7f53cde580e1e42966576b988413e22dd5d93e",
+        ("-2,1", "200", "csv", "128"):
+        "d1241c59fc983f80f6dea1c8ebc493e275b1dc9e0d127fa11e0c73bf52cae911",
+    }
+    for (poly, max_n, fmt, bits), digest in golden.items():
+        code, out, _ = run(
+            capsys,
+            "lehmer", "--poly", poly, "--max-n", max_n, "--precision-bits", bits,
+            "--format", fmt,
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, (poly, fmt)
+
+
+def test_lehmer_gap_and_entropy(capsys):
+    # at n = 1, delta_1 = 1 has rate 0, so the gap is the whole measure log 2
+    code, out, _ = run(capsys, "lehmer", "--poly", "-2,1", "--max-n", "1")
+    assert code == 0
+    summary = summary_lines(out)
+    assert summary["gap_at_max_n"] == summary["mahler"] == summary["entropy"]
+    assert summary["mahler"].startswith("0.6931471805599453")
+    code, out, _ = run(capsys, "lehmer", "--poly", "-2,1", "--max-n", "100")
+    assert code == 0
+    assert float(summary_lines(out)["gap_at_max_n"]) < 1e-3
+
+
 def test_lehmer_degenerate_exit_code(capsys):
     code, _, err = run(capsys, "lehmer", "--poly", "1,0,1", "--max-n", "3")
     assert code == 4 and "cyclotomic index 4" in err
+    code, _, err = run(capsys, "lehmer", "--poly", "-1,1", "--max-n", "10")
+    assert code == 4 and "cyclotomic index 1" in err
 
 
 def test_lehmer_rejects_nonpositive_max_n(capsys):
@@ -409,9 +450,10 @@ def test_unknown_flag_is_error(capsys):
     assert info.value.code == 2
 
 
-def test_precision_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("PERIGEE_PRECISION_BITS", "32")
-    code, out, _ = run(capsys, "lehmer", "--poly", "-2,1", "--max-n", "2")
+def test_precision_bits_flag(capsys):
+    code, out, _ = run(
+        capsys, "lehmer", "--poly", "-2,1", "--max-n", "2", "--precision-bits", "32"
+    )
     assert code == 0
     mahler = next(line for line in out.splitlines() if line.startswith("# mahler="))
     digits = len(mahler.split("=")[1].split(".")[1])

@@ -1,5 +1,4 @@
 import io
-import random
 
 import pytest
 from hypothesis import given, settings

@@ -52,16 +52,24 @@ def test_unused_imports_detector():
     assert unused_imports(source) == [(2, "gcd")]
 
 
+def unused_imports_in(paths):
+    """'file:line name' for each unused import in the given source files."""
+    assert paths
+    return [
+        "%s:%d %s" % (path.name, line, name)
+        for path in paths
+        for line, name in unused_imports(path.read_text(encoding="utf-8"))
+    ]
+
+
 def test_no_unused_imports_in_package():
     # __init__.py imports only to re-export, so it is exempt
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-    assert modules
-    found = [
-        "%s:%d %s" % (path.name, line, name)
-        for path in modules
-        for line, name in unused_imports(path.read_text(encoding="utf-8"))
-    ]
-    assert found == []
+    assert unused_imports_in(modules) == []
+
+
+def test_no_unused_imports_in_tests():
+    assert unused_imports_in(sorted(Path(__file__).resolve().parent.glob("*.py"))) == []
 
 
 def test_unread_private_functions_detector():

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 from mpmath import mp
@@ -8,13 +7,10 @@ from perigee.orbits import realizability_check
 from perigee.toral import (
     DegeneracyError,
     IntegerPolynomial,
-    companion_matrix,
     cyclotomic,
     cyclotomic_factor_index,
-    degeneracy_check,
     delta_n,
     delta_n_resultant,
-    lehmer_growth_check,
     mahler_measure,
     toral_fix_sequence,
 )
@@ -33,7 +29,7 @@ def random_nondegenerate(rng, max_degree=6, bound=5):
         degree = rng.randint(1, max_degree)
         coeffs = [rng.randint(-bound, bound) for _ in range(degree)] + [1]
         poly = IntegerPolynomial(tuple(coeffs))
-        if not degeneracy_check(poly):
+        if cyclotomic_factor_index(poly) is None:
             return poly
 
 
@@ -72,11 +68,9 @@ def test_cyclotomic_polynomials():
 
 
 def test_degeneracy_examples():
-    assert degeneracy_check(IntegerPolynomial((-1, 1)))  # x - 1
-    assert not degeneracy_check(GOLDEN)
-    assert degeneracy_check(IntegerPolynomial((1, 0, 1)))  # x^2 + 1, roots +-i
-    assert cyclotomic_factor_index(IntegerPolynomial((1, 0, 1))) == 4
-    assert cyclotomic_factor_index(IntegerPolynomial((-1, 1))) == 1
+    assert cyclotomic_factor_index(IntegerPolynomial((-1, 1))) == 1  # x - 1
+    assert cyclotomic_factor_index(GOLDEN) is None
+    assert cyclotomic_factor_index(IntegerPolynomial((1, 0, 1))) == 4  # x^2 + 1, roots +-i
 
 
 def test_delta_examples():
@@ -84,12 +78,6 @@ def test_delta_examples():
     assert [delta_n(GOLDEN, n) for n in range(1, 6)] == [1, 1, 4, 5, 11]
     assert delta_n_resultant(GOLDEN, 4) == 5
     assert [delta_n(IntegerPolynomial((1, -3, 1)), n) for n in range(1, 4)] == [1, 5, 16]
-
-
-def test_companion_matrix_shape():
-    m = companion_matrix(GOLDEN)
-    assert m == [[0, 1], [1, 1]]
-    assert companion_matrix(SHIFT) == [[2]]
 
 
 def test_fix_sequence_examples():
@@ -110,6 +98,16 @@ def test_determinant_vs_resultant_random():
         poly = random_nondegenerate(rng)
         for n in range(1, 31):
             assert delta_n(poly, n) == delta_n_resultant(poly, n)
+
+
+def test_fix_sequence_vs_resultant_random():
+    # the sequence lehmer prints, against the independent remainder chain
+    rng = random.Random(2718)
+    for _ in range(12):
+        poly = random_nondegenerate(rng, max_degree=8)
+        assert toral_fix_sequence(poly, 40).values == tuple(
+            delta_n_resultant(poly, n) for n in range(1, 41)
+        )
 
 
 def test_delta_multiplicative_under_products():
@@ -213,15 +211,3 @@ def test_convergence_envelope():
             for n in range(1, 40):
                 rate = mp.log(delta_n(poly, n)) / n
                 assert abs(rate - result.measure) <= budget / n + mp.mpf(2) ** -80
-
-
-def test_lehmer_growth_check():
-    report = lehmer_growth_check(SHIFT, 100, 1e-3)
-    assert report.within_tolerance
-    assert report.entropy == report.measure
-    report = lehmer_growth_check(SHIFT, 1, 1e-3)
-    assert not report.within_tolerance
-    with mp.workprec(120):
-        assert abs(report.gap - mp.log(2)) < 1e-20
-    with pytest.raises(DegeneracyError):
-        lehmer_growth_check(IntegerPolynomial((-1, 1)), 10, 1e-3)
