@@ -54,6 +54,7 @@ from .orbits import KIND_FIXED, KIND_LEAST, CountSequence
 from .precision import (
     DEFAULT_PRECISION_BITS,
     adaptive_decide,
+    adaptive_floor,
     log_ball,
     unlimited_int_digits,
     working_precision,
@@ -166,11 +167,12 @@ def _exponent(n, C, p, spent, precision_bits):
     def build(bits):
         lo, hi = _budget_ball(n, C, spent, bits)
         log_lo, log_hi = log_ball(p, bits)
-        floor_lo = max(0, min(lo // log_lo, lo // log_hi))
-        floor_hi = max(0, hi // log_lo, hi // log_hi)
-        return floor_lo if floor_lo == floor_hi else None
+        return (
+            max(0, min(lo // log_lo, lo // log_hi)),
+            max(0, hi // log_lo, hi // log_hi),
+        )
 
-    return adaptive_decide(build, start_bits=precision_bits)
+    return adaptive_floor(build, start_bits=precision_bits)
 
 
 def build_plan(

@@ -65,19 +65,31 @@ def log_ball(n, bits):
     )
 
 
-def adaptive_decide(predicate, start_bits=DEFAULT_PRECISION_BITS, max_bits=MAX_DECISION_BITS):
-    """Escalate until predicate(bits) returns a verdict instead of None.
+def adaptive_floor(build, start_bits=DEFAULT_PRECISION_BITS, max_bits=MAX_DECISION_BITS):
+    """Floor of a value, escalating until its integer bounds agree.
 
-    The verdict is whatever the predicate decides: True or False for a
-    comparison, an integer for a floor whose bounds agreed at that precision.
+    `build(bits)` must return integers (lo, hi) with lo <= floor(x) <= hi for
+    the same mathematical value x at any requested precision.
     """
+    bits = start_bits
+    while True:
+        lo, hi = build(bits)
+        if lo == hi:
+            return lo
+        if bits >= max_bits:
+            raise PrecisionError("floor still undecided at %d bits" % bits)
+        bits *= 2
+
+
+def adaptive_decide(predicate, start_bits=DEFAULT_PRECISION_BITS, max_bits=MAX_DECISION_BITS):
+    """Escalate until predicate(bits) returns True or False instead of None."""
     bits = start_bits
     while True:
         verdict = predicate(bits)
         if verdict is not None:
             return verdict
         if bits >= max_bits:
-            raise PrecisionError("still undecided at %d bits" % bits)
+            raise PrecisionError("comparison still undecided at %d bits" % bits)
         bits *= 2
 
 

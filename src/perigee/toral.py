@@ -4,10 +4,10 @@ For a monic integer polynomial f with roots a_1..a_d, the quantity
 delta_n = product of |a_i^n - 1| is an integer: it equals |det(M^n - I)| for
 the companion matrix M of f, and also |Res(f, x^n - 1)|.  The determinant
 route never forms M: M is multiplication by x on Z[x]/(f), so column j of
-M^n is x^(n+j) mod f, and stepping n to n + 1 is one monic division by f
-followed by a fraction-free (Bareiss) determinant.  The resultant route is a
-separate rational remainder chain that shares no code with it, and the two
-serve as each other's oracle.
+M^n is x^(n+j) mod f.  x^n mod f comes by square-and-multiply, each step to
+n + 1 is one monic division by f, and each n ends in a fraction-free
+(Bareiss) determinant.  The resultant route is a separate rational remainder
+chain that shares no code with it, and the two serve as each other's oracle.
 
 When f does not vanish at any root of unity, delta_n is the number of points
 of period n of the toral automorphism induced by M, and its logarithmic
@@ -188,19 +188,25 @@ def cyclotomic_factor_index(f):
 # --- exact delta_n --------------------------------------------------------------
 
 
-def _powers_minus_identity(f):
-    """Yield the transpose of M^n - I for n = 1, 2, ...: row j is x^(n+j) mod f
-    less x^j, as a coefficient list of length d.
-
-    The window of residues x^n, ..., x^(n+d-1) mod f advances by one power of
-    x per n, one monic division each; transposing leaves the determinant.
+def _powers_minus_identity(f, n=1):
+    """Yield the transpose of M^k - I for k = n, n + 1, ...: row j is x^(k+j) mod f
+    less x^j, built as the module docstring says.  Transposing keeps the determinant.
     """
     d = f.degree
-    window = [[int(i == j) for i in range(d)] for j in range(d)]
+    residue = [1]
+    for bit in bin(n)[2:]:
+        square = [0] * (2 * len(residue) - 1)
+        for i, a in enumerate(residue):
+            for j, b in enumerate(residue):
+                square[i + j] += a * b
+        _, residue = _poly_divmod_monic_int([0] * int(bit) + square, f.coefficients)
+    window = []
     while True:
-        _, r = _poly_divmod_monic_int([0] + window[-1], f.coefficients)
-        window = window[1:] + [r + [0] * (d - len(r))]
+        while len(window) < d:
+            window.append(residue + [0] * (d - len(residue)))
+            _, residue = _poly_divmod_monic_int([0] + residue, f.coefficients)
         yield [row[:j] + [row[j] - 1] + row[j + 1 :] for j, row in enumerate(window)]
+        del window[0]
 
 
 def _det_bareiss(m):
@@ -232,7 +238,7 @@ def delta_n(f, n):
     """|det(M^n - I)| with exact integer arithmetic (x^n mod f, then Bareiss)."""
     if n < 1:
         raise ValueError("n must be positive")
-    return abs(_det_bareiss(next(islice(_powers_minus_identity(f), n - 1, None))))
+    return abs(_det_bareiss(next(_powers_minus_identity(f, n))))
 
 
 def delta_n_resultant(f, n):
@@ -339,9 +345,7 @@ def _certified_enclosures(coeffs_desc, degree, tol):
         hi = max(abs(roots[i]) + radii[i] for i in members)
         if hi - lo > tol / 2:
             return None
-        if lo > 1:
-            near = False
-        elif hi < 1:
+        if lo > 1 or hi < 1:
             near = False
         elif lo >= 1 - tol and hi <= 1 + tol:
             near = True

@@ -285,7 +285,7 @@ def test_exponents_match_independent_mp_floor(C):
 
 def test_low_start_precision_escalates_to_the_same_plan(monkeypatch):
     bits_tried = []
-    real_decide = construction.adaptive_decide
+    real_floor, real_decide = construction.adaptive_floor, construction.adaptive_decide
 
     def recording(real):
         def wrapper(callable_, *args, **kwargs):
@@ -297,6 +297,7 @@ def test_low_start_precision_escalates_to_the_same_plan(monkeypatch):
 
         return wrapper
 
+    monkeypatch.setattr(construction, "adaptive_floor", recording(real_floor))
     monkeypatch.setattr(construction, "adaptive_decide", recording(real_decide))
     target = GrowthTarget.finite(1)
     low = build_plan(target, "compensated", n_max=1000, precision_bits=8)

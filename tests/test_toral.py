@@ -95,19 +95,11 @@ def test_fix_sequence_rejects_degenerate():
 def test_determinant_vs_resultant_random():
     rng = random.Random(8151)
     for _ in range(20):
-        poly = random_nondegenerate(rng)
-        for n in range(1, 31):
-            assert delta_n(poly, n) == delta_n_resultant(poly, n)
-
-
-def test_fix_sequence_vs_resultant_random():
-    # the sequence lehmer prints, against the independent remainder chain
-    rng = random.Random(2718)
-    for _ in range(12):
         poly = random_nondegenerate(rng, max_degree=8)
-        assert toral_fix_sequence(poly, 40).values == tuple(
-            delta_n_resultant(poly, n) for n in range(1, 41)
-        )
+        expected = tuple(delta_n_resultant(poly, n) for n in range(1, 41))
+        # the sequence lehmer prints, and each delta_n from x^n mod f alone
+        assert toral_fix_sequence(poly, 40).values == expected
+        assert tuple(delta_n(poly, n) for n in range(1, 41)) == expected
 
 
 def test_delta_multiplicative_under_products():
