@@ -5,6 +5,9 @@ lines) or the JSON mirror of the same content.  Nothing is random and all
 precision is explicit, so identical invocations produce byte-identical
 output.
 
+mpmath is imported inside the functions that evaluate with it, so the exact
+commands (primes, zeta, oracle) never pay for loading it.
+
 Exit codes: 0 ok, 1 oracle mismatch, 2 invalid configuration or parse error
 (including a missing or unreadable input file), 3 computation budget exceeded
 or an output file that could not be written, 4 degenerate polynomial.
@@ -20,8 +23,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-
-from mpmath import mp
 
 from . import construction, numtheory, orbits, toral, zeta
 from .numtheory import BudgetError
@@ -51,6 +52,8 @@ class RunConfig:
 
 
 def _fmt(x, bits):
+    from mpmath import mp
+
     return mp.nstr(x, digits_for_bits(bits))
 
 
@@ -113,6 +116,8 @@ def _parse_target(args):
 
 
 def cmd_construct(config, args, out):
+    from mpmath import mp
+
     target = _parse_target(args)
     strategy = args.strategy
     if target.kind != FINITE and strategy is not None:
@@ -126,7 +131,12 @@ def cmd_construct(config, args, out):
         gamma=gamma,
         precision_bits=bits,
     )
-    fixed = construction.fixed_sequence(plan)
+    factored, values = [], []
+    for n in range(1, plan.N + 1):  # each F_n once: its factorisation and its value
+        f_n = construction.fixed_count(plan, n)
+        factored.append(str(f_n))
+        values.append(f_n.value())
+    fixed = orbits.CountSequence(orbits.KIND_FIXED, tuple(values))
     diagnostics = orbits.growth_diagnostics(fixed, window_len=args.window, precision_bits=bits)
     report = construction.claimed_vs_exact_report(plan, orbits.least_from_fixed(fixed))
     if args.plan_out:
@@ -143,14 +153,14 @@ def cmd_construct(config, args, out):
             n,
             comp.p,
             comp.K,
-            str(construction.fixed_count(plan, n)),
+            f_factored,
             _fmt(f_log, bits),
             counts.exact,
             counts.claimed,
             _fmt(rate, bits),
         ]
-        for comp, counts, (n, f_log, rate) in zip(
-            plan.components, report.rows, diagnostics.entries
+        for comp, f_factored, counts, (n, f_log, rate) in zip(
+            plan.components, factored, report.rows, diagnostics.entries
         )
     ]
     max_n, _, max_rate = max(diagnostics.entries, key=lambda entry: entry[2])

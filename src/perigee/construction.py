@@ -38,8 +38,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mp
-
 from .numtheory import (
     BudgetError,
     FactoredNatural,
@@ -270,6 +268,8 @@ def fixed_count_log(plan, n, precision_bits=DEFAULT_PRECISION_BITS, component_li
     This is the same evaluation orbits.growth_diagnostics makes for every
     printed log, so a value here matches the construct table to the digit.
     """
+    from mpmath import mp
+
     count = fixed_count(plan, n, component_limit).value()
     with working_precision(precision_bits):
         return mp.log(count)

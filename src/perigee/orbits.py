@@ -15,8 +15,6 @@ at finite horizon.
 import csv
 from dataclasses import dataclass
 
-from mpmath import mp
-
 from .numtheory import divisors, mobius
 from .precision import DEFAULT_PRECISION_BITS, unlimited_int_digits, working_precision
 
@@ -158,6 +156,8 @@ def growth_diagnostics(S, window_len=10, precision_bits=DEFAULT_PRECISION_BITS):
     raises ValueError, as does a window_len below 1.  A window longer than
     the entries is shortened to all of them.
     """
+    from mpmath import mp
+
     if window_len < 1:
         raise ValueError("window length must be positive")
     entries = []

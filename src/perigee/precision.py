@@ -29,9 +29,6 @@ import sys
 from contextlib import contextmanager
 from functools import lru_cache
 
-from mpmath import iv, mp
-from mpmath.libmp import mpf_ceil, mpf_floor, mpf_shift, to_int
-
 DEFAULT_PRECISION_BITS = 128
 
 # Hard ceiling for decision escalation.  Reaching it means a quantity sat on
@@ -53,6 +50,9 @@ def log_ball(n, bits):
     The enclosure comes from one mpmath interval logarithm at bits plus
     guard bits of precision; scaling its ends by 2**bits is exact.
     """
+    from mpmath import iv
+    from mpmath.libmp import mpf_ceil, mpf_floor, mpf_shift, to_int
+
     saved = iv.prec
     iv.prec = bits + _GUARD_BITS
     try:
@@ -100,6 +100,8 @@ def digits_for_bits(bits):
 
 def working_precision(bits):
     """mp.workprec context at bits plus the guard bits every printed value carries."""
+    from mpmath import mp
+
     return mp.workprec(bits + _GUARD_BITS)
 
 
@@ -107,17 +109,22 @@ def decimal_from_floors(floor_at, dps):
     """mp.nstr's string for a real x > 0, rounded half up from exact floors.
 
     floor_at(j) must return floor(x * 10**j) exactly for every integer j.
-    The leading decimal exponent e (10**e <= x < 10**(e+1)) is found by exact
-    comparisons, x is rounded half up at digit dps + 1 to dps significant
-    digits, and the digits are laid out as mp.nstr(x, dps) lays out its own:
-    fixed notation when min(-(dps // 3), -5) < e < dps, else d.ddde+E or
-    d.ddde-E, with trailing zeros stripped down to one after the point.
+    The leading decimal exponent e (10**e <= x < 10**(e+1)) is read off the
+    first nonzero floor, tried from j = dps up; x is rounded half up at digit
+    dps + 1 to dps significant digits, and the digits are laid out as
+    mp.nstr(x, dps) lays out its own: fixed notation when
+    min(-(dps // 3), -5) < e < dps, else d.ddde+E or d.ddde-E, with trailing
+    zeros stripped down to one after the point.  For x >= 10**-dps this takes
+    at most two calls of floor_at.
     """
-    j = 0
+    j = dps
     while (head := floor_at(j)) == 0:
         j = 2 * j + 1
     e = len(str(head)) - 1 - j
-    lead, rest = divmod(floor_at(dps - e), 10)
+    # head has dps + 1 + cut digits; floor(floor(y) / 10**k) = floor(y / 10**k)
+    cut = e + j - dps
+    scaled = head // 10**cut if cut >= 0 else floor_at(dps - e)
+    lead, rest = divmod(scaled, 10)
     if rest >= 5:
         lead += 1
         if lead == 10**dps:

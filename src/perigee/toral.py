@@ -2,12 +2,16 @@
 
 For a monic integer polynomial f with roots a_1..a_d, the quantity
 delta_n = product of |a_i^n - 1| is an integer: it equals |det(M^n - I)| for
-the companion matrix M of f, and also |Res(f, x^n - 1)|.  The determinant
-route never forms M: M is multiplication by x on Z[x]/(f), so column j of
-M^n is x^(n+j) mod f.  x^n mod f comes by square-and-multiply, each step to
-n + 1 is one monic division by f, and each n ends in a fraction-free
-(Bareiss) determinant.  The resultant route is a separate rational remainder
-chain that shares no code with it, and the two serve as each other's oracle.
+the companion matrix M of f, and also |Res(f, x^n - 1)|.  Three routes:
+
+* toral_fix_sequence, the sequence `lehmer` prints, steps r_n = x^n mod f by
+  one monic division per n and takes Res(f, r_n - 1) = Res(f, x^n - 1) (f is
+  monic) by the integer subresultant remainder sequence, O(d^2) per n.
+* delta_n, the determinant oracle: M is multiplication by x on Z[x]/(f), so
+  column j of M^n is r_(n+j).  It finds r_n by square-and-multiply and ends
+  in a fraction-free (Bareiss) determinant of M^n - I.
+* delta_n_resultant, the resultant oracle: a rational remainder chain on
+  x^n - 1 that shares no code with the other two.
 
 When f does not vanish at any root of unity, delta_n is the number of points
 of period n of the toral automorphism induced by M, and its logarithmic
@@ -23,9 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-
-import mpmath
-from mpmath import mp
 
 from .numtheory import euler_phi
 from .orbits import KIND_FIXED, CountSequence
@@ -117,19 +118,6 @@ def _poly_divmod_monic_int(a, b):
     return q, _trim(a)
 
 
-def _poly_gcd(a, b):
-    """Monic gcd over the rationals."""
-    a = [Fraction(x) for x in _trim(a)]
-    b = [Fraction(x) for x in _trim(b)]
-    while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, [Fraction(x) for x in r]
-    if not a:
-        return []
-    lead = a[-1]
-    return [x / lead for x in a]
-
-
 def _resultant(a, b):
     """Resultant of dense rational coefficient lists, by remainder chains."""
     a = [Fraction(x) for x in _trim(a)]
@@ -170,17 +158,14 @@ def cyclotomic(k):
 
 
 def cyclotomic_factor_index(f):
-    """Smallest k with gcd(f, Phi_k) nontrivial, or None.
+    """Smallest k with gcd(f, Phi_k) nontrivial, that is Res(f, Phi_k) = 0, or None.
 
     Only k with phi(k) <= deg f can contribute; since phi(k) >= sqrt(k/2),
     scanning k <= 2*deg**2 + 6 is exhaustive.
     """
     d = f.degree
     for k in range(1, 2 * d * d + 7):
-        if euler_phi(k) > d:
-            continue
-        g = _poly_gcd(list(f.coefficients), list(cyclotomic(k)))
-        if len(g) - 1 >= 1:
+        if euler_phi(k) <= d and _subresultant(list(f.coefficients), list(cyclotomic(k))) == 0:
             return k
     return None
 
@@ -188,11 +173,8 @@ def cyclotomic_factor_index(f):
 # --- exact delta_n --------------------------------------------------------------
 
 
-def _powers_minus_identity(f, n=1):
-    """Yield the transpose of M^k - I for k = n, n + 1, ...: row j is x^(k+j) mod f
-    less x^j, built as the module docstring says.  Transposing keeps the determinant.
-    """
-    d = f.degree
+def _residues(f, n=1):
+    """Yield x^k mod f for k = n, n + 1, ..., as the module docstring says."""
     residue = [1]
     for bit in bin(n)[2:]:
         square = [0] * (2 * len(residue) - 1)
@@ -200,13 +182,39 @@ def _powers_minus_identity(f, n=1):
             for j, b in enumerate(residue):
                 square[i + j] += a * b
         _, residue = _poly_divmod_monic_int([0] * int(bit) + square, f.coefficients)
-    window = []
     while True:
-        while len(window) < d:
-            window.append(residue + [0] * (d - len(residue)))
-            _, residue = _poly_divmod_monic_int([0] + residue, f.coefficients)
-        yield [row[:j] + [row[j] - 1] + row[j + 1 :] for j, row in enumerate(window)]
-        del window[0]
+        yield residue
+        _, residue = _poly_divmod_monic_int([0] + residue, f.coefficients)
+
+
+def _subresultant(a, b):
+    """Res(a, b) for integer coefficient lists (low to high), a nonzero and
+    deg a >= deg b: lead(a)^deg(b) times the product of b over the roots of a.
+
+    The subresultant remainder sequence (Collins 1967, Brown 1978; Cohen,
+    Alg. 3.3.7 without its optional content extraction): every division is
+    exact, so no Fraction is formed.
+    """
+    a, b = _trim(a), _trim(b)
+    s = g = h = 1
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        if len(a) % 2 == 0 and len(b) % 2 == 0:  # both degrees odd
+            s = -s
+        # pseudo-remainder: lead(b)^(delta + 1) a = b q + r
+        r, lead, db = a, b[-1], len(b) - 1
+        for i in range(len(a) - 1, db - 1, -1):
+            c = r[i]
+            r = [lead * x for x in r[:i]]
+            for j in range(db):
+                r[i - db + j] -= c * b[j]
+        a, b = b, [x // (g * h**delta) for x in _trim(r)]
+        g = a[-1]
+        h = h * g**delta // h**delta
+    if not b:
+        return 0
+    da = len(a) - 1
+    return s * (h * b[0] ** da // h**da)
 
 
 def _det_bareiss(m):
@@ -238,7 +246,12 @@ def delta_n(f, n):
     """|det(M^n - I)| with exact integer arithmetic (x^n mod f, then Bareiss)."""
     if n < 1:
         raise ValueError("n must be positive")
-    return abs(_det_bareiss(next(_powers_minus_identity(f, n))))
+    d = f.degree
+    columns = [r + [0] * (d - len(r)) for r in islice(_residues(f, n), d)]
+    for j, column in enumerate(columns):
+        column[j] -= 1
+    # the rows are the columns of M^n - I; transposing keeps the determinant
+    return abs(_det_bareiss(columns))
 
 
 def delta_n_resultant(f, n):
@@ -265,8 +278,10 @@ def toral_fix_sequence(f, n_max):
     k = cyclotomic_factor_index(f)
     if k is not None:
         raise DegeneracyError(k, "polynomial shares a factor with cyclotomic index %d" % k)
-    shifted = islice(_powers_minus_identity(f), n_max)
-    return CountSequence(KIND_FIXED, tuple(abs(_det_bareiss(m)) for m in shifted))
+    coeffs = list(f.coefficients)
+    residues = islice(_residues(f), n_max)  # x^n mod f is [] when f is a power of x
+    values = (abs(_subresultant(coeffs, [(r or [0])[0] - 1] + r[1:])) for r in residues)
+    return CountSequence(KIND_FIXED, tuple(values))
 
 
 # --- Mahler measure --------------------------------------------------------------
@@ -302,9 +317,12 @@ def _certified_enclosures(coeffs_desc, degree, tol):
     the disks are not yet tight enough to classify every modulus against the
     unit circle at tolerance tol.
     """
+    from mpmath import mp
+    from mpmath.libmp import NoConvergence
+
     try:
         roots = mp.polyroots(coeffs_desc, maxsteps=200, extraprec=mp.prec)
-    except mpmath.libmp.NoConvergence:
+    except NoConvergence:
         return None
     # Guard factor absorbs rounding in the radius evaluation itself.
     guard = 1 + mp.mpf(2) ** (-mp.prec // 2)
@@ -371,6 +389,8 @@ def mahler_measure(f, precision_bits=DEFAULT_PRECISION_BITS):
     roots contribute zero and are flagged; their possible contribution is
     folded into error_bound.
     """
+    from mpmath import mp
+
     degree = f.degree
     dps = max(30, 2 * digits_for_bits(precision_bits), 3 * degree)
     for _ in range(12):

@@ -1,7 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from decimal import ROUND_HALF_UP, Context, Decimal
+from pathlib import Path
 
 import pytest
 
@@ -270,9 +273,11 @@ def test_lehmer_golden(capsys):
 
 
 def test_lehmer_stdout_is_pinned(capsys):
-    # stdout of the companion-matrix route (repeated matrix products, then
-    # Bareiss); the x^n mod f window must reproduce it byte for byte
+    # stdout of the Bareiss determinant route (the first three from repeated
+    # companion-matrix products, the degree-30 one from the x^n mod f
+    # window); the subresultant on x^n mod f - 1 must reproduce it byte for byte
     lehmer10 = "1,1,0,-1,-1,-1,-1,-1,0,1,1"
+    degree30 = "3,1,4,1,5,9,2,6,5,3,5,8,9,7,9,3,2,3,8,4,6,2,6,4,3,3,8,3,2,7,1"
     golden = {
         (lehmer10, "300", "csv", "128"):
         "4702c89dafa1094d974ae05bab5ccfd2033805f1296f8a98d89dbe541c8a62ad",
@@ -280,6 +285,8 @@ def test_lehmer_stdout_is_pinned(capsys):
         "07c10e93e3729303cfe68049da7f53cde580e1e42966576b988413e22dd5d93e",
         ("-2,1", "200", "csv", "128"):
         "d1241c59fc983f80f6dea1c8ebc493e275b1dc9e0d127fa11e0c73bf52cae911",
+        (degree30, "60", "csv", "128"):
+        "cb3c9c26c963fcef7f246b4e1427ac0d69ceb39827f05727aef38e8ceefeed13",
     }
     for (poly, max_n, fmt, bits), digest in golden.items():
         code, out, _ = run(
@@ -442,6 +449,38 @@ def test_primes_output_is_pinned(capsys):
         )
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, (fmt, bits)
+
+
+def test_exact_commands_never_import_mpmath(capsys, tmp_path):
+    # primes, zeta and oracle print only exact integers and rationals, so a
+    # fresh interpreter running them never pays for importing mpmath
+    plan, seq = tmp_path / "plan.json", tmp_path / "seq.csv"
+    code, _, _ = run(
+        capsys,
+        "construct", "--C", "1", "--strategy", "compensated", "--max-n", "12",
+        "--plan-out", str(plan), "--sequence-out", str(seq),
+    )
+    assert code == 0
+    commands = [
+        ["primes", "--max-n", "300"],
+        ["zeta", "--sequence", str(seq)],
+        ["oracle", "--plan", str(plan), "--components", "3", "--max-n", "6"],
+    ]
+    script = (
+        "import sys\n"
+        "from perigee.cli import main\n"
+        "codes = [main(argv) for argv in %r]\n"
+        "sys.stderr.write('%%s %%s' %% (codes, 'mpmath' in sys.modules))\n" % commands
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))
+    ))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == "[0, 0, 0] False"
 
 
 def test_unknown_flag_is_error(capsys):

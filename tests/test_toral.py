@@ -1,12 +1,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from perigee.orbits import realizability_check
 from perigee.toral import (
     DegeneracyError,
     IntegerPolynomial,
+    _det_bareiss,
+    _poly_divmod,
+    _resultant,
+    _subresultant,
     cyclotomic,
     cyclotomic_factor_index,
     delta_n,
@@ -22,6 +28,14 @@ LEHMER10 = IntegerPolynomial((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))
 # Independently computed: log of the largest root of LEHMER10 (the smallest
 # known Mahler measure above zero), frozen at 30 digits.
 LEHMER10_MEASURE = "0.162357612007738139432198803556"
+
+
+def poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 def random_nondegenerate(rng, max_degree=6, bound=5):
@@ -84,6 +98,8 @@ def test_fix_sequence_examples():
     assert toral_fix_sequence(SHIFT, 4).values == (1, 3, 7, 15)
     assert toral_fix_sequence(GOLDEN, 5).values == (1, 1, 4, 5, 11)
     assert toral_fix_sequence(IntegerPolynomial((1, -3, 1)), 3).values == (1, 5, 16)
+    # x^2: M is nilpotent, so x^n mod f vanishes from n = 2 on and delta_n = 1
+    assert toral_fix_sequence(IntegerPolynomial((0, 0, 1)), 4).values == (1, 1, 1, 1)
 
 
 def test_fix_sequence_rejects_degenerate():
@@ -102,16 +118,72 @@ def test_determinant_vs_resultant_random():
         assert tuple(delta_n(poly, n) for n in range(1, 41)) == expected
 
 
+def residues_by_steps(coeffs, count):
+    """x^k mod f for k = 0, ..., count - 1, one multiplication by x at a time."""
+    residue, out = [1] + [0] * (len(coeffs) - 2), []
+    for _ in range(count):
+        out.append(residue)
+        top = residue[-1]
+        residue = [a - top * c for a, c in zip([0] + residue[:-1], coeffs)]
+    return out
+
+
+def subresultant_and_determinant(coeffs, n):
+    """Res(f, (x^n mod f) - 1) by the subresultant, and det(M^n - I) by Bareiss
+    on the columns x^(n+j) mod f of M^n.  Both are the product of a^n - 1 over
+    the roots a of f, sign included."""
+    residues = residues_by_steps(coeffs, n + len(coeffs) - 1)
+    columns = [list(r) for r in residues[n:]]
+    for j, column in enumerate(columns):
+        column[j] -= 1
+    return _subresultant(coeffs, columns[0]), _det_bareiss(columns)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-9, 9), min_size=1, max_size=12), st.integers(1, 40))
+def test_subresultant_matches_bareiss(low, n):
+    res, det = subresultant_and_determinant(low + [1], n)
+    assert res == det
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(-6, 6), max_size=7),
+    st.integers(-6, 6).filter(bool),
+    st.lists(st.integers(-6, 6), min_size=1, max_size=8),
+)
+def test_subresultant_matches_the_rational_chain(low, lead, b):
+    # integer polynomials with deg a >= deg b: leading coefficients other
+    # than 1, common factors, constants and a zero b
+    a = low + [lead]
+    b = b[: len(a)]
+    assert _subresultant(a, b) == _resultant(a, b)
+
+
+def test_subresultant_vanishes_on_cyclotomic_factors():
+    # Phi_k(x) (x^2 - x - 1) has Delta_n = 0 exactly when k divides n
+    for k in (1, 2, 3, 4, 5, 6, 8, 12):
+        coeffs = poly_mul(list(cyclotomic(k)), list(GOLDEN.coefficients))
+        for n in range(1, 25):
+            res, det = subresultant_and_determinant(coeffs, n)
+            assert res == det
+            assert (res == 0) == (n % k == 0), (k, n)
+
+
+def test_subresultant_non_normal_step():
+    # f = x^4 - x^3 - x^2 - x + 1 at n = 4: x^4 mod f - 1 = x^3 + x^2 + x - 2,
+    # and f leaves the remainder 3x - 3 by it, so the remainder sequence
+    # drops two degrees in one step
+    f = [1, -1, -1, -1, 1]
+    assert residues_by_steps(f, 5)[4] == [-1, 1, 1, 1]
+    assert _poly_divmod(f, [-2, 1, 1, 1])[1] == [-3, 3]
+    assert subresultant_and_determinant(f, 4) == (-27, -27)
+    assert delta_n_resultant(IntegerPolynomial(tuple(f)), 4) == 27
+    assert toral_fix_sequence(IntegerPolynomial(tuple(f)), 4).values[3] == 27
+
+
 def test_delta_multiplicative_under_products():
     rng = random.Random(62)
-
-    def poly_mul(a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return out
-
     for _ in range(10):
         f = random_nondegenerate(rng, max_degree=3)
         g = random_nondegenerate(rng, max_degree=3)
@@ -173,13 +245,6 @@ def test_mahler_independent_root_computation():
 
 
 def test_mahler_additive_over_products():
-    def poly_mul(a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return out
-
     fg = IntegerPolynomial(tuple(poly_mul(list(SHIFT.coefficients), list(GOLDEN.coefficients))))
     combined = mahler_measure(fg)
     left = mahler_measure(SHIFT)
