@@ -5,8 +5,9 @@ lines) or the JSON mirror of the same content.  Nothing is random and all
 precision is explicit, so identical invocations produce byte-identical
 output.
 
-mpmath is imported inside the functions that evaluate with it, so the exact
-commands (primes, zeta, oracle) never pay for loading it.
+Logs and rates print from certified integer balls (precision.LogReal), so
+only lehmer, for its Mahler measure lines, loads mpmath; every other command
+never pays for importing it.
 
 Exit codes: 0 ok, 1 oracle mismatch, 2 invalid configuration or parse error
 (including a missing or unreadable input file), 3 computation budget exceeded
@@ -49,12 +50,6 @@ class RunConfig:
     command: str
     output_format: str
     precision_bits: int
-
-
-def _fmt(x, bits):
-    from mpmath import mp
-
-    return mp.nstr(x, digits_for_bits(bits))
 
 
 def _emit(config, header, rows, summary, out):
@@ -116,14 +111,13 @@ def _parse_target(args):
 
 
 def cmd_construct(config, args, out):
-    from mpmath import mp
-
     target = _parse_target(args)
     strategy = args.strategy
     if target.kind != FINITE and strategy is not None:
         raise ValueError("--strategy only applies to finite targets")
     gamma = Fraction(args.gamma) if args.gamma is not None else None
     bits = config.precision_bits
+    dps = digits_for_bits(bits)
     plan = construction.build_plan(
         target,
         strategy=strategy if target.kind == FINITE else None,
@@ -154,10 +148,10 @@ def cmd_construct(config, args, out):
             comp.p,
             comp.K,
             f_factored,
-            _fmt(f_log, bits),
+            f_log.decimal(dps),
             counts.exact,
             counts.claimed,
-            _fmt(rate, bits),
+            rate.decimal(dps),
         ]
         for comp, f_factored, counts, (n, f_log, rate) in zip(
             plan.components, factored, report.rows, diagnostics.entries
@@ -171,9 +165,9 @@ def cmd_construct(config, args, out):
         "target": target.describe(),
         "strategy": plan.strategy,
         "window_len": diagnostics.window_len,
-        "window_inf": _fmt(diagnostics.window_inf, bits),
-        "window_sup": _fmt(diagnostics.window_sup, bits),
-        "max_rate": _fmt(max_rate, bits),
+        "window_inf": diagnostics.window_inf.decimal(dps),
+        "window_sup": diagnostics.window_sup.decimal(dps),
+        "max_rate": max_rate.decimal(dps),
         "max_rate_n": max_n,
         "claimed_vs_exact_discrepancies": report.discrepancy_count,
         "probable_primes": ";".join(str(n) for n in probable) or "none",
@@ -187,12 +181,11 @@ def cmd_construct(config, args, out):
             ";".join(str(n) for n in deficits.negative_budget) or "none"
         )
     if plan.strategy == construction.STRATEGY_PAPER:
-        with working_precision(bits):
-            gaps = []
-            for n, _, rate in diagnostics.entries:
-                nominal = construction.sigma_rate_target(plan, n)
-                gaps.append(abs(rate - mp.mpf(nominal.numerator) / nominal.denominator))
-        summary["sigma_rate_max_gap"] = _fmt(max(gaps), bits)
+        gaps = (
+            abs(rate - construction.sigma_rate_target(plan, n))
+            for n, _, rate in diagnostics.entries
+        )
+        summary["sigma_rate_max_gap"] = max(gaps).decimal(dps)
     _emit(config, header, rows, summary, out)
     return EXIT_OK
 
@@ -232,23 +225,27 @@ def cmd_oracle(config, args, out):
 
 
 def cmd_lehmer(config, args, out):
+    from mpmath import mp
+
     poly = IntegerPolynomial.parse(args.poly)
     sequence = toral.toral_fix_sequence(poly, args.max_n)
     bits = config.precision_bits
     measure = toral.mahler_measure(poly, precision_bits=bits)
     diagnostics = orbits.growth_diagnostics(sequence, precision_bits=bits)
     header = ["n", "delta", "rate"]
+    dps = digits_for_bits(bits)
     rows = [
-        [n, value, _fmt(rate, bits)]
+        [n, value, rate.decimal(dps)]
         for value, (n, _, rate) in zip(sequence.values, diagnostics.entries)
     ]
+    n = diagnostics.entries[-1][0]
     with working_precision(bits):
-        gap = abs(diagnostics.entries[-1][2] - measure.measure)
+        gap = abs(mp.log(sequence.values[n - 1]) / n - measure.measure)
     summary = {
-        "mahler": _fmt(measure.measure, bits),
-        "mahler_error_bound": _fmt(measure.error_bound, bits),
-        "entropy": _fmt(measure.measure, bits),
-        "gap_at_max_n": _fmt(gap, bits),
+        "mahler": mp.nstr(measure.measure, dps),
+        "mahler_error_bound": mp.nstr(measure.error_bound, dps),
+        "entropy": mp.nstr(measure.measure, dps),
+        "gap_at_max_n": mp.nstr(gap, dps),
         "near_unit_roots": len(measure.flagged),
     }
     _emit(config, header, rows, summary, out)
@@ -286,15 +283,16 @@ def cmd_analyze(config, args, out):
     )
     least = orbits.least_from_fixed(sequence)
     sandwich = orbits.lemma_sandwich_check(sequence, least)
+    dps = digits_for_bits(bits)
     header = ["n", "value", "log", "rate"]
     rows = [
-        [n, sequence.values[n - 1], _fmt(lg, bits), _fmt(rate, bits)]
+        [n, sequence.values[n - 1], lg.decimal(dps), rate.decimal(dps)]
         for (n, lg, rate) in diagnostics.entries
     ]
     summary = {
         "window_len": diagnostics.window_len,
-        "window_inf": _fmt(diagnostics.window_inf, bits),
-        "window_sup": _fmt(diagnostics.window_sup, bits),
+        "window_inf": diagnostics.window_inf.decimal(dps),
+        "window_sup": diagnostics.window_sup.decimal(dps),
         "skipped": ";".join(str(n) for n in diagnostics.skipped) or "none",
         "sandwich_ok": sandwich.ok,
         "sandwich_violations": (

@@ -44,8 +44,10 @@ from .numtheory import (
     divisors,
     element_of_order,
     factorize,
+    floor_root,
     is_prime,
     least_prime_congruent_one,
+    least_primes_congruent_one,
     mobius,
 )
 from .orbits import KIND_FIXED, KIND_LEAST, CountSequence
@@ -55,7 +57,6 @@ from .precision import (
     adaptive_floor,
     log_ball,
     unlimited_int_digits,
-    working_precision,
 )
 from .targets import FINITE, INFINITE, ZERO, GrowthTarget
 
@@ -113,25 +114,6 @@ class ConstructionPlan:
             for q, _ in factorize(comp.n):
                 if pow(comp.multiplier, comp.n // q, comp.p) == 1:
                     raise ValueError("multiplier order below n at n = %d" % comp.n)
-
-
-def _floor_root(x, k):
-    """Largest r >= 0 with r**k <= x, exactly."""
-    if x < 0 or k < 1:
-        raise ValueError("need x >= 0 and k >= 1")
-    if x in (0, 1) or k == 1:
-        return x
-    r = 1 << ((x.bit_length() + k - 1) // k)
-    while True:
-        nxt = ((k - 1) * r + x // r ** (k - 1)) // k
-        if nxt >= r:
-            break
-        r = nxt
-    while r**k > x:
-        r -= 1
-    while (r + 1) ** k <= x:
-        r += 1
-    return r
 
 
 def _spent(components, n):
@@ -208,16 +190,17 @@ def build_plan(
         raise ValueError("gamma only applies to the subexponential strategy")
 
     C = target.value
+    # every finite plan takes its p_n from one sieve; the infinite one scans above n**n
+    primes = None if strategy == STRATEGY_INFINITE else least_primes_congruent_one(n_max)
     components = []
     for n in range(1, n_max + 1):
-        floor = n**n if strategy == STRATEGY_INFINITE else 0
-        p = least_prime_congruent_one(n, search_floor=floor)
+        p = primes[n - 1] if primes else least_prime_congruent_one(n, search_floor=n**n)
         if strategy == STRATEGY_TRIVIAL:
             K = 0
         elif strategy == STRATEGY_INFINITE:
             K = 1
         elif strategy == STRATEGY_SUBEXPONENTIAL:
-            K = _floor_root(n**gamma.numerator, gamma.denominator)
+            K = floor_root(n**gamma.numerator, gamma.denominator)
         elif strategy == STRATEGY_PAPER:
             K = _exponent(n, C, p, (), precision_bits)
         else:
@@ -260,19 +243,6 @@ def fixed_count(plan, n, component_limit=None):
         if comp.K:
             pairs.append((comp.p, comp.K))
     return FactoredNatural.from_pairs(pairs)
-
-
-def fixed_count_log(plan, n, precision_bits=DEFAULT_PRECISION_BITS, component_limit=None):
-    """log F_n as an mpf: mp.log of the exact count in working_precision.
-
-    This is the same evaluation orbits.growth_diagnostics makes for every
-    printed log, so a value here matches the construct table to the digit.
-    """
-    from mpmath import mp
-
-    count = fixed_count(plan, n, component_limit).value()
-    with working_precision(precision_bits):
-        return mp.log(count)
 
 
 def least_count_exact(plan, n, component_limit=None):

@@ -3,8 +3,9 @@
 Primality testing, least primes in the progression 1 mod n (one n at a time
 by a scan, or every n up to a bound from one sieve), elements of prescribed
 multiplicative order (found from the factorisation of the order alone, never
-of p - 1), divisors and the Moebius function.  Only plan indices
-are ever factored, so factorize is trial division to a fixed bound (no rho).
+of p - 1), divisors, the Moebius function and exact integer roots.  Only
+plan indices are ever factored, so factorize is trial division to a fixed
+bound (no rho).
 All routines are deterministic; pathological inputs raise BudgetError
 instead of hanging.
 """
@@ -267,6 +268,25 @@ def least_primes_congruent_one(n_max):
         p = next((c for c in range(n + 1, bound + 1, n) if sieve[c]), None)
         primes.append(p or least_prime_congruent_one(n, search_floor=bound))
     return primes
+
+
+def floor_root(x, k):
+    """Largest r >= 0 with r**k <= x, exactly."""
+    if x < 0 or k < 1:
+        raise ValueError("need x >= 0 and k >= 1")
+    if x in (0, 1) or k == 1:
+        return x
+    r = 1 << ((x.bit_length() + k - 1) // k)
+    while True:
+        nxt = ((k - 1) * r + x // r ** (k - 1)) // k
+        if nxt >= r:
+            break
+        r = nxt
+    while r**k > x:
+        r -= 1
+    while (r + 1) ** k <= x:
+        r += 1
+    return r
 
 
 # --- factorisation ---------------------------------------------------------

@@ -16,7 +16,7 @@ import csv
 from dataclasses import dataclass
 
 from .numtheory import divisors, mobius
-from .precision import DEFAULT_PRECISION_BITS, unlimited_int_digits, working_precision
+from .precision import DEFAULT_PRECISION_BITS, LogReal, unlimited_int_digits
 
 KIND_FIXED = "fixed"
 KIND_LEAST = "least"
@@ -127,16 +127,17 @@ class GrowthDiagnostics:
     """Per-n logarithmic rates of a count sequence, with a trailing window.
 
     entries holds (n, log value, log value / n) for every n with a positive
-    count; indices with value <= 0 are listed in skipped (log undefined).
-    window_inf and window_sup bound the rate over the last window_len
-    computed entries; window_len is at most the number of entries.
+    count, each real a precision.LogReal; indices with value <= 0 are listed
+    in skipped (log undefined).  window_inf and window_sup bound the rate
+    over the last window_len computed entries; window_len is at most the
+    number of entries.
     """
 
-    entries: tuple[tuple[int, object, object], ...]
+    entries: tuple[tuple[int, LogReal, LogReal], ...]
     skipped: tuple[int, ...]
     window_len: int
-    window_inf: object
-    window_sup: object
+    window_inf: LogReal
+    window_sup: LogReal
 
     def rate(self, n):
         for m, _, r in self.entries:
@@ -150,25 +151,24 @@ def growth_diagnostics(S, window_len=10, precision_bits=DEFAULT_PRECISION_BITS):
 
     This is the one place the package turns exact counts into logs and
     rates: construct, analyze and lehmer all print its entries.  Each log is
-    taken of the exact integer S_n in working_precision(precision_bits), so
-    precision_bits is purely an output resolution.  Entries with S_n <= 0
-    are skipped and flagged; an all-zero sequence has no growth rate and
-    raises ValueError, as does a window_len below 1.  A window longer than
-    the entries is shortened to all of them.
+    a certified ball of the exact integer S_n at precision_bits plus guard
+    bits, refined on demand, so precision_bits is purely an output
+    resolution.  The window's ends are compared exactly: equal rates tie,
+    and min and max keep the first.  Entries with S_n <= 0 are skipped and
+    flagged; an all-zero sequence has no growth rate and raises ValueError,
+    as does a window_len below 1.  A window longer than the entries is
+    shortened to all of them.
     """
-    from mpmath import mp
-
     if window_len < 1:
         raise ValueError("window length must be positive")
     entries = []
     skipped = []
-    with working_precision(precision_bits):
-        for n, v in enumerate(S.values, start=1):
-            if v <= 0:
-                skipped.append(n)
-                continue
-            lg = mp.log(v)
-            entries.append((n, lg, lg / n))
+    for n, v in enumerate(S.values, start=1):
+        if v <= 0:
+            skipped.append(n)
+            continue
+        lg = LogReal(v, precision_bits)
+        entries.append((n, lg, lg / n))
     if not entries:
         raise ValueError("sequence has no positive entries; growth rate undefined")
     window_len = min(window_len, len(entries))

@@ -13,21 +13,25 @@ Enclosures are integer balls at a binary scale b: a pair of Python integers
 midpoint-radius balls (F. Johansson, IEEE Trans. Computers 66, 2017).  Sums,
 integer multiples and floors of quotients of balls are exact integer
 arithmetic, so a decision never touches a floating-point context.  The one
-transcendental input, log(n), is enclosed once per (n, b) by log_ball from
-an mpmath interval evaluation.
+transcendental input, log(n), is enclosed by log_enclosure from atanh series
+summed in fixed-point integers (R. P. Brent, J. ACM 23, 1976); log_ball caches
+it for the plan primes.  Neither touches mpmath or its process-global
+contexts, so both are safe to call from any thread.
 
-mpmath's contexts are process-global.  log_ball saves and restores the
-interval precision around its evaluation; it is reentrant but not thread
-safe, so run concurrent work in separate processes.
-
-decimal_from_floors prints a positive real from its exact decimal floors,
-correctly rounded, in the layout of mp.nstr; unlimited_int_digits lifts
-Python's int<->str digit limit around conversions of long counts.
+LogReal carries a log, a rate or a rate's distance to a rational as such a
+ball, refined on demand, and prints it through decimal_from_floors, which
+writes a positive real from its exact decimal floors, correctly rounded, in
+the layout of mp.nstr; unlimited_int_digits lifts Python's int<->str digit
+limit around conversions of long counts.
 """
 
+import math
 import sys
 from contextlib import contextmanager
+from fractions import Fraction
 from functools import lru_cache
+
+from .numtheory import floor_root
 
 DEFAULT_PRECISION_BITS = 128
 
@@ -43,26 +47,67 @@ class PrecisionError(ArithmeticError):
     """An interval decision failed to resolve below MAX_DECISION_BITS."""
 
 
+def _atanh_ball(p, q, bits):
+    """Integers (s, err) with s <= atanh(p/q) * 2**bits <= s + err, for 0 <= p/q <= 1/3.
+
+    z and z**2 are floored to fixed point, and every power z**k is floored
+    from the previous one times z**2, so it stays below its true value by
+    less than 7/4 ulps; each term of the sum of z**k / k over odd k then loses
+    less than 2 ulps, and so does the tail.
+    """
+    z = (p << bits) // q
+    power, z2 = z, z * z >> bits
+    total, k = 0, 1
+    while power:
+        total += power // k
+        power = power * z2 >> bits
+        k += 2
+    return total, (k + 1 if p else 0)
+
+
 @lru_cache(maxsize=None)
-def log_ball(n, bits):
+def _log2_ball(bits):
+    """(lo, hi) of log(2) * 2**bits, from log 2 = 2*atanh(1/3)."""
+    s, err = _atanh_ball(1, 3, bits)
+    return 2 * s, 2 * (s + err)
+
+
+def log_enclosure(n, bits):
     """Integers (lo, hi) with lo <= log(n) * 2**bits <= hi, for an integer n >= 1.
 
-    The enclosure comes from one mpmath interval logarithm at bits plus
-    guard bits of precision; scaling its ends by 2**bits is exact.
+    log n = e*log 2 + 2*atanh(z), z = (m - 2**k)/(m + 2**k), where m is n cut
+    to its top w + 1 bits and 2**k/sqrt(2) <= m < 2**k*sqrt(2), so |z| <= 0.172
+    and e = k plus the bits cut.  Both series run at w = bits + guard bits +
+    bit_length(bit_length(n)), so e*log 2 stays a few ulps wide, and the cut
+    adds log(1 + 1/m) <= 2**-w.  Up to a few thousand bits the ball is at
+    most 3 ulps wide.
     """
-    from mpmath import iv
-    from mpmath.libmp import mpf_ceil, mpf_floor, mpf_shift, to_int
+    if n < 1:
+        raise ValueError("log needs an integer n >= 1")
+    w = bits + _GUARD_BITS + n.bit_length().bit_length()
+    shift = max(0, n.bit_length() - w - 1)
+    m = n >> shift
+    k = m.bit_length()
+    if 2 * m * m < 1 << 2 * k:  # m < 2**k / sqrt(2)
+        k -= 1
+    log2_lo, log2_hi = _log2_ball(w)
+    s, err = _atanh_ball(abs(m - (1 << k)), m + (1 << k), w)
+    if m < 1 << k:
+        s = -s - err
+    lo = (k + shift) * log2_lo + 2 * s
+    hi = (k + shift) * log2_hi + 2 * (s + err) + (shift > 0)
+    return lo >> w - bits, -(-hi >> w - bits)
 
-    saved = iv.prec
-    iv.prec = bits + _GUARD_BITS
-    try:
-        lo, hi = iv.log(iv.mpf(n))._mpi_
-    finally:
-        iv.prec = saved
-    return (
-        int(to_int(mpf_floor(mpf_shift(lo, bits), 0))),
-        int(to_int(mpf_ceil(mpf_shift(hi, bits), 0))),
-    )
+
+# Plan primes recur in every decision and table row; counts and sequence
+# values go to log_enclosure directly, so they never pile up in this cache.
+log_ball = lru_cache(maxsize=None)(log_enclosure)
+
+
+def _doubled(bits, what, max_bits=MAX_DECISION_BITS):
+    if bits >= max_bits:
+        raise PrecisionError("%s still undecided at %d bits" % (what, bits))
+    return 2 * bits
 
 
 def adaptive_floor(build, start_bits=DEFAULT_PRECISION_BITS, max_bits=MAX_DECISION_BITS):
@@ -72,25 +117,19 @@ def adaptive_floor(build, start_bits=DEFAULT_PRECISION_BITS, max_bits=MAX_DECISI
     the same mathematical value x at any requested precision.
     """
     bits = start_bits
-    while True:
+    lo, hi = build(bits)
+    while lo != hi:
+        bits = _doubled(bits, "floor", max_bits)
         lo, hi = build(bits)
-        if lo == hi:
-            return lo
-        if bits >= max_bits:
-            raise PrecisionError("floor still undecided at %d bits" % bits)
-        bits *= 2
+    return lo
 
 
 def adaptive_decide(predicate, start_bits=DEFAULT_PRECISION_BITS, max_bits=MAX_DECISION_BITS):
     """Escalate until predicate(bits) returns True or False instead of None."""
     bits = start_bits
-    while True:
-        verdict = predicate(bits)
-        if verdict is not None:
-            return verdict
-        if bits >= max_bits:
-            raise PrecisionError("comparison still undecided at %d bits" % bits)
-        bits *= 2
+    while (verdict := predicate(bits)) is None:
+        bits = _doubled(bits, "comparison", max_bits)
+    return verdict
 
 
 def digits_for_bits(bits):
@@ -143,6 +182,107 @@ def decimal_from_floors(floor_at, dps):
     if text.endswith("."):
         text += "0"
     return text + exponent
+
+
+class LogReal:
+    """The real (scale * log(count) + offset) / den, for integers count >= 1,
+    scale != 0, offset and den >= 1, known through integer balls.
+
+    The ball of log(count) is taken at precision_bits plus guard bits and
+    refined only when a digit or a comparison needs it; the reals derived by
+    / and - share it, so a log and its rate cost one evaluation.  Digits are
+    floors of both ends of a ball, refined until they agree (Ziv's strategy).
+    """
+
+    __slots__ = ("count", "scale", "offset", "den", "_log")
+
+    def __init__(self, count, precision_bits=DEFAULT_PRECISION_BITS, scale=1, offset=0, den=1,
+                 log=None):
+        self.count, self.scale, self.offset, self.den = count, scale, offset, den
+        bits = precision_bits + _GUARD_BITS
+        # [b, lo, hi] with lo <= log(count) * 2**b <= hi
+        self._log = log or [bits, *log_enclosure(count, bits)]
+
+    def _derive(self, scale, offset, den):
+        return LogReal(self.count, scale=scale, offset=offset, den=den, log=self._log)
+
+    def __truediv__(self, n):
+        return self._derive(self.scale, self.offset, self.den * n)
+
+    def __sub__(self, q):
+        q = Fraction(q)
+        d = q.denominator
+        return self._derive(self.scale * d, self.offset * d - q.numerator * self.den, self.den * d)
+
+    def __abs__(self):
+        return self._derive(-self.scale, -self.offset, self.den) if self < 0 else self
+
+    def ball(self, bits):
+        """Integers (lo, hi) with lo <= x * 2**bits <= hi."""
+        held, lo, hi = self._log
+        if held < bits:
+            self._log[:] = held, lo, hi = bits, *log_enclosure(self.count, bits)
+        lo, hi = lo >> held - bits, -(-hi >> held - bits)
+        if self.scale < 0:
+            lo, hi = hi, lo
+        shift = self.offset << bits
+        return (self.scale * lo + shift) // self.den, -((-self.scale * hi - shift) // self.den)
+
+    def floor_at(self, j):
+        """floor(x * 10**j), exactly; with log(1) = 0, x is rational."""
+        if self.count == 1:
+            return math.floor(Fraction(self.offset, self.den) * Fraction(10) ** j)
+        up, down = (10**j, 1) if j >= 0 else (1, 10**-j)
+        bits = self._log[0]
+        while True:
+            lo, hi = self.ball(bits)
+            lo, hi = lo * up // down >> bits, hi * up // down >> bits
+            if lo == hi:
+                return lo
+            bits = _doubled(bits, "digit")
+
+    def decimal(self, dps):
+        """decimal_from_floors's string for x >= 0; zero prints 0.0, as mp.nstr does."""
+        if self.count == 1 and not self.offset:
+            return "0.0"
+        return decimal_from_floors(self.floor_at, dps)
+
+    def _same(self, other):
+        """x == other, exactly.  The difference of the log terms is the log of
+        a positive algebraic number, transcendental unless that number is 1
+        (Hermite-Lindemann), so equality needs equal offsets/den and
+        count**v == other.count**u, u/v the ratio of the log coefficients:
+        both must be powers of one integer r, r**u and r**v."""
+        if self.offset * other.den != other.offset * self.den:
+            return False
+        ratio = Fraction(other.scale * self.den, other.den * self.scale)
+        if 1 in (self.count, other.count) or ratio < 0:
+            return self.count == other.count == 1
+        u, v = ratio.numerator, ratio.denominator
+        root = floor_root(self.count, u)
+        return root**u == self.count and root**v == other.count
+
+    def _cmp(self, other):
+        """-1, 0 or 1 as x <, == or > other (a LogReal or a rational).  Balls
+        that overlap at the first precision get the exact tie test, so a tie
+        is decided without refining; any other pair refines until it separates."""
+        if not isinstance(other, LogReal):
+            q = Fraction(other)
+            other = LogReal(1, offset=q.numerator, den=q.denominator)
+        bits = start = min(self._log[0], other._log[0])
+        while True:
+            (a_lo, a_hi), (b_lo, b_hi) = self.ball(bits), other.ball(bits)
+            if a_hi < b_lo or b_hi < a_lo:
+                return -1 if a_hi < b_lo else 1
+            if bits == start and self._same(other):
+                return 0
+            bits = _doubled(bits, "comparison")
+
+    def __lt__(self, other):
+        return self._cmp(other) < 0
+
+    def __gt__(self, other):
+        return self._cmp(other) > 0
 
 
 @contextmanager

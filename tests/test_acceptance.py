@@ -28,7 +28,6 @@ from perigee.construction import (
     deficit_report,
     enumerate_oracle,
     fixed_count,
-    fixed_count_log,
     fixed_sequence,
     least_count_claimed,
     least_count_exact,
@@ -51,6 +50,20 @@ C_STATED = Fraction(6931, 10000)  # the criterion constant; just below log 2
 C_INTENDED = Fraction(6932, 10000)  # smallest 4-decimal rational >= log 2
 
 SEED = 0x5EED
+
+
+def mpf_of(real, bits=256):
+    """The midpoint of a LogReal's ball at bits, as an mpf for the mpmath oracle."""
+    lo, hi = real.ball(bits)
+    with mp.workprec(bits + 8):
+        return mp.mpf(lo + hi) / 2 ** (bits + 1)
+
+
+def plan_rates(plan):
+    """{n: (1/n) log F_n} for every n of the plan, from growth_diagnostics."""
+    return {n: rate for n, _, rate in growth_diagnostics(fixed_sequence(plan)).entries}
+
+
 XFAIL_REASON = (
     "6931/10000 < log 2, so K_1 = floor(C/log 2) = 0 and the pinned values "
     "(which require the n = 1 block, hence C >= log 2) cannot arise; "
@@ -170,13 +183,14 @@ def test_criterion_04_compensated_convergence_envelope():
     rep = deficit_report(plan)
     assert rep.ok, "unverified deficits at n = %s" % (rep.unverified,)
     exceptions = rep.negative_budget
+    rates = plan_rates(plan)
     with mp.workprec(140):
         for row in rep.rows:
             if not row.budget_nonnegative:
                 continue
             n = row.n
             p = plan.components[n - 1].p
-            rate_gap = abs(fixed_count_log(plan, n) / n - 1)
+            rate_gap = abs(mpf_of(rates[n]) - 1)
             assert rate_gap < mp.log(p) / n
             if n >= 2:
                 assert p < n**PRIME_BOUND_EXPONENT  # so log p_n <= 5.5 log n
@@ -195,17 +209,16 @@ def test_criterion_04_compensated_convergence_envelope():
 def test_criterion_05_rate_report():
     started = time.perf_counter()
     plan = build_plan(GrowthTarget.finite(C_STATED), "paper", n_max=2520)
+    rates = plan_rates(plan)
     with mp.workprec(140):
-        best_rate, best_n = max(
-            (fixed_count_log(plan, n) / n, n) for n in range(1, 2521)
-        )
+        best_rate, best_n = max((mpf_of(rates[n]), n) for n in range(1, 2521))
         assert best_rate >= 1.25
         # tabulation against the nominal rate C * sigma(n) / n
         worst_gap = mp.mpf(0)
         for n in range(1, 2521):
             nominal = sigma_rate_target(plan, n)
             nominal_mpf = mp.mpf(nominal.numerator) / nominal.denominator
-            gap = abs(fixed_count_log(plan, n) / n - nominal_mpf)
+            gap = abs(mpf_of(rates[n]) - nominal_mpf)
             worst_gap = max(worst_gap, gap)
     elapsed = time.perf_counter() - started
     report(
@@ -219,7 +232,7 @@ def test_criterion_05_rate_report():
 
 def test_criterion_05_witness_intended_constant():
     plan = build_plan(GrowthTarget.finite(C_INTENDED), "paper", n_max=6)
-    rate6 = fixed_count_log(plan, 6) / 6
+    rate6 = mpf_of(plan_rates(plan)[6])
     assert abs(rate6 - mp.mpf("1.2715816527323325")) < 1e-10
     report(5, "rate-witness", "C=%s: rate at n=6 is %s" % (C_INTENDED, mp.nstr(rate6, 8)))
 
@@ -227,7 +240,7 @@ def test_criterion_05_witness_intended_constant():
 @pytest.mark.xfail(strict=True, reason=XFAIL_REASON)
 def test_criterion_05_letter_witness():
     plan = build_plan(GrowthTarget.finite(C_STATED), "paper", n_max=6)
-    assert fixed_count_log(plan, 6) / 6 >= 1.25  # actual value is 1.156...
+    assert not plan_rates(plan)[6] < 1.25  # actual value is 1.156...
 
 
 def test_criterion_06_infinite_target():
@@ -304,7 +317,7 @@ def test_criterion_09_mahler_convergence():
     for coeffs in ((-2, 1), (-1, -1, 1)):
         poly = IntegerPolynomial(coeffs)
         rate = growth_diagnostics(toral_fix_sequence(poly, 1000)).entries[-1][2]
-        gap = abs(rate - mahler_measure(poly).measure)
+        gap = abs(mpf_of(rate) - mahler_measure(poly).measure)
         assert gap <= 1e-3, gap
     lehmer10 = IntegerPolynomial((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))
     certified = mahler_measure(lehmer10)

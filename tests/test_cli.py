@@ -7,6 +7,7 @@ from decimal import ROUND_HALF_UP, Context, Decimal
 from pathlib import Path
 
 import pytest
+from mpmath import mp
 
 from perigee import construction, orbits
 from perigee.cli import main
@@ -59,6 +60,9 @@ def test_construct_zero_target(capsys):
     assert len(rows) == 3
     for row in rows:
         assert row["K"] == "0" and row["F_factored"] == "1"
+    # every rate is 0, an exact tie, and max_rate_n is the first n reaching it
+    summary = summary_lines(out)
+    assert summary["max_rate"] == "0.0" and summary["max_rate_n"] == "1"
 
 
 def test_construct_infinite_target(capsys):
@@ -452,16 +456,19 @@ def test_primes_output_is_pinned(capsys):
 
 
 def test_exact_commands_never_import_mpmath(capsys, tmp_path):
-    # primes, zeta and oracle print only exact integers and rationals, so a
+    # primes, zeta and oracle print only exact integers and rationals, and
+    # construct and analyze print logs and rates from integer balls, so a
     # fresh interpreter running them never pays for importing mpmath
     plan, seq = tmp_path / "plan.json", tmp_path / "seq.csv"
-    code, _, _ = run(
-        capsys,
-        "construct", "--C", "1", "--strategy", "compensated", "--max-n", "12",
-        "--plan-out", str(plan), "--sequence-out", str(seq),
-    )
-    assert code == 0
     commands = [
+        ["construct", "--C", "1", "--strategy", "compensated", "--max-n", "12",
+         "--plan-out", str(plan), "--sequence-out", str(seq)],
+        ["construct", "--target", "zero", "--max-n", "12"],
+        ["construct", "--C", "6932/10000", "--strategy", "paper", "--max-n", "12"],
+        ["construct", "--C", "1", "--strategy", "subexponential", "--gamma", "1/2",
+         "--max-n", "12"],
+        ["construct", "--target", "infinite", "--max-n", "8"],
+        ["analyze", "--sequence", str(seq)],
         ["primes", "--max-n", "300"],
         ["zeta", "--sequence", str(seq)],
         ["oracle", "--plan", str(plan), "--components", "3", "--max-n", "6"],
@@ -480,7 +487,57 @@ def test_exact_commands_never_import_mpmath(capsys, tmp_path):
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    assert done.stderr == "[0, 0, 0] False"
+    assert done.stderr == "%s False" % ([0] * len(commands))
+
+
+def test_construct_stdout_is_pinned(capsys):
+    # stdout of the mpmath route, which printed mp.nstr of mp.log at bits + 12;
+    # the certified balls must reproduce it byte for byte
+    golden = {
+        ("1", "compensated", "128"):
+        "1f2129f21e7b394942d0b8f4bc8a90767eccae82b9bb496480d2337753bc8991",
+        ("6932/10000", "paper", "8"):
+        "89ac44d9166a55bfe16d4f7987b979d290560bfea71cb410e069a05aa0519f41",
+    }
+    for (C, strategy, bits), digest in golden.items():
+        code, out, _ = run(
+            capsys,
+            "construct", "--C", C, "--strategy", strategy, "--max-n", "3000",
+            "--precision-bits", bits,
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, (C, strategy)
+
+
+def test_construct_rate_is_correctly_rounded_at_low_precision(capsys):
+    # the mpmath route printed 0.993844067 here: its 44-bit mpf of the rate
+    # 0.99384406750001557... lay below the half-way point
+    code, out, _ = run(
+        capsys,
+        "construct", "--C", "1", "--strategy", "compensated", "--max-n", "1500",
+        "--precision-bits", "32",
+    )
+    assert code == 0
+    plan = build_plan(GrowthTarget.finite(1), "compensated", n_max=1059, precision_bits=32)
+    with mp.workprec(500):
+        reference = mp.log(construction.fixed_count(plan, 1059).value()) / 1059
+        expected = mp.nstr(reference, digits_for_bits(32))
+    assert expected == "0.993844068"
+    assert table_rows(out)[1058]["rate"] == expected
+
+
+def test_analyze_equal_rates_print_without_escalating(capsys, tmp_path):
+    # F_n = 2**n: every rate is exactly log 2, so the window's ends tie; the
+    # tie is decided exactly instead of escalating to MAX_DECISION_BITS
+    seq = tmp_path / "pow2.csv"
+    seq.write_text("n,value\n" + "".join("%d,%d\n" % (n, 2**n) for n in range(1, 201)))
+    code, out, err = run(capsys, "analyze", "--sequence", str(seq))
+    assert code == 0, err
+    with mp.workprec(200):
+        log2 = mp.nstr(mp.log(2), 38)
+    summary = summary_lines(out)
+    assert summary["window_inf"] == summary["window_sup"] == log2
+    assert {row["rate"] for row in table_rows(out)} == {log2}
 
 
 def test_unknown_flag_is_error(capsys):

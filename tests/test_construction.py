@@ -17,7 +17,6 @@ from perigee.construction import (
     deficit_report,
     enumerate_oracle,
     fixed_count,
-    fixed_count_log,
     fixed_sequence,
     least_count_claimed,
     least_count_exact,
@@ -28,13 +27,25 @@ from perigee.construction import (
     sigma_rate_target,
 )
 from perigee.numtheory import BudgetError, divisors
-from perigee.orbits import least_from_fixed, read_sequence_csv, write_sequence_csv
+from perigee.orbits import (
+    growth_diagnostics,
+    least_from_fixed,
+    read_sequence_csv,
+    write_sequence_csv,
+)
 from perigee.targets import GrowthTarget
 
 # Two rational stand-ins for log 2 = 0.693147...: one a hair below (so the
 # n = 1 exponent floors to 0), one a hair above (exponents 1,1,1,1,1,2).
 C_BELOW_LOG2 = Fraction(6931, 10000)
 C_ABOVE_LOG2 = Fraction(6932, 10000)
+
+
+def mpf_of(real, bits=256):
+    """The midpoint of a LogReal's ball at bits, as an mpf for the mpmath oracle."""
+    lo, hi = real.ball(bits)
+    with mp.workprec(bits + 8):
+        return mp.mpf(lo + hi) / 2 ** (bits + 1)
 
 
 def test_paper_plan_above_log2():
@@ -246,10 +257,11 @@ def test_deficit_report_compensated():
     assert report.ok
     assert not report.negative_budget
     # envelope: |(1/n) log F_n - C| < log(p_n)/n at certified n
+    diag = growth_diagnostics(fixed_sequence(plan))
     for row in report.rows:
         if row.budget_nonnegative:
             n = row.n
-            rate = fixed_count_log(plan, n) / n
+            rate = mpf_of(diag.rate(n))
             bound = mp.log(plan.components[n - 1].p) / n
             assert abs(rate - 1) < bound
 
@@ -408,7 +420,7 @@ def test_fixed_sequence_and_sigma_target():
 
 def test_rate_at_six_exceeds_target():
     plan = build_plan(GrowthTarget.finite(C_ABOVE_LOG2), "paper", n_max=6)
-    rate = fixed_count_log(plan, 6) / 6
+    rate = mpf_of(growth_diagnostics(fixed_sequence(plan)).rate(6))
     assert abs(rate - mp.mpf("1.2715816527323325")) < 1e-12
 
 

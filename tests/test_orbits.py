@@ -17,6 +17,13 @@ from perigee.orbits import (
 )
 
 
+def mpf_of(real, bits=256):
+    """The midpoint of a LogReal's ball at bits, as an mpf for the mpmath oracle."""
+    lo, hi = real.ball(bits)
+    with mp.workprec(bits + 8):
+        return mp.mpf(lo + hi) / 2 ** (bits + 1)
+
+
 def test_fixed_from_least_examples():
     assert fixed_from_least(CountSequence.least([1, 2])).values == (1, 3)
     assert fixed_from_least(CountSequence.least([1, 2, 6, 12])).values == (1, 3, 7, 15)
@@ -93,8 +100,8 @@ def test_sandwich_flags_violations():
 def test_growth_diagnostics_doubling():
     F = CountSequence.fixed([2**n - 1 for n in range(1, 201)])
     diag = growth_diagnostics(F, window_len=10)
-    assert abs(diag.rate(200) - mp.log(2)) < 1e-2
-    assert diag.window_inf <= diag.window_sup
+    assert abs(mpf_of(diag.rate(200)) - mp.log(2)) < 1e-2
+    assert not diag.window_inf > diag.window_sup
 
 
 def test_growth_diagnostics_rate_bound():
@@ -103,7 +110,7 @@ def test_growth_diagnostics_rate_bound():
         F = CountSequence.fixed([c**n for n in range(1, 51)])
         diag = growth_diagnostics(F, window_len=5)
         for n, _, rate in diag.entries:
-            assert abs(rate - mp.log(c)) <= mp.log(2) / n + mp.mpf(2) ** -100
+            assert abs(mpf_of(rate) - mp.log(c)) <= mp.log(2) / n + mp.mpf(2) ** -100
 
 
 def test_growth_diagnostics_constant_sequence():
@@ -125,7 +132,7 @@ def test_rate_times_n_reproduces_log():
     diag = growth_diagnostics(F, window_len=4, precision_bits=128)
     with mp.workprec(160):
         for n, lg, rate in diag.entries:
-            assert abs(rate * n - lg) <= abs(lg) * mp.mpf(2) ** -120
+            assert abs(mpf_of(rate) * n - mpf_of(lg)) <= abs(mpf_of(lg)) * mp.mpf(2) ** -120
 
 
 def test_finite_horizon_rate_agreement():
@@ -138,7 +145,19 @@ def test_finite_horizon_rate_agreement():
     diag_f = growth_diagnostics(F, window_len=4)
     diag_l = growth_diagnostics(L, window_len=4)
     tolerance = mp.log(N) / N
-    assert abs(diag_f.rate(N) - diag_l.rate(N)) <= tolerance
+    assert abs(mpf_of(diag_f.rate(N)) - mpf_of(diag_l.rate(N))) <= tolerance
+
+
+def test_equal_rates_tie_exactly_and_the_first_n_wins():
+    # F_n = 2**n at n = 1, 2, 4, 5, 7 gives the rate log 2 exactly there: the
+    # maximum and the window's top are exact ties, decided without escalating
+    F = CountSequence.fixed([2, 4, 3, 16, 32, 7, 128])
+    diag = growth_diagnostics(F, window_len=3)
+    # construct's max_rate_n is this max: a tie keeps the first n
+    assert max(diag.entries, key=lambda entry: entry[2]) is diag.entries[0]
+    assert diag.window_inf is diag.entries[-2][2]  # log 7 / 6 < log 2
+    assert diag.window_sup is diag.entries[-3][2]  # n = 5 comes before n = 7
+    assert diag.window_sup.decimal(38) == diag.entries[-1][2].decimal(38)
 
 
 def test_sequence_csv_round_trip():

@@ -2,11 +2,13 @@ import math
 from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mpmath import mp
+from mpmath import iv, mp
+from mpmath.libmp import mpf_ceil, mpf_floor, mpf_shift, to_int
 
-from perigee.precision import decimal_from_floors
+from perigee.precision import LogReal, decimal_from_floors, log_enclosure
 
 
 def floors_of(x):
@@ -51,3 +53,75 @@ def test_decimal_from_floors_rounds_where_nstr_truncates():
     assert decimal_from_floors(floors_of(x), 1) == "0.4"
     with mp.workprec(m.bit_length()):
         assert mp.nstr(mp.ldexp(m, -300), 1) == "0.3"
+
+
+def iv_log_ball(n, bits):
+    """The former log_ball: one mpmath interval log at bits + 12, scaled by 2**bits."""
+    saved = iv.prec
+    iv.prec = bits + 12
+    try:
+        lo, hi = iv.log(iv.mpf(n))._mpi_
+    finally:
+        iv.prec = saved
+    return (
+        int(to_int(mpf_floor(mpf_shift(lo, bits), 0))),
+        int(to_int(mpf_ceil(mpf_shift(hi, bits), 0))),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        st.integers(1, 2**200 - 1),
+        st.integers(2000, 8000).flatmap(lambda k: st.integers(2 ** (k - 1), 2**k - 1)),
+    ),
+    st.integers(8, 2048),
+)
+@example(1, 8)  # log 1 = 0 exactly
+@example(2**100, 64)  # a power of two: no atanh term
+@example(2**100 - 1, 64)  # just below 2**k: the negative-z branch
+@example(3, 2048)
+@example(2**7999 + 1, 2048)  # the top-bits cut at the longest length
+def test_log_enclosure_meets_the_interval_log(n, bits):
+    lo, hi = log_enclosure(n, bits)
+    iv_lo, iv_hi = iv_log_ball(n, bits)
+    assert lo <= iv_hi and iv_lo <= hi
+    assert 0 <= hi - lo <= 3
+    # the ball holds log(n) itself: a 64-bit finer interval log lies inside it
+    fine_lo, fine_hi = iv_log_ball(n, bits + 64)
+    assert lo << 64 <= fine_lo and fine_hi <= hi << 64
+
+
+def test_log_enclosure_is_exact_at_one_and_rejects_zero():
+    assert log_enclosure(1, 128) == (0, 0)
+    with pytest.raises(ValueError):
+        log_enclosure(0, 128)
+
+
+def test_log_real_balls_hold_their_value():
+    # each derived real against mpmath at 400 bits: its ball at 64 bits must
+    # hold the value, including after the negation that abs() makes
+    with mp.workprec(400):
+        for real, value in (
+            (LogReal(10**40), 40 * mp.log(10)),
+            (LogReal(10**40) / 7, 40 * mp.log(10) / 7),
+            (LogReal(3) / 2 - Fraction(1, 3), mp.log(3) / 2 - mp.mpf(1) / 3),
+            (abs(LogReal(3) / 2 - 1), 1 - mp.log(3) / 2),
+            (abs(LogReal(5) - Fraction(7, 5)), mp.log(5) - mp.mpf(7) / 5),
+        ):
+            lo, hi = real.ball(64)
+            assert lo <= value * 2**64 <= hi and hi - lo <= 3
+
+
+def test_log_real_ties_decide_exactly():
+    # log(2**a)/a == log 2 for every a: equal reals never separate, so only
+    # the exact test can stop the comparison
+    rates = [LogReal(2**a) / a for a in (1, 6, 35, 210)]
+    assert all(not x < y and not x > y for x in rates for y in rates)
+    assert LogReal(8) / 3 < LogReal(3) / 1
+    assert LogReal(4) - Fraction(1, 3) > LogReal(2) - Fraction(1, 2)
+    # a rational point: log 1 = 0 leaves the offset, printed exactly
+    assert abs(LogReal(1) - Fraction(3, 4)).decimal(5) == "0.75"
+    assert LogReal(1).decimal(38) == "0.0"
+    with mp.workprec(200):
+        assert (LogReal(2**210) / 210).decimal(38) == mp.nstr(mp.log(2), 38)
