@@ -1,9 +1,12 @@
 """Command-line surface: reproducible tables over the library calls.
 
 Every command emits either CSV (a table followed by '# key=value' summary
-lines) or the JSON mirror of the same content.  Nothing is random and all
-precision is explicit, so identical invocations produce byte-identical
-output.
+lines) or the JSON mirror of the same content, and reads its settings from
+its own parsed arguments.  Nothing is random and all precision is explicit,
+so identical invocations produce byte-identical output.  --precision-bits
+exists only on the commands that print reals (construct, analyze, lehmer,
+primes): it sets their printed digits and lehmer's Mahler tolerance, never
+a decision, since every floor and comparison is exact.
 
 Logs and rates print from certified integer balls (precision.LogReal), so
 only lehmer, for its Mahler measure lines, loads mpmath; every other command
@@ -21,8 +24,6 @@ import os
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 
 from . import construction, numtheory, orbits, toral, zeta
@@ -45,15 +46,8 @@ EXIT_BUDGET = 3
 EXIT_DEGENERATE = 4
 
 
-@dataclass
-class RunConfig:
-    command: str
-    output_format: str
-    precision_bits: int
-
-
-def _emit(config, header, rows, summary, out):
-    if config.output_format == "csv":
+def _emit(args, header, rows, summary, out):
+    if args.format == "csv":
         out.write(",".join(header) + "\n")
         for row in rows:
             out.write(",".join(str(v) for v in row) + "\n")
@@ -61,7 +55,7 @@ def _emit(config, header, rows, summary, out):
             out.write("# %s=%s\n" % (key, value))
     else:
         payload = {
-            "command": config.command,
+            "command": args.command,
             "rows": [dict(zip(header, row)) for row in rows],
             "summary": summary,
         }
@@ -110,20 +104,12 @@ def _parse_target(args):
     return GrowthTarget.parse(args.target)
 
 
-def cmd_construct(config, args, out):
+def cmd_construct(args, out):
     target = _parse_target(args)
-    strategy = args.strategy
-    if target.kind != FINITE and strategy is not None:
-        raise ValueError("--strategy only applies to finite targets")
-    gamma = Fraction(args.gamma) if args.gamma is not None else None
-    bits = config.precision_bits
+    bits = args.precision_bits
     dps = digits_for_bits(bits)
     plan = construction.build_plan(
-        target,
-        strategy=strategy if target.kind == FINITE else None,
-        n_max=args.max_n,
-        gamma=gamma,
-        precision_bits=bits,
+        target, strategy=args.strategy, n_max=args.max_n, gamma=args.gamma
     )
     factored, values = [], []
     for n in range(1, plan.N + 1):  # each F_n once: its factorisation and its value
@@ -173,7 +159,7 @@ def cmd_construct(config, args, out):
         "probable_primes": ";".join(str(n) for n in probable) or "none",
     }
     if plan.strategy == construction.STRATEGY_COMPENSATED:
-        deficits = construction.deficit_report(plan, precision_bits=bits)
+        deficits = construction.deficit_report(plan)
         summary["deficit_unverified"] = (
             ";".join(str(n) for n in deficits.unverified) or "none"
         )
@@ -186,14 +172,14 @@ def cmd_construct(config, args, out):
             for n, _, rate in diagnostics.entries
         )
         summary["sigma_rate_max_gap"] = max(gaps).decimal(dps)
-    _emit(config, header, rows, summary, out)
+    _emit(args, header, rows, summary, out)
     return EXIT_OK
 
 
 # --- oracle -------------------------------------------------------------------
 
 
-def cmd_oracle(config, args, out):
+def cmd_oracle(args, out):
     plan = construction.load_plan(args.plan)
     components = args.components if args.components is not None else plan.N
     n_max = args.max_n if args.max_n is not None else plan.N
@@ -217,19 +203,19 @@ def cmd_oracle(config, args, out):
         "components": components,
         "mismatches": mismatches,
     }
-    _emit(config, header, rows, summary, out)
+    _emit(args, header, rows, summary, out)
     return EXIT_OK if mismatches == 0 else EXIT_MISMATCH
 
 
 # --- lehmer ---------------------------------------------------------------------
 
 
-def cmd_lehmer(config, args, out):
+def cmd_lehmer(args, out):
     from mpmath import mp
 
     poly = IntegerPolynomial.parse(args.poly)
     sequence = toral.toral_fix_sequence(poly, args.max_n)
-    bits = config.precision_bits
+    bits = args.precision_bits
     measure = toral.mahler_measure(poly, precision_bits=bits)
     diagnostics = orbits.growth_diagnostics(sequence, precision_bits=bits)
     header = ["n", "delta", "rate"]
@@ -248,14 +234,14 @@ def cmd_lehmer(config, args, out):
         "gap_at_max_n": mp.nstr(gap, dps),
         "near_unit_roots": len(measure.flagged),
     }
-    _emit(config, header, rows, summary, out)
+    _emit(args, header, rows, summary, out)
     return EXIT_OK
 
 
 # --- zeta -----------------------------------------------------------------------
 
 
-def cmd_zeta(config, args, out):
+def cmd_zeta(args, out):
     with open(args.sequence, "r", encoding="utf-8", newline="") as fh:
         sequence = orbits.read_sequence_csv(fh)
     order = args.max_m if args.max_m is not None else sequence.N
@@ -263,21 +249,21 @@ def cmd_zeta(config, args, out):
     probe = zeta.rationality_probe(series)
     header = ["m", "numerator", "denominator"]
     rows = [[m, c.numerator, c.denominator] for m, c in enumerate(series.coefficients)]
-    if config.output_format == "csv":
+    if args.format == "csv":
         summary = {"probe": json.dumps(probe.to_json(), separators=(",", ":"))}
     else:
         summary = {"probe": probe.to_json()}
-    _emit(config, header, rows, summary, out)
+    _emit(args, header, rows, summary, out)
     return EXIT_OK
 
 
 # --- analyze --------------------------------------------------------------------
 
 
-def cmd_analyze(config, args, out):
+def cmd_analyze(args, out):
     with open(args.sequence, "r", encoding="utf-8", newline="") as fh:
         sequence = orbits.read_sequence_csv(fh)
-    bits = config.precision_bits
+    bits = args.precision_bits
     diagnostics = orbits.growth_diagnostics(
         sequence, window_len=args.window, precision_bits=bits
     )
@@ -299,7 +285,7 @@ def cmd_analyze(config, args, out):
             ";".join("%d:%s" % (v.r, v.inequality) for v in sandwich.violations) or "none"
         ),
     }
-    _emit(config, header, rows, summary, out)
+    _emit(args, header, rows, summary, out)
     return EXIT_OK
 
 
@@ -314,10 +300,10 @@ def _bound_ratio_floor(p_squared, n_power, j):
     return math.isqrt(p_squared // (n_power * 10 ** (-2 * j)))
 
 
-def cmd_primes(config, args, out):
+def cmd_primes(args, out):
     if args.max_n < 1:
         raise ValueError("n_max must be positive")
-    dps = digits_for_bits(config.precision_bits)
+    dps = digits_for_bits(args.precision_bits)
     # The bound exponent is a half-integer, so the squared ratio is rational.
     twice_exponent = int(2 * numtheory.PRIME_BOUND_EXPONENT)
     header = ["n", "p", "ratio"]
@@ -336,7 +322,7 @@ def cmd_primes(config, args, out):
         "max_ratio": worst[3] if worst else "none",
         "max_ratio_n": worst[0] if worst else "none",
     }
-    _emit(config, header, rows, summary, out)
+    _emit(args, header, rows, summary, out)
     return EXIT_OK
 
 
@@ -348,11 +334,13 @@ def build_parser():
     common.add_argument(
         "--format", choices=("csv", "json"), default="csv", help="output format"
     )
-    common.add_argument(
+    # for the commands that print reals; every decision is exact
+    printing = argparse.ArgumentParser(add_help=False, parents=[common])
+    printing.add_argument(
         "--precision-bits",
         type=int,
         default=DEFAULT_PRECISION_BITS,
-        help="fractional bits for logs and rates",
+        help="fractional bits of printed reals (and of lehmer's Mahler tolerance)",
     )
 
     parser = argparse.ArgumentParser(
@@ -363,7 +351,7 @@ def build_parser():
 
     p = sub.add_parser(
         "construct",
-        parents=[common],
+        parents=[printing],
         help="build a plan and tabulate its exact period counts",
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
@@ -377,7 +365,7 @@ def build_parser():
             construction.STRATEGY_SUBEXPONENTIAL,
         ),
         default=None,
-        help="exponent strategy for finite targets (default: paper)",
+        help="exponent strategy for a finite target; paper when omitted",
     )
     p.add_argument("--gamma", help="exponent for the subexponential strategy, in (0,1)")
     p.add_argument("--max-n", type=int, required=True, help="plan horizon")
@@ -408,7 +396,7 @@ def build_parser():
 
     p = sub.add_parser(
         "lehmer",
-        parents=[common],
+        parents=[printing],
         help="delta_n table and Mahler measure for a monic integer polynomial",
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
@@ -431,7 +419,7 @@ def build_parser():
 
     p = sub.add_parser(
         "analyze",
-        parents=[common],
+        parents=[printing],
         help="growth diagnostics and sandwich checks for a sequence file",
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
@@ -441,7 +429,7 @@ def build_parser():
 
     p = sub.add_parser(
         "primes",
-        parents=[common],
+        parents=[printing],
         help="least primes ≡ 1 (mod n) with the n**5.5 bound ratio",
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
@@ -455,15 +443,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.precision_bits < 8:
+        if "precision_bits" in args and args.precision_bits < 8:
             raise ValueError("--precision-bits must be at least 8")
-        config = RunConfig(
-            command=args.command,
-            output_format=args.format,
-            precision_bits=args.precision_bits,
-        )
         with unlimited_int_digits():
-            return args.func(config, args, sys.stdout)
+            return args.func(args, sys.stdout)
     except BudgetError as exc:
         print("budget exceeded: %s" % exc, file=sys.stderr)
         return EXIT_BUDGET

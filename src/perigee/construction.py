@@ -23,7 +23,7 @@ carried here in factored form.  Exponent strategies:
 
 Floors of (rational)/log(prime) are decided on exact integer balls (see
 precision) at escalating precision; they are never integers, so every
-decision terminates.
+decision terminates, and the precision it starts at changes no plan.
 
 The companion closed forms (exact least-period counts via Moebius inversion,
 the per-component lower bound p_n**K_n - 1) are cross-checked by enumerating
@@ -51,13 +51,7 @@ from .numtheory import (
     mobius,
 )
 from .orbits import KIND_FIXED, KIND_LEAST, CountSequence
-from .precision import (
-    DEFAULT_PRECISION_BITS,
-    adaptive_decide,
-    adaptive_floor,
-    log_ball,
-    unlimited_int_digits,
-)
+from .precision import adaptive_decide, adaptive_floor, log_ball, unlimited_int_digits
 from .targets import FINITE, INFINITE, ZERO, GrowthTarget
 
 STRATEGY_PAPER = "paper"
@@ -66,7 +60,12 @@ STRATEGY_SUBEXPONENTIAL = "subexponential"
 STRATEGY_INFINITE = "infinite"
 STRATEGY_TRIVIAL = "trivial"
 
-_FINITE_STRATEGIES = (STRATEGY_PAPER, STRATEGY_COMPENSATED, STRATEGY_SUBEXPONENTIAL)
+# the strategies each target kind takes; the first is the one taken when none is given
+_STRATEGIES = {
+    ZERO: (STRATEGY_TRIVIAL,),
+    INFINITE: (STRATEGY_INFINITE,),
+    FINITE: (STRATEGY_PAPER, STRATEGY_COMPENSATED, STRATEGY_SUBEXPONENTIAL),
+}
 
 DEFAULT_ENUMERATION_BUDGET = 10**7
 
@@ -137,11 +136,11 @@ def _budget_ball(n, C, spent, bits):
     return lo, hi
 
 
-def _exponent(n, C, p, spent, precision_bits):
+def _exponent(n, C, p, spent):
     """max(0, floor((n*C - sum of K_d*log p_d) / log p)), certified.
 
     Both floor bounds are clamped at 0, so a negative budget decides K = 0
-    without escalating.
+    without escalating.  The floor is exact, so it takes no precision.
     """
 
     def build(bits):
@@ -152,36 +151,25 @@ def _exponent(n, C, p, spent, precision_bits):
             max(0, hi // log_lo, hi // log_hi),
         )
 
-    return adaptive_floor(build, start_bits=precision_bits)
+    return adaptive_floor(build)
 
 
-def build_plan(
-    target,
-    strategy=None,
-    n_max=1,
-    gamma=None,
-    precision_bits=DEFAULT_PRECISION_BITS,
-):
+def build_plan(target, strategy=None, n_max=1, gamma=None):
     """Build components n = 1..n_max for the given target and strategy.
 
-    Components with K_n = 0 are still recorded (as trivial groups) so that
-    indices stay aligned with the product over all n.
+    strategy None picks the target's own: trivial for zero, infinite for
+    infinite and paper for a finite target.  This is the one place that
+    checks a strategy against its target, and gamma (a Fraction or anything
+    Fraction parses) against the strategy.  Components with K_n = 0 are
+    still recorded (as trivial groups) so that indices stay aligned with the
+    product over all n.
     """
     if n_max < 1:
         raise ValueError("horizon must be at least 1")
-    if target.kind == ZERO:
-        if strategy not in (None, STRATEGY_TRIVIAL):
-            raise ValueError("zero target forces the trivial plan")
-        strategy = STRATEGY_TRIVIAL
-    elif target.kind == INFINITE:
-        if strategy not in (None, STRATEGY_INFINITE):
-            raise ValueError("infinite target requires the 'infinite' strategy")
-        strategy = STRATEGY_INFINITE
-    else:
-        if strategy not in _FINITE_STRATEGIES:
-            raise ValueError(
-                "finite target requires one of %s" % (", ".join(_FINITE_STRATEGIES))
-            )
+    allowed = _STRATEGIES[target.kind]
+    strategy = strategy or allowed[0]
+    if strategy not in allowed:
+        raise ValueError("%s target takes strategy %s" % (target.kind, " or ".join(allowed)))
     if strategy == STRATEGY_SUBEXPONENTIAL:
         gamma = Fraction(gamma) if gamma is not None else None
         if gamma is None or not 0 < gamma < 1:
@@ -202,9 +190,9 @@ def build_plan(
         elif strategy == STRATEGY_SUBEXPONENTIAL:
             K = floor_root(n**gamma.numerator, gamma.denominator)
         elif strategy == STRATEGY_PAPER:
-            K = _exponent(n, C, p, (), precision_bits)
+            K = _exponent(n, C, p, ())
         else:
-            K = _exponent(n, C, p, _spent(components, n), precision_bits)
+            K = _exponent(n, C, p, _spent(components, n))
         multiplier = element_of_order(p, n)
         components.append(ComponentSpec(n=n, p=p, K=K, multiplier=multiplier))
     return ConstructionPlan(
@@ -425,25 +413,24 @@ class DeficitReport:
         return not self.unverified
 
 
-def deficit_report(plan, n_max=None, precision_bits=DEFAULT_PRECISION_BITS):
-    """Certify 0 <= n*C - log F_n < log p_n wherever the running budget allows.
+def deficit_report(plan):
+    """Certify 0 <= n*C - log F_n < log p_n, for n = 1..N, wherever the
+    running budget allows.
 
     For the compensated strategy the deficit n*C - log F_n is the floor
     remainder of the final budget division, so whenever the running budget
     n*C - sum over proper divisors of K_d*log p_d is nonnegative the deficit
     must land in [0, log p_n).  Both inequalities are certified on the budget
-    balls build_plan floors, at escalating precision (they are strict in
-    exact arithmetic: n*C never equals the log of an integer).  Rows with a
-    negative running budget are reported, not checked.
+    balls build_plan floors, the final one taking p_n**K_n as one more spent
+    term, at escalating precision (they are strict in exact arithmetic: n*C
+    never equals the log of an integer, so no precision is a setting here).
+    Rows with a negative running budget are reported, not checked.
     """
     if plan.strategy != STRATEGY_COMPENSATED:
         raise ValueError("deficit certification applies to the compensated strategy")
-    top = n_max if n_max is not None else plan.N
-    if not 1 <= top <= plan.N:
-        raise ValueError("n_max outside 1..%d" % plan.N)
     C = plan.target.value
     rows = []
-    for n in range(1, top + 1):
+    for n in range(1, plan.N + 1):
         comp = plan.components[n - 1]
         spent = _spent(plan.components, n)
 
@@ -451,22 +438,20 @@ def deficit_report(plan, n_max=None, precision_bits=DEFAULT_PRECISION_BITS):
             lo, hi = _budget_ball(n, C, spent, bits)
             return True if lo > 0 else False if hi <= 0 else None
 
-        if not adaptive_decide(budget_positive, start_bits=precision_bits):
+        if not adaptive_decide(budget_positive):
             rows.append(DeficitRow(n, False, False))
             continue
 
         def in_window(bits):
-            lo, hi = _budget_ball(n, C, spent, bits)
+            lo, hi = _budget_ball(n, C, spent + [(comp.K, comp.p)], bits)
             log_lo, log_hi = log_ball(comp.p, bits)
-            lo -= comp.K * log_hi
-            hi -= comp.K * log_lo
             if hi <= 0 or lo >= log_hi:
                 return False
             if lo > 0 and hi < log_lo:
                 return True
             return None
 
-        rows.append(DeficitRow(n, True, adaptive_decide(in_window, start_bits=precision_bits)))
+        rows.append(DeficitRow(n, True, adaptive_decide(in_window)))
     return DeficitReport(
         rows=tuple(rows),
         negative_budget=tuple(r.n for r in rows if not r.budget_nonnegative),

@@ -235,8 +235,8 @@ def write_sequence_csv(S, fh):
 
 
 @unlimited_int_digits()
-def read_sequence_csv(fh, kind=KIND_FIXED):
-    """Read the shared sequence format; rows must start at 1 with no gaps."""
+def read_sequence_csv(fh):
+    """Read the shared sequence format of counts F_n; rows start at 1 with no gaps."""
     reader = csv.reader(fh)
     header = next(reader, None)
     if header is None or [h.strip() for h in header] != ["n", "value"]:
@@ -253,4 +253,4 @@ def read_sequence_csv(fh, kind=KIND_FIXED):
         values.append(int(row[1]))
     if not values:
         raise ValueError("empty sequence file")
-    return CountSequence(kind, tuple(values))
+    return CountSequence(KIND_FIXED, tuple(values))

@@ -104,31 +104,33 @@ def log_enclosure(n, bits):
 log_ball = lru_cache(maxsize=None)(log_enclosure)
 
 
-def _doubled(bits, what, max_bits=MAX_DECISION_BITS):
-    if bits >= max_bits:
+def _doubled(bits, what):
+    if bits >= MAX_DECISION_BITS:
         raise PrecisionError("%s still undecided at %d bits" % (what, bits))
     return 2 * bits
 
 
-def adaptive_floor(build, start_bits=DEFAULT_PRECISION_BITS, max_bits=MAX_DECISION_BITS):
+def adaptive_floor(build):
     """Floor of a value, escalating until its integer bounds agree.
 
     `build(bits)` must return integers (lo, hi) with lo <= floor(x) <= hi for
-    the same mathematical value x at any requested precision.
+    the same mathematical value x at any requested precision.  An exact floor
+    takes no precision: tries start at DEFAULT_PRECISION_BITS, read at the
+    call, and double up to MAX_DECISION_BITS.
     """
-    bits = start_bits
+    bits = DEFAULT_PRECISION_BITS
     lo, hi = build(bits)
     while lo != hi:
-        bits = _doubled(bits, "floor", max_bits)
+        bits = _doubled(bits, "floor")
         lo, hi = build(bits)
     return lo
 
 
-def adaptive_decide(predicate, start_bits=DEFAULT_PRECISION_BITS, max_bits=MAX_DECISION_BITS):
-    """Escalate until predicate(bits) returns True or False instead of None."""
-    bits = start_bits
+def adaptive_decide(predicate):
+    """Escalate, as adaptive_floor does, until predicate(bits) returns True or False."""
+    bits = DEFAULT_PRECISION_BITS
     while (verdict := predicate(bits)) is None:
-        bits = _doubled(bits, "comparison", max_bits)
+        bits = _doubled(bits, "comparison")
     return verdict
 
 

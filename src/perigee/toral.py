@@ -387,7 +387,8 @@ def mahler_measure(f, precision_bits=DEFAULT_PRECISION_BITS):
     precision until every certified modulus interval is decisively above the
     unit circle, below it, or within 2**-precision_bits of it.  Near-unit
     roots contribute zero and are flagged; their possible contribution is
-    folded into error_bound.
+    folded into error_bound, as is the rounding of the working logs and of
+    the returned measure.
     """
     from mpmath import mp
 
@@ -409,10 +410,15 @@ def mahler_measure(f, precision_bits=DEFAULT_PRECISION_BITS):
                         hi = mp.log(enc.modulus_upper)
                         measure += (lo + hi) / 2
                         error += (hi - lo) / 2
+                # each log, sum and halving above is off by at most an ulp, and
+                # rounding to the returned precision moves the measure by gap
+                error += 8 * degree * mp.eps * (1 + measure)
                 with working_precision(precision_bits):
+                    rounded = +measure
+                    gap = abs(mp.fsub(rounded, measure, exact=True))
                     return MahlerResult(
-                        measure=+measure,
-                        error_bound=+error,
+                        measure=rounded,
+                        error_bound=mp.fadd(error, gap, rounding="c"),
                         roots=tuple(enclosures),
                         precision_bits=precision_bits,
                     )

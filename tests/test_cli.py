@@ -279,18 +279,19 @@ def test_lehmer_golden(capsys):
 def test_lehmer_stdout_is_pinned(capsys):
     # stdout of the Bareiss determinant route (the first three from repeated
     # companion-matrix products, the degree-30 one from the x^n mod f
-    # window); the subresultant on x^n mod f - 1 must reproduce it byte for byte
+    # window); the subresultant on x^n mod f - 1 must reproduce it byte for byte.
+    # mahler_error_bound includes the rounding of the printed measure.
     lehmer10 = "1,1,0,-1,-1,-1,-1,-1,0,1,1"
     degree30 = "3,1,4,1,5,9,2,6,5,3,5,8,9,7,9,3,2,3,8,4,6,2,6,4,3,3,8,3,2,7,1"
     golden = {
         (lehmer10, "300", "csv", "128"):
-        "4702c89dafa1094d974ae05bab5ccfd2033805f1296f8a98d89dbe541c8a62ad",
+        "d816f191d3a040c18a8a4f9b3686b71397a13db8471354123eabc2179d798a1a",
         (lehmer10, "300", "json", "8"):
-        "07c10e93e3729303cfe68049da7f53cde580e1e42966576b988413e22dd5d93e",
+        "b6d884185da9c3d49f7aa96d6d545240c26fa85d5db913d13f519360c0ebdc5c",
         ("-2,1", "200", "csv", "128"):
-        "d1241c59fc983f80f6dea1c8ebc493e275b1dc9e0d127fa11e0c73bf52cae911",
+        "ec77acd5ff265508fcc08edb53e981a7119f0a50aec68c5c276627977113684d",
         (degree30, "60", "csv", "128"):
-        "cb3c9c26c963fcef7f246b4e1427ac0d69ceb39827f05727aef38e8ceefeed13",
+        "ab9bbf89490480027aa0bbb431cb3bcd809ba04697cd03028c2cf94ee5839483",
     }
     for (poly, max_n, fmt, bits), digest in golden.items():
         code, out, _ = run(
@@ -518,7 +519,7 @@ def test_construct_rate_is_correctly_rounded_at_low_precision(capsys):
         "--precision-bits", "32",
     )
     assert code == 0
-    plan = build_plan(GrowthTarget.finite(1), "compensated", n_max=1059, precision_bits=32)
+    plan = build_plan(GrowthTarget.finite(1), "compensated", n_max=1059)
     with mp.workprec(500):
         reference = mp.log(construction.fixed_count(plan, 1059).value()) / 1059
         expected = mp.nstr(reference, digits_for_bits(32))
@@ -554,3 +555,60 @@ def test_precision_bits_flag(capsys):
     mahler = next(line for line in out.splitlines() if line.startswith("# mahler="))
     digits = len(mahler.split("=")[1].split(".")[1])
     assert digits <= 10  # 32 bits -> 9 significant digits
+
+
+def test_precision_bits_below_eight_is_a_config_error(capsys, tmp_path):
+    seq = tmp_path / "seq.csv"
+    seq.write_text("n,value\n1,1\n2,3\n")
+    for argv in (
+        ["construct", "--C", "1", "--max-n", "2"],
+        ["analyze", "--sequence", str(seq)],
+        ["lehmer", "--poly", "-2,1", "--max-n", "2"],
+        ["primes", "--max-n", "2"],
+    ):
+        code, out, err = run(capsys, *argv, "--precision-bits", "7")
+        assert code == 2 and out == "", argv
+        assert "--precision-bits must be at least 8" in err
+
+
+def test_exact_commands_take_no_precision_bits(capsys, tmp_path):
+    plan = tmp_path / "plan.json"
+    code, _, _ = run(
+        capsys, "construct", "--C", "1", "--max-n", "8", "--plan-out", str(plan),
+        "--sequence-out", str(tmp_path / "seq.csv"),
+    )
+    assert code == 0
+    for argv in (
+        ["zeta", "--sequence", str(tmp_path / "seq.csv")],
+        ["oracle", "--plan", str(plan), "--components", "3"],
+    ):
+        assert run(capsys, *argv)[0] == 0, argv
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--precision-bits", "128"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --precision-bits" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main([argv[0], "--help"])
+        assert "--precision-bits" not in capsys.readouterr().out
+
+
+def test_construct_finite_target_defaults_to_paper(capsys):
+    argv = ("construct", "--C", "6932/10000", "--max-n", "300")
+    code, default, err = run(capsys, *argv)
+    assert code == 0, err
+    code, paper, _ = run(capsys, *argv, "--strategy", "paper")
+    assert code == 0
+    assert default == paper
+
+
+def test_construct_strategy_is_checked_by_build_plan(capsys, tmp_path):
+    plan = tmp_path / "plan.json"
+    code, out, err = run(
+        capsys, "construct", "--target", "infinite", "--strategy", "paper", "--max-n", "3",
+        "--plan-out", str(plan),
+    )
+    assert code == 2 and out == ""
+    assert err == "error: infinite target takes strategy infinite\n"
+    assert not plan.exists()
+    with pytest.raises(ValueError, match="^infinite target takes strategy infinite$"):
+        build_plan(GrowthTarget.infinite(), "paper", n_max=3)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from perigee import construction
+from perigee import construction, precision
 from perigee.construction import (
     _exponent,
     _point_period,
@@ -311,22 +311,25 @@ def test_low_start_precision_escalates_to_the_same_plan(monkeypatch):
 
     monkeypatch.setattr(construction, "adaptive_floor", recording(real_floor))
     monkeypatch.setattr(construction, "adaptive_decide", recording(real_decide))
+    monkeypatch.setattr(precision, "DEFAULT_PRECISION_BITS", 8)
     target = GrowthTarget.finite(1)
-    low = build_plan(target, "compensated", n_max=1000, precision_bits=8)
-    report = deficit_report(low, precision_bits=8)
+    low = build_plan(target, "compensated", n_max=1000)
+    report = deficit_report(low)
     # the safety net ran: some decisions at 8 bits were ambiguous
     assert len(bits_tried) > 3 * 1000 and max(bits_tried) > 8
     assert report.ok and not report.negative_budget
-    high = build_plan(target, "compensated", n_max=1000, precision_bits=128)
+    monkeypatch.undo()
+    high = build_plan(target, "compensated", n_max=1000)
     assert [c.K for c in low.components] == [c.K for c in high.components]
-    assert report.rows == deficit_report(high, precision_bits=128).rows
+    assert report.rows == deficit_report(high).rows
 
 
-def test_negative_budget_floors_to_zero():
+def test_negative_budget_floors_to_zero(monkeypatch):
     # 2 - 10*log 2 < 0: the clamp decides K = 0 outright, at any precision
-    assert _exponent(2, Fraction(1), 3, [(10, 2)], 128) == 0
-    assert _exponent(2, Fraction(1), 3, [(10, 2)], 8) == 0
-    assert _exponent(2, Fraction(1), 3, [(1, 2)], 128) == 1
+    assert _exponent(2, Fraction(1), 3, [(10, 2)]) == 0
+    assert _exponent(2, Fraction(1), 3, [(1, 2)]) == 1
+    monkeypatch.setattr(precision, "DEFAULT_PRECISION_BITS", 8)
+    assert _exponent(2, Fraction(1), 3, [(10, 2)]) == 0
 
 
 def _with_exponent(plan, n, K):

@@ -47,6 +47,54 @@ def unread_private_functions(sources):
     return [entry for entry in unread_definitions(sources, sources) if entry[2].startswith("_")]
 
 
+def never_passed_parameters(definitions, callers):
+    """(file, line, 'function.parameter') of each defaulted parameter of a
+    function or method of `definitions` (a dict of file name to source) that
+    no call in `callers` passes, by keyword or by position.  Calls are matched
+    by the called name or attribute, and a class's __init__ by the class
+    name; a call that unpacks *args or **kwargs passes all it could."""
+    positional, keywords = {}, {}
+    for source in callers.values():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            count = float("inf") if starred else len(node.args)
+            positional[name] = max(positional.get(name, 0), count)
+            keywords.setdefault(name, set()).update(kw.arg for kw in node.keywords)
+    flagged = []
+    for file, source in definitions.items():
+        tree = ast.parse(source)
+        owner = {}  # a method's FunctionDef -> its class
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                owner.update((f, cls) for f in cls.body if isinstance(f, ast.FunctionDef))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            cls = owner.get(node)
+            name = cls.name if cls and node.name == "__init__" else node.name
+            static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+            bound = 1 if cls and not static else 0
+            passed = keywords.get(name, set())
+            params = node.args.posonlyargs + node.args.args
+            first_defaulted = len(params) - len(node.args.defaults)
+            defaulted = [
+                (param, index - bound) for index, param in enumerate(params)
+                if index >= first_defaulted
+            ] + [
+                (param, None)
+                for param, default in zip(node.args.kwonlyargs, node.args.kw_defaults)
+                if default is not None
+            ]
+            for param, slot in defaulted:
+                by_position = slot is not None and positional.get(name, 0) > slot
+                if not (by_position or param.arg in passed or None in passed):
+                    flagged.append((file, param.lineno, "%s.%s" % (name, param.arg)))
+    return sorted(flagged)
+
+
 def test_unused_imports_detector():
     source = "import os\nfrom math import gcd, isqrt as root\n\nprint(os.sep, root(4))\n"
     assert unused_imports(source) == [(2, "gcd")]
@@ -116,3 +164,36 @@ def test_no_unread_definitions_in_package():
     }
     assert definitions and readers
     assert unread_definitions(definitions, readers) == []
+
+
+def test_never_passed_parameters_detector():
+    definitions = {
+        "m.py": "def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n\n"
+        "class K:\n    def __init__(self, x=0, y=0):\n        pass\n\n"
+        "    def method(self, z=0, w=0):\n        pass\n\n"
+        "def g(u=0):\n    pass\n\n"
+        "def h(v=0):\n    pass\n",
+    }
+    callers = dict(definitions, **{
+        "use.py": "f(0, 5, d=6)\nK(7)\nK().method(8)\ng(*[])\nh(**{})\n",
+    })
+    assert never_passed_parameters(definitions, callers) == [
+        ("m.py", 1, "f.c"),
+        ("m.py", 1, "f.e"),
+        ("m.py", 5, "K.y"),
+        ("m.py", 8, "method.w"),
+    ]
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    # a default that no call in the package, its tests or the bench harness
+    # overrides is a setting nobody sets: fold it into the function
+    root = PACKAGE.parent.parent
+    definitions = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    callers = {
+        str(p.relative_to(root)): p.read_text(encoding="utf-8")
+        for folder in ("src", "tests", "bench")
+        for p in (root / folder).rglob("*.py")
+    }
+    assert definitions and callers
+    assert never_passed_parameters(definitions, callers) == []

@@ -211,9 +211,25 @@ def test_fix_sequences_are_realizable():
 def test_mahler_shift():
     result = mahler_measure(SHIFT)
     with mp.workprec(200):
-        assert abs(result.measure - mp.log(2)) <= mp.mpf(2) ** -120
-    assert result.error_bound == 0
+        # the bound covers rounding log 2 to the returned precision
+        assert abs(result.measure - mp.log(2)) <= result.error_bound <= mp.mpf(2) ** -120
     assert not result.flagged
+
+
+def test_mahler_error_bound_covers_the_closed_form():
+    # m(x - 2) = log 2, m(x^2 - x - 1) = log phi and m(x^2 - 3x + 1) = 2 log phi
+    with mp.workprec(2000):
+        phi = (1 + mp.sqrt(5)) / 2
+        closed_forms = [
+            (SHIFT, mp.log(2)),
+            (GOLDEN, mp.log(phi)),
+            (IntegerPolynomial((1, -3, 1)), 2 * mp.log(phi)),
+        ]
+    for poly, closed_form in closed_forms:
+        for bits in (32, 128, 300):
+            result = mahler_measure(poly, precision_bits=bits)
+            with mp.workprec(2000):
+                assert abs(result.measure - closed_form) <= result.error_bound, (poly, bits)
 
 
 def test_mahler_golden():
