@@ -24,6 +24,7 @@ import os
 import re
 import sys
 from contextlib import contextmanager
+from decimal import Decimal
 from functools import partial
 
 from . import construction, numtheory, orbits, toral, zeta
@@ -59,7 +60,12 @@ def _emit(args, header, rows, summary, out):
             "rows": [dict(zip(header, row)) for row in rows],
             "summary": summary,
         }
-        out.write(json.dumps(payload, indent=2) + "\n")
+        out.write(json.dumps(payload, indent=2, default=_json_int) + "\n")
+
+
+def _json_int(value):
+    """json's hook for construct's Decimal counts: exact, so written as ints."""
+    return int(value) if isinstance(value, Decimal) else json.JSONEncoder().default(value)
 
 
 class OutputError(Exception):
@@ -106,43 +112,33 @@ def _parse_target(args):
 
 def cmd_construct(args, out):
     target = _parse_target(args)
+    if args.window < 1:  # growth_diagnostics checks it too, but after the files are written
+        raise ValueError("window length must be positive")
     bits = args.precision_bits
     dps = digits_for_bits(bits)
     plan = construction.build_plan(
         target, strategy=args.strategy, n_max=args.max_n, gamma=args.gamma
     )
-    factored, values = [], []
-    for n in range(1, plan.N + 1):  # each F_n once: its factorisation and its value
-        f_n = construction.fixed_count(plan, n)
-        factored.append(str(f_n))
-        values.append(f_n.value())
-    fixed = orbits.CountSequence(orbits.KIND_FIXED, tuple(values))
-    diagnostics = orbits.growth_diagnostics(fixed, window_len=args.window, precision_bits=bits)
-    report = construction.claimed_vs_exact_report(plan, orbits.least_from_fixed(fixed))
+    table = construction.count_table(plan)
     if args.plan_out:
         with _atomic_output(args.plan_out) as path:
             construction.save_plan(plan, path)
     if args.sequence_out:
         with _atomic_output(args.sequence_out) as path:
             with open(path, "w", encoding="utf-8", newline="") as fh:
-                orbits.write_sequence_csv(fixed, fh)
+                orbits.write_sequence_csv(table, fh)  # its values are the F_n
+    diagnostics = orbits.growth_diagnostics(
+        table.factored, window_len=args.window, precision_bits=bits
+    )
 
     header = ["n", "p", "K", "F_factored", "F_log", "L_exact", "L_claimed", "rate"]
-    rows = [
-        [
-            n,
-            comp.p,
-            comp.K,
-            f_factored,
-            f_log.decimal(dps),
-            counts.exact,
-            counts.claimed,
-            rate.decimal(dps),
-        ]
-        for comp, f_factored, counts, (n, f_log, rate) in zip(
-            plan.components, factored, report.rows, diagnostics.entries
+    rows = (  # one at a time, so no L_claimed column is kept
+        [n, comp.p, comp.K, str(f_n), f_log.decimal(dps), exact,
+         construction.EXACT_CONTEXT.subtract(block, 1), rate.decimal(dps)]
+        for comp, f_n, exact, block, (n, f_log, rate) in zip(
+            plan.components, table.factored, table.least, table.blocks, diagnostics.entries
         )
-    ]
+    )
     max_n, _, max_rate = max(diagnostics.entries, key=lambda entry: entry[2])
     # is_prime is a proof only below DETERMINISTIC_LIMIT; above it,
     # Baillie-PSW makes p_n a probable prime.
@@ -155,7 +151,7 @@ def cmd_construct(args, out):
         "window_sup": diagnostics.window_sup.decimal(dps),
         "max_rate": max_rate.decimal(dps),
         "max_rate_n": max_n,
-        "claimed_vs_exact_discrepancies": report.discrepancy_count,
+        "claimed_vs_exact_discrepancies": table.discrepancy_count,
         "probable_primes": ";".join(str(n) for n in probable) or "none",
     }
     if plan.strategy == construction.STRATEGY_COMPENSATED:
@@ -447,8 +443,8 @@ def main(argv=None):
             raise ValueError("--precision-bits must be at least 8")
         with unlimited_int_digits():
             return args.func(args, sys.stdout)
-    except BudgetError as exc:
-        print("budget exceeded: %s" % exc, file=sys.stderr)
+    except (BudgetError, MemoryError) as exc:
+        print("budget exceeded: %s" % (str(exc) or "out of memory"), file=sys.stderr)
         return EXIT_BUDGET
     except PrecisionError as exc:
         print("precision budget exceeded: %s" % exc, file=sys.stderr)

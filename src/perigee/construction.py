@@ -25,16 +25,17 @@ Floors of (rational)/log(prime) are decided on exact integer balls (see
 precision) at escalating precision; they are never integers, so every
 decision terminates, and the precision it starts at changes no plan.
 
-The companion closed forms (exact least-period counts via Moebius inversion,
-the per-component lower bound p_n**K_n - 1) are cross-checked by enumerating
-truncated products: every block vector's least period is measured, blocks
-combine by lcm, and neither the F_n product nor Moebius inversion is used.
+The companion closed forms (least-period counts by Moebius inversion, the
+bound p_n**K_n - 1; ints, or count_table's decimals) are cross-checked by
+enumerating truncated products: each block vector's least period is measured,
+blocks combine by lcm, and neither the F_n product nor Moebius inversion is used.
 """
 
+import decimal
 import itertools
 import json
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -68,6 +69,11 @@ _STRATEGIES = {
 }
 
 DEFAULT_ENUMERATION_BUDGET = 10**7
+
+# Integers in decimal radix, whose str() is linear in the digits: a result that
+# needs rounding, or more than MAX_EMAX digits, raises instead of losing a digit.
+EXACT_CONTEXT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[
+    decimal.InvalidOperation, decimal.Overflow, decimal.Inexact, decimal.Rounded])
 
 
 @dataclass(frozen=True)
@@ -260,6 +266,31 @@ def fixed_sequence(plan, n_max=None, component_limit=None):
         KIND_FIXED,
         tuple(fixed_count(plan, n, component_limit).value() for n in range(1, top + 1)),
     )
+
+
+CountTable = namedtuple("CountTable", "factored values least blocks discrepancy_count")
+
+
+def count_table(plan):
+    """F_n (factored, and as Decimal values), L_n and the blocks p_n**K_n for
+    n = 1..N, in one pass in EXACT_CONTEXT (do any further arithmetic there too):
+    each block is formed once, F_n is the product of the blocks over d | n, L_n
+    its Moebius inversion, and no count is an int (the int route, fixed_count
+    and least_count_exact, is its oracle).  Too large a count raises BudgetError."""
+    pairs = [(comp.p, comp.K) for comp in plan.components]  # shared by the factored F_n
+    factored, fixed, least, blocks = [], [], [], []
+    with decimal.localcontext(EXACT_CONTEXT):
+        for n, (p, K) in enumerate(pairs, start=1):
+            try:
+                blocks.append(decimal.Decimal(p) ** K)
+                factored.append(FactoredNatural.from_pairs(pairs[d - 1] for d in divisors(n)))
+                fixed.append(math.prod(blocks[d - 1] for d in divisors(n)))
+                terms = (mobius(n // d) * fixed[d - 1] for d in divisors(n) if mobius(n // d))
+                least.append(sum(terms))
+            except (decimal.Overflow, MemoryError) as exc:
+                raise BudgetError("F_%d has too many digits to form" % n) from exc
+        discrepancies = sum(exact != block - 1 for exact, block in zip(least, blocks))
+    return CountTable(tuple(factored), tuple(fixed), tuple(least), tuple(blocks), discrepancies)
 
 
 def sigma_rate_target(plan, n):

@@ -149,11 +149,11 @@ class GrowthDiagnostics:
 def growth_diagnostics(S, window_len=10, precision_bits=DEFAULT_PRECISION_BITS):
     """Rates (1/n) log S_n with a trailing inf/sup window.
 
-    This is the one place the package turns exact counts into logs and
-    rates: construct, analyze and lehmer all print its entries.  Each log is
-    a certified ball of the exact integer S_n at precision_bits plus guard
-    bits, refined on demand, so precision_bits is purely an output
-    resolution.  The window's ends are compared exactly: equal rates tie,
+    This is the one place the package turns exact counts (a CountSequence,
+    or construct's FactoredNaturals) into logs and rates.  Each log is a
+    certified ball of the exact count S_n at precision_bits plus guard bits,
+    refined on demand, so precision_bits is purely an output resolution.
+    The window's ends are compared exactly: equal rates tie,
     and min and max keep the first.  Entries with S_n <= 0 are skipped and
     flagged; an all-zero sequence has no growth rate and raises ValueError,
     as does a window_len below 1.  A window longer than the entries is
@@ -163,8 +163,8 @@ def growth_diagnostics(S, window_len=10, precision_bits=DEFAULT_PRECISION_BITS):
         raise ValueError("window length must be positive")
     entries = []
     skipped = []
-    for n, v in enumerate(S.values, start=1):
-        if v <= 0:
+    for n, v in enumerate(S.values if isinstance(S, CountSequence) else S, start=1):
+        if isinstance(v, int) and v <= 0:  # a FactoredNatural is positive
             skipped.append(n)
             continue
         lg = LogReal(v, precision_bits)
@@ -227,28 +227,26 @@ def lemma_sandwich_check(F, L):
 
 @unlimited_int_digits()
 def write_sequence_csv(S, fh):
-    """Write the shared sequence format: header n,value then one row per n."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["n", "value"])
-    for n, v in enumerate(S.values, start=1):
-        writer.writerow([n, v])
+    """Write the shared format: header n,value, then rows of ints or integral Decimals."""
+    fh.write("n,value\n")
+    fh.writelines("%d,%s\n" % (n, v) for n, v in enumerate(S.values, start=1))
 
 
 @unlimited_int_digits()
 def read_sequence_csv(fh):
-    """Read the shared sequence format of counts F_n; rows start at 1 with no gaps."""
+    """Read the shared sequence format of counts F_n: rows from n = 1, no gaps, blanks skipped."""
     reader = csv.reader(fh)
     header = next(reader, None)
     if header is None or [h.strip() for h in header] != ["n", "value"]:
         raise ValueError("expected header 'n,value'")
     values = []
-    for expected, row in enumerate(reader, start=1):
+    for row in reader:
         if not row:
             continue
         if len(row) != 2:
             raise ValueError("malformed row %r" % (row,))
         n = int(row[0])
-        if n != expected:
+        if n != len(values) + 1:
             raise ValueError("rows must be sorted from n = 1 with no gaps (saw %d)" % n)
         values.append(int(row[1]))
     if not values:

@@ -31,7 +31,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 
-from .numtheory import floor_root
+from .numtheory import FactoredNatural, floor_root
 
 DEFAULT_PRECISION_BITS = 128
 
@@ -102,6 +102,14 @@ def log_enclosure(n, bits):
 # Plan primes recur in every decision and table row; counts and sequence
 # values go to log_enclosure directly, so they never pile up in this cache.
 log_ball = lru_cache(maxsize=None)(log_enclosure)
+
+
+def _count_log_ball(count, bits):
+    """log_enclosure of an int; of a FactoredNatural, the sum of e*log_ball(p)."""
+    if not isinstance(count, FactoredNatural):
+        return log_enclosure(count, bits)
+    balls = [(e, log_ball(p, bits)) for p, e in count.factors]
+    return sum(e * lo for e, (lo, _) in balls), sum(e * hi for e, (_, hi) in balls)
 
 
 def _doubled(bits, what):
@@ -187,8 +195,8 @@ def decimal_from_floors(floor_at, dps):
 
 
 class LogReal:
-    """The real (scale * log(count) + offset) / den, for integers count >= 1,
-    scale != 0, offset and den >= 1, known through integer balls.
+    """The real (scale * log(count) + offset) / den, for a count >= 1 (an int or a
+    FactoredNatural over primes), scale != 0, offset and den >= 1, known through integer balls.
 
     The ball of log(count) is taken at precision_bits plus guard bits and
     refined only when a digit or a comparison needs it; the reals derived by
@@ -200,10 +208,12 @@ class LogReal:
 
     def __init__(self, count, precision_bits=DEFAULT_PRECISION_BITS, scale=1, offset=0, den=1,
                  log=None):
+        if isinstance(count, FactoredNatural) and not count.factors:  # log 0 is read as count == 1
+            count = 1
         self.count, self.scale, self.offset, self.den = count, scale, offset, den
         bits = precision_bits + _GUARD_BITS
         # [b, lo, hi] with lo <= log(count) * 2**b <= hi
-        self._log = log or [bits, *log_enclosure(count, bits)]
+        self._log = log or [bits, *_count_log_ball(count, bits)]
 
     def _derive(self, scale, offset, den):
         return LogReal(self.count, scale=scale, offset=offset, den=den, log=self._log)
@@ -223,7 +233,7 @@ class LogReal:
         """Integers (lo, hi) with lo <= x * 2**bits <= hi."""
         held, lo, hi = self._log
         if held < bits:
-            self._log[:] = held, lo, hi = bits, *log_enclosure(self.count, bits)
+            self._log[:] = held, lo, hi = bits, *_count_log_ball(self.count, bits)
         lo, hi = lo >> held - bits, -(-hi >> held - bits)
         if self.scale < 0:
             lo, hi = hi, lo
@@ -254,13 +264,17 @@ class LogReal:
         a positive algebraic number, transcendental unless that number is 1
         (Hermite-Lindemann), so equality needs equal offsets/den and
         count**v == other.count**u, u/v the ratio of the log coefficients:
-        both must be powers of one integer r, r**u and r**v."""
+        over primes, exponents in that ratio; else both must be powers of one
+        integer r, r**u and r**v."""
         if self.offset * other.den != other.offset * self.den:
             return False
         ratio = Fraction(other.scale * self.den, other.den * self.scale)
         if 1 in (self.count, other.count) or ratio < 0:
             return self.count == other.count == 1
         u, v = ratio.numerator, ratio.denominator
+        if isinstance(self.count, FactoredNatural) and isinstance(other.count, FactoredNatural):
+            scaled = [(p, e * v) for p, e in self.count.factors]
+            return scaled == [(p, e * u) for p, e in other.count.factors]
         root = floor_root(self.count, u)
         return root**u == self.count and root**v == other.count
 

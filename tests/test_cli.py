@@ -11,8 +11,16 @@ from mpmath import mp
 
 from perigee import construction, orbits
 from perigee.cli import main
-from perigee.construction import build_plan, load_plan, plan_from_json, plan_to_json, save_plan
-from perigee.numtheory import least_prime_congruent_one
+from perigee.construction import (
+    build_plan,
+    fixed_count,
+    least_count_exact,
+    load_plan,
+    plan_from_json,
+    plan_to_json,
+    save_plan,
+)
+from perigee.numtheory import FactoredNatural, least_prime_congruent_one
 from perigee.precision import digits_for_bits
 from perigee.targets import GrowthTarget
 
@@ -491,23 +499,116 @@ def test_exact_commands_never_import_mpmath(capsys, tmp_path):
     assert done.stderr == "%s False" % ([0] * len(commands))
 
 
-def test_construct_stdout_is_pinned(capsys):
+def sha256_of(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def test_construct_stdout_is_pinned(capsys, tmp_path):
     # stdout of the mpmath route, which printed mp.nstr of mp.log at bits + 12;
-    # the certified balls must reproduce it byte for byte
+    # the certified balls must reproduce it byte for byte.  The C = 1 run's
+    # plan and sequence files are pinned too, as the int route wrote them.
     golden = {
         ("1", "compensated", "128"):
         "1f2129f21e7b394942d0b8f4bc8a90767eccae82b9bb496480d2337753bc8991",
         ("6932/10000", "paper", "8"):
         "89ac44d9166a55bfe16d4f7987b979d290560bfea71cb410e069a05aa0519f41",
     }
+    plan_path, seq_path = tmp_path / "plan.json", tmp_path / "counts.csv"
     for (C, strategy, bits), digest in golden.items():
+        files = ["--plan-out", str(plan_path), "--sequence-out", str(seq_path)] if C == "1" else []
         code, out, _ = run(
             capsys,
             "construct", "--C", C, "--strategy", strategy, "--max-n", "3000",
-            "--precision-bits", bits,
+            "--precision-bits", bits, *files,
         )
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, (C, strategy)
+    assert sha256_of(plan_path) == (
+        "3aa6d111d95680af3dfda7921fe12fde090f5e86a7b6bb4338e35acadcada4db"
+    )
+    assert sha256_of(seq_path) == (
+        "1f2977978ceaa8be0d9b6d279fa895a11907d8b7129cfc8378390dffc9948706"
+    )
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("an int count was formed")
+
+
+def out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+def test_construct_never_forms_an_int_count(capsys, tmp_path, monkeypatch):
+    # construct prints from the decimal table: FactoredNatural.value, the int
+    # route's product, is never called, in either format
+    seq_path = tmp_path / "counts.csv"
+    expected = {}
+    for fmt in ("csv", "json"):
+        argv = ["construct", "--C", "1", "--strategy", "compensated", "--max-n", "40",
+                "--format", fmt, "--sequence-out", str(seq_path)]
+        expected[fmt] = run(capsys, *argv)[1]
+        with monkeypatch.context() as patched:
+            patched.setattr(FactoredNatural, "value", refuse)
+            code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        assert out == expected[fmt]
+    rows = json.loads(expected["json"])["rows"]
+    plan = build_plan(GrowthTarget.finite(1), "compensated", n_max=40)
+    assert [row["L_exact"] for row in rows] == [least_count_exact(plan, n) for n in range(1, 41)]
+    assert seq_path.read_text() == "n,value\n" + "".join(
+        "%d,%d\n" % (n, fixed_count(plan, n).value()) for n in range(1, 41)
+    )
+
+
+def test_memory_error_is_a_budget_exit(capsys, tmp_path, monkeypatch):
+    # inside the table the message names n; anywhere else it is generic
+    seq_path = tmp_path / "counts.csv"
+    argv = ["construct", "--C", "1", "--strategy", "compensated", "--max-n", "12",
+            "--sequence-out", str(seq_path)]
+
+    real_mobius = construction.mobius
+
+    def mobius_short_of_memory_at_6(n):  # the Moebius sum of L_6 is the first to ask
+        return out_of_memory() if n == 6 else real_mobius(n)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(construction, "mobius", mobius_short_of_memory_at_6)
+        code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "") and "budget exceeded: F_6 " in err
+    with monkeypatch.context() as patched:
+        patched.setattr(construction, "build_plan", out_of_memory)
+        code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (3, "", "budget exceeded: out of memory\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_count_too_large_to_form_fails_fast(tmp_path):
+    # K_1 = floor(10**30 / log 2): 2**K_1 has about 4.3e29 digits.  The int
+    # route died in FactoredNatural.value with a MemoryError traceback (exit
+    # 1); the decimal context overflows at once.  The child's address space
+    # is capped, so a regression fails here instead of exhausting the host.
+    plan_path, seq_path = tmp_path / "plan.json", tmp_path / "counts.csv"
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from perigee.cli import main\n"
+        "sys.exit(main(%r))\n" % [
+            "construct", "--C", "1e30", "--max-n", "2",
+            "--plan-out", str(plan_path), "--sequence-out", str(seq_path),
+        ]
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))
+    ))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 3, done.stderr
+    assert done.stdout == ""
+    assert done.stderr == "budget exceeded: F_1 has too many digits to form\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_construct_rate_is_correctly_rounded_at_low_precision(capsys):

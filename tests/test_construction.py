@@ -14,6 +14,7 @@ from perigee.construction import (
     _point_period,
     build_plan,
     claimed_vs_exact_report,
+    count_table,
     deficit_report,
     enumerate_oracle,
     fixed_count,
@@ -46,6 +47,48 @@ def mpf_of(real, bits=256):
     lo, hi = real.ball(bits)
     with mp.workprec(bits + 8):
         return mp.mpf(lo + hi) / 2 ** (bits + 1)
+
+
+SMALL_PLANS = (
+    (GrowthTarget.zero(), None, None, 12),
+    (GrowthTarget.finite(C_ABOVE_LOG2), "paper", None, 40),
+    (GrowthTarget.finite(1), "compensated", None, 150),
+    (GrowthTarget.finite(Fraction(21, 20)), "subexponential", Fraction(1, 2), 40),
+    (GrowthTarget.infinite(), None, None, 8),
+)
+
+
+@pytest.mark.parametrize("target, strategy, gamma, n_max", SMALL_PLANS)
+def test_count_table_matches_the_int_route(target, strategy, gamma, n_max):
+    # the decimal table, string by string, against the int closed forms
+    plan = build_plan(target, strategy, n_max=n_max, gamma=gamma)
+    table = count_table(plan)
+    for n in range(1, n_max + 1):
+        f_n = fixed_count(plan, n)
+        assert str(table.factored[n - 1]) == str(f_n)
+        assert str(table.values[n - 1]) == str(f_n.value())
+        assert str(table.least[n - 1]) == str(least_count_exact(plan, n))
+        claimed = construction.EXACT_CONTEXT.subtract(table.blocks[n - 1], 1)
+        assert str(claimed) == str(least_count_claimed(plan, n))
+    report = claimed_vs_exact_report(plan, least_from_fixed(fixed_sequence(plan)))
+    assert table.discrepancy_count == report.discrepancy_count
+    # and the logs growth_diagnostics sums from the factors, against the ints' own
+    by_factors = growth_diagnostics(table.factored, window_len=5)
+    by_values = growth_diagnostics(fixed_sequence(plan), window_len=5)
+    for entry, entry_int in zip(by_factors.entries, by_values.entries):
+        assert [entry[0]] + [x.decimal(38) for x in entry[1:]] == (
+            [entry_int[0]] + [x.decimal(38) for x in entry_int[1:]]
+        )
+    for end in ("window_inf", "window_sup"):
+        assert getattr(by_factors, end).decimal(38) == getattr(by_values, end).decimal(38)
+
+
+def test_count_table_names_the_count_it_cannot_form():
+    # 2**K_1 has about 4.3e29 digits, past the decimal context's exponent
+    # limit: the power overflows at once, before any memory is asked for
+    plan = build_plan(GrowthTarget.finite(10**30), "paper", n_max=2)
+    with pytest.raises(BudgetError, match="F_1 "):
+        count_table(plan)
 
 
 def test_paper_plan_above_log2():

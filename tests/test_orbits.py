@@ -1,4 +1,6 @@
 import io
+from decimal import Decimal
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -167,6 +169,24 @@ def test_sequence_csv_round_trip():
     assert buf.getvalue().splitlines()[0] == "n,value"
     back = read_sequence_csv(io.StringIO(buf.getvalue()))
     assert back.values == F.values and back.kind == "fixed"
+
+
+def test_sequence_csv_writes_decimals_as_ints():
+    values = [1, 3, 10**50 + 7, 0, -4]
+    as_ints, as_decimals = io.StringIO(), io.StringIO()
+    write_sequence_csv(CountSequence.fixed(values), as_ints)
+    write_sequence_csv(SimpleNamespace(values=tuple(map(Decimal, values))), as_decimals)
+    assert as_decimals.getvalue() == as_ints.getvalue()
+    assert as_ints.getvalue() == "n,value\n1,1\n2,3\n3,%d\n4,0\n5,-4\n" % (10**50 + 7)
+
+
+def test_sequence_csv_skips_blank_lines_anywhere():
+    # a blank line uses up no index, inside the rows or after them
+    assert read_sequence_csv(io.StringIO("n,value\n1,5\n\n2,7\n")).values == (5, 7)
+    assert read_sequence_csv(io.StringIO("n,value\n1,5\n2,7\n\n")).values == (5, 7)
+    assert read_sequence_csv(io.StringIO("n,value\n\n\n1,5\n\n\n2,7\n")).values == (5, 7)
+    with pytest.raises(ValueError, match="saw 3"):
+        read_sequence_csv(io.StringIO("n,value\n1,5\n\n3,7\n"))
 
 
 def test_sequence_csv_rejects_gaps():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mpmath import iv, mp
 from mpmath.libmp import mpf_ceil, mpf_floor, mpf_shift, to_int
 
+from perigee.numtheory import FactoredNatural
 from perigee.precision import LogReal, decimal_from_floors, log_enclosure
 
 
@@ -125,3 +126,41 @@ def test_log_real_ties_decide_exactly():
     assert LogReal(1).decimal(38) == "0.0"
     with mp.workprec(200):
         assert (LogReal(2**210) / 210).decimal(38) == mp.nstr(mp.log(2), 38)
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 101, 7919, 2**61 - 1)
+factored_naturals = st.dictionaries(st.sampled_from(PRIMES), st.integers(1, 80), max_size=4).map(
+    lambda exponents: FactoredNatural.from_pairs(exponents.items())
+)
+
+
+def power(f, k):
+    return FactoredNatural.from_pairs((p, e * k) for p, e in f.factors)
+
+
+@settings(max_examples=150, deadline=None)
+@given(factored_naturals, st.integers(1, 60), st.sampled_from((1, 5, 17, 38, 60)))
+@example(FactoredNatural(()), 3, 38)  # the count 1: log 0, printed "0.0"
+def test_log_real_of_factored_prints_as_its_value(f, n, dps):
+    # the ball summed from the primes' balls gives the digits of the int's own ball
+    log_f, log_value = LogReal(f), LogReal(f.value())
+    assert log_f.decimal(dps) == log_value.decimal(dps)
+    assert (log_f / n).decimal(dps) == (log_value / n).decimal(dps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(factored_naturals, factored_naturals, st.integers(1, 40), st.integers(1, 40),
+       st.integers(0, 4))
+@example(FactoredNatural.from_pairs([(2, 6)]), FactoredNatural.from_pairs([(2, 8)]), 3, 4, 0)
+@example(FactoredNatural.from_pairs([(2, 2), (3, 2)]), FactoredNatural(()), 2, 1, 3)
+def test_log_real_of_factored_compares_as_its_value(f, g, a, b, tie):
+    # tie > 0 takes g = f**tie at index b = a*tie, an exact tie of the rates,
+    # decided from the exponents; rate(2**6, 3) = rate(4**4, 4) is the first example
+    if tie:
+        g, b = power(f, tie), a * tie
+    x, y = LogReal(f) / a, LogReal(g) / b
+    u, v = LogReal(f.value()) / a, LogReal(g.value()) / b
+    assert (x < y, x > y) == (u < v, u > v)
+    assert (x - Fraction(1, 3) < y, y > x) == (u - Fraction(1, 3) < v, v > u)
+    if tie:
+        assert not x < y and not x > y
