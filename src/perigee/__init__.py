@@ -11,12 +11,9 @@ from .construction import (
     ComponentSpec,
     ConstructionPlan,
     build_plan,
-    claimed_vs_exact_report,
+    count_table,
     deficit_report,
     enumerate_oracle,
-    fixed_count,
-    least_count_claimed,
-    least_count_exact,
     load_plan,
     save_plan,
 )

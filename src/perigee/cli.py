@@ -182,14 +182,13 @@ def cmd_oracle(args, out):
     counts = construction.enumerate_oracle(
         plan, components, n_max, max_points=args.max_points
     )
-    fixed = construction.fixed_sequence(plan, n_max, components)
-    least = orbits.least_from_fixed(fixed)
+    table = construction.count_table(plan, n_max, components)
     header = ["n", "F_oracle", "L_oracle", "F_closed", "L_closed", "status"]
     rows = []
     mismatches = 0
     for n in range(1, n_max + 1):
-        f_oracle, f_closed = counts.fixed.values[n - 1], fixed.values[n - 1]
-        l_oracle, l_closed = counts.least.values[n - 1], least.values[n - 1]
+        f_oracle, f_closed = counts.fixed.values[n - 1], table.values[n - 1]
+        l_oracle, l_closed = counts.least.values[n - 1], table.least[n - 1]
         ok = f_oracle == f_closed and l_oracle == l_closed
         if not ok:
             mismatches += 1

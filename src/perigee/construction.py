@@ -25,10 +25,11 @@ Floors of (rational)/log(prime) are decided on exact integer balls (see
 precision) at escalating precision; they are never integers, so every
 decision terminates, and the precision it starts at changes no plan.
 
-The companion closed forms (least-period counts by Moebius inversion, the
-bound p_n**K_n - 1; ints, or count_table's decimals) are cross-checked by
-enumerating truncated products: each block vector's least period is measured,
-blocks combine by lcm, and neither the F_n product nor Moebius inversion is used.
+count_table is the one place that forms the closed forms (F_n, least-period
+counts L_n by Moebius inversion, and the bound p_n**K_n - 1), for the whole
+plan or a truncation of it.  They are cross-checked by enumerating truncated
+products: each block vector's least period is measured, blocks combine by lcm,
+and neither the F_n product nor Moebius inversion is used.
 """
 
 import decimal
@@ -99,11 +100,6 @@ class ConstructionPlan:
     @property
     def N(self):
         return len(self.components)
-
-    def component(self, n):
-        if not 1 <= n <= self.N:
-            raise IndexError("component index %d outside 1..%d" % (n, self.N))
-        return self.components[n - 1]
 
     def validate(self):
         """Deep invariant check (prime p, n | p-1, multiplier of order n)."""
@@ -221,63 +217,31 @@ def _check_index(plan, n, component_limit):
     return component_limit
 
 
-def fixed_count(plan, n, component_limit=None):
-    """F_n as a FactoredNatural: product of p_d**K_d over divisors d of n.
-
-    With component_limit = M the product is restricted to d <= M, which is
-    the exact period count of the truncated product group; n may then exceed
-    the plan horizon.
-    """
-    limit = _check_index(plan, n, component_limit)
-    pairs = []
-    for d in divisors(n):
-        if d > limit:
-            continue
-        comp = plan.components[d - 1]
-        if comp.K:
-            pairs.append((comp.p, comp.K))
-    return FactoredNatural.from_pairs(pairs)
-
-
-def least_count_exact(plan, n, component_limit=None):
-    """Exact L_n by Moebius inversion of the plan's period counts."""
-    _check_index(plan, n, component_limit)
-    return sum(
-        mobius(n // d) * fixed_count(plan, d, component_limit).value()
-        for d in divisors(n)
-    )
-
-
-def least_count_claimed(plan, n):
-    """The per-component closed form p_n**K_n - 1.
-
-    This counts only the points whose coordinates vanish outside block n, so
-    it is a lower bound for the exact least-period count, with equality (for
-    n >= 2) exactly when every proper divisor d of n has K_d = 0.
-    """
-    comp = plan.component(n)
-    return comp.p**comp.K - 1
-
-
-def fixed_sequence(plan, n_max=None, component_limit=None):
-    """The plan's period counts as a CountSequence (exact integers)."""
-    top = n_max if n_max is not None else plan.N
-    return CountSequence(
-        KIND_FIXED,
-        tuple(fixed_count(plan, n, component_limit).value() for n in range(1, top + 1)),
-    )
-
-
 CountTable = namedtuple("CountTable", "factored values least blocks discrepancy_count")
 
 
-def count_table(plan):
+def count_table(plan, n_max=None, component_limit=None):
     """F_n (factored, and as Decimal values), L_n and the blocks p_n**K_n for
-    n = 1..N, in one pass in EXACT_CONTEXT (do any further arithmetic there too):
-    each block is formed once, F_n is the product of the blocks over d | n, L_n
-    its Moebius inversion, and no count is an int (the int route, fixed_count
-    and least_count_exact, is its oracle).  Too large a count raises BudgetError."""
-    pairs = [(comp.p, comp.K) for comp in plan.components]  # shared by the factored F_n
+    n = 1..n_max (default N), in one pass in EXACT_CONTEXT (do any further
+    arithmetic there too): each block is formed once, F_n is the product of
+    the blocks over d | n, L_n its Moebius inversion, and no count is an int.
+    Too large a count raises BudgetError.
+
+    With component_limit = M the blocks past M are trivial, so F_n is the
+    product over d | n with d <= M, the exact period count of the truncated
+    product group, and n_max may exceed N.
+
+    The blocks bound the least-period counts: L_n >= p_n**K_n - 1, since
+    block n alone holds that many points of least period n, and for n >= 2
+    equality holds exactly when every proper divisor d of n has K_d = 0.  At
+    n = 1 the zero point makes L_1 exceed the bound by one.
+    discrepancy_count is the number of n with L_n != p_n**K_n - 1.
+    """
+    top = n_max if n_max is not None else plan.N
+    limit = _check_index(plan, top, component_limit)
+    # shared by the factored F_n; a block past the truncation is trivial
+    pairs = [(comp.p, comp.K) for comp in plan.components[:min(top, limit)]]
+    pairs += [(1, 0)] * (top - len(pairs))
     factored, fixed, least, blocks = [], [], [], []
     with decimal.localcontext(EXACT_CONTEXT):
         for n, (p, K) in enumerate(pairs, start=1):
@@ -339,6 +303,8 @@ def enumerate_oracle(plan, component_limit, n_max, max_points=DEFAULT_ENUMERATIO
     limit = _check_index(plan, 1, component_limit)
     if n_max < 1:
         raise ValueError("n_max must be positive")
+    if max_points < 1:  # the trivial group alone has one point
+        raise ValueError("max_points must be positive")
     active = [c for c in plan.components[:limit] if c.K > 0]
     total = 1
     for c in active:
@@ -366,60 +332,6 @@ def enumerate_oracle(plan, component_limit, n_max, max_points=DEFAULT_ENUMERATIO
         fixed=CountSequence(KIND_FIXED, tuple(fixed)),
         least=CountSequence(KIND_LEAST, tuple(least)),
         points=total,
-    )
-
-
-# --- claimed-versus-exact report ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class ClaimedVsExactRow:
-    n: int
-    claimed: int
-    exact: int
-    proper_blocks_trivial: bool
-
-    @property
-    def difference(self):
-        return self.exact - self.claimed
-
-
-@dataclass(frozen=True)
-class ClaimedVsExactReport:
-    rows: tuple[ClaimedVsExactRow, ...]
-    lower_bound_ok: bool
-    equality_matches_predicate: bool
-    discrepancy_count: int
-
-
-def claimed_vs_exact_report(plan, least):
-    """Tabulate p_n**K_n - 1 against `least`, the exact counts L_1..L_m.
-
-    Checks that the closed form never exceeds the exact count and that, for
-    n >= 2, equality holds exactly when all proper-divisor blocks are trivial
-    (the predicate product over d | n, d < n of p_d**K_d equals 1).  At n = 1
-    the exact count always exceeds the closed form by 1: the zero point has
-    least period 1 but the closed form excludes it.
-    """
-    if least.kind != KIND_LEAST:
-        raise ValueError("expected a least-period sequence")
-    if not 1 <= least.N <= plan.N:
-        raise ValueError("least-period horizon outside 1..%d" % plan.N)
-    rows = []
-    for n, exact in enumerate(least.values, start=1):
-        trivial = all(
-            plan.components[d - 1].K == 0 for d in divisors(n) if d != n
-        )
-        rows.append(ClaimedVsExactRow(n, least_count_claimed(plan, n), exact, trivial))
-    lower_ok = all(r.exact >= max(r.claimed, 0) for r in rows)
-    predicate_ok = all(
-        (r.difference == 0) == r.proper_blocks_trivial for r in rows if r.n >= 2
-    )
-    return ClaimedVsExactReport(
-        rows=tuple(rows),
-        lower_bound_ok=lower_ok,
-        equality_matches_predicate=predicate_ok,
-        discrepancy_count=sum(1 for r in rows if r.difference != 0),
     )
 
 

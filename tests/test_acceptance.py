@@ -24,16 +24,12 @@ from mpmath import mp
 
 from perigee.construction import (
     build_plan,
-    claimed_vs_exact_report,
+    count_table,
     deficit_report,
     enumerate_oracle,
-    fixed_count,
-    fixed_sequence,
-    least_count_claimed,
-    least_count_exact,
     sigma_rate_target,
 )
-from perigee.numtheory import PRIME_BOUND_EXPONENT, least_prime_congruent_one
+from perigee.numtheory import PRIME_BOUND_EXPONENT, divisors, least_prime_congruent_one
 from perigee.orbits import CountSequence, fixed_from_least, growth_diagnostics, least_from_fixed
 from perigee.targets import GrowthTarget
 from perigee.toral import (
@@ -61,7 +57,7 @@ def mpf_of(real, bits=256):
 
 def plan_rates(plan):
     """{n: (1/n) log F_n} for every n of the plan, from growth_diagnostics."""
-    return {n: rate for n, _, rate in growth_diagnostics(fixed_sequence(plan)).entries}
+    return {n: rate for n, _, rate in growth_diagnostics(count_table(plan).factored).entries}
 
 
 XFAIL_REASON = (
@@ -95,11 +91,10 @@ def test_criterion_01_mobius_round_trips():
 def _check_oracle_equivalence(c_value, n_sweep=60):
     plan = build_plan(GrowthTarget.finite(c_value), "paper", n_max=6)
     counts = enumerate_oracle(plan, 6, n_sweep)
+    table = count_table(plan, n_sweep, component_limit=6)
     for n in range(1, n_sweep + 1):
-        closed_f = fixed_count(plan, n, component_limit=6).value()
-        closed_l = least_count_exact(plan, n, component_limit=6)
-        assert counts.fixed.values[n - 1] == closed_f, n
-        assert counts.least.values[n - 1] == closed_l, n
+        assert counts.fixed.values[n - 1] == table.values[n - 1], n
+        assert counts.least.values[n - 1] == table.least[n - 1], n
     assert least_from_fixed(counts.fixed).values == counts.least.values
     return plan, counts
 
@@ -148,11 +143,19 @@ def test_criterion_03_claimed_formula_status():
         c = Fraction(rng.randint(1, 3000), 1000)
         plans.append(build_plan(GrowthTarget.finite(c), "paper", n_max=200))
     for plan in plans:
-        rep = claimed_vs_exact_report(plan, least_from_fixed(fixed_sequence(plan)))
-        assert rep.lower_bound_ok
-        assert rep.equality_matches_predicate
-        # at n = 1 the exact count always exceeds the closed form by the zero point
-        assert rep.rows[0].exact - rep.rows[0].claimed == 1
+        table = count_table(plan)
+        for n, (comp, block, exact) in enumerate(
+            zip(plan.components, table.blocks, table.least), start=1
+        ):
+            claimed = comp.p**comp.K - 1
+            assert int(block) - 1 == claimed
+            assert exact >= max(claimed, 0)
+            if n == 1:
+                # the exact count always exceeds the closed form by the zero point
+                assert exact - claimed == 1
+            else:
+                trivial = all(plan.components[d - 1].K == 0 for d in divisors(n) if d != n)
+                assert (exact == claimed) == trivial, n
     elapsed = time.perf_counter() - started
     report(
         3,
@@ -164,17 +167,17 @@ def test_criterion_03_claimed_formula_status():
 
 
 def test_criterion_03_discrepancy_intended_constant():
-    plan = build_plan(GrowthTarget.finite(C_INTENDED), "paper", n_max=6)
-    assert least_count_claimed(plan, 6) == 48
-    assert least_count_exact(plan, 6) == 2040
+    table = count_table(build_plan(GrowthTarget.finite(C_INTENDED), "paper", n_max=6))
+    assert table.blocks[5] - 1 == 48
+    assert table.least[5] == 2040
     report(3, "claimed-formula-discrepancy", "C=%s: n=6 gives 48 vs 2040" % C_INTENDED)
 
 
 @pytest.mark.xfail(strict=True, reason=XFAIL_REASON)
 def test_criterion_03_letter_discrepancy():
-    plan = build_plan(GrowthTarget.finite(C_STATED), "paper", n_max=6)
-    assert least_count_claimed(plan, 6) == 48
-    assert least_count_exact(plan, 6) == 2040  # exact is 1020 for the stated C
+    table = count_table(build_plan(GrowthTarget.finite(C_STATED), "paper", n_max=6))
+    assert table.blocks[5] - 1 == 48
+    assert table.least[5] == 2040  # exact is 1020 for the stated C
 
 
 def test_criterion_04_compensated_convergence_envelope():
@@ -246,12 +249,13 @@ def test_criterion_05_letter_witness():
 def test_criterion_06_infinite_target():
     started = time.perf_counter()
     plan = build_plan(GrowthTarget.infinite(), n_max=12)
+    table = count_table(plan)
     with mp.workprec(140):
         for comp in plan.components:
             n = comp.n
             assert comp.p > n**n
             assert mp.log(comp.p) / n >= mp.log(n)
-            value = fixed_count(plan, n).value()
+            value = table.factored[n - 1].value()
             assert isinstance(value, int) and value >= comp.p
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0

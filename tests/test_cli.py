@@ -13,8 +13,7 @@ from perigee import construction, orbits
 from perigee.cli import main
 from perigee.construction import (
     build_plan,
-    fixed_count,
-    least_count_exact,
+    count_table,
     load_plan,
     plan_from_json,
     plan_to_json,
@@ -267,6 +266,23 @@ def test_oracle_budget_exit_code(capsys, tmp_path):
         "oracle", "--plan", str(plan_path), "--max-points", "10",
     )
     assert code == 3 and "budget" in err.lower()
+
+
+def test_oracle_rejects_a_budget_below_one_point(capsys, tmp_path):
+    # even the trivial group has a point, so no budget below 1 can be kept
+    for C, strategy in (("6932/10000", "paper"), ("1", "compensated")):
+        plan_path = tmp_path / ("%s.json" % strategy)
+        save_plan(build_plan(GrowthTarget.finite(C), strategy, n_max=6), plan_path)
+        for budget in ("0", "-5"):
+            code, out, err = run(
+                capsys, "oracle", "--plan", str(plan_path), "--max-points", budget
+            )
+            assert (code, out) == (2, ""), (strategy, budget)
+            assert err == "error: max_points must be positive\n"
+    zero_path = tmp_path / "zero.json"
+    save_plan(build_plan(GrowthTarget.zero(), n_max=3), zero_path)
+    code, out, _ = run(capsys, "oracle", "--plan", str(zero_path), "--max-points", "0")
+    assert (code, out) == (2, "")
 
 
 def test_lehmer_table(capsys):
@@ -531,6 +547,25 @@ def test_construct_stdout_is_pinned(capsys, tmp_path):
     )
 
 
+def test_oracle_stdout_is_pinned(capsys, tmp_path):
+    # the README's 113190-point run, with n past the plan horizon, as the
+    # oracle printed it when its closed forms came from ints
+    golden = {
+        "csv": "5e6e72f13e24b72811593fd165b64dcefb8a134c97bd7a9b21875004117593ad",
+        "json": "fe9c18d28af02e05c8aabefe1fb87867a6c8280dc51218f18d4d06a93c0723f2",
+    }
+    plan_path = tmp_path / "plan.json"
+    save_plan(build_plan(GrowthTarget.finite("6932/10000"), "paper", n_max=6), plan_path)
+    for fmt, digest in golden.items():
+        code, out, _ = run(
+            capsys,
+            "oracle", "--plan", str(plan_path), "--components", "6", "--max-n", "60",
+            "--format", fmt,
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, fmt
+
+
 def refuse(*args, **kwargs):
     raise AssertionError("an int count was formed")
 
@@ -553,11 +588,14 @@ def test_construct_never_forms_an_int_count(capsys, tmp_path, monkeypatch):
             code, out, err = run(capsys, *argv)
         assert code == 0, err
         assert out == expected[fmt]
+    # against ints formed outside the table: each factored F_n's own product,
+    # and its Moebius inversion by orbits
     rows = json.loads(expected["json"])["rows"]
     plan = build_plan(GrowthTarget.finite(1), "compensated", n_max=40)
-    assert [row["L_exact"] for row in rows] == [least_count_exact(plan, n) for n in range(1, 41)]
+    fixed = orbits.CountSequence.fixed(f.value() for f in count_table(plan).factored)
+    assert [row["L_exact"] for row in rows] == list(orbits.least_from_fixed(fixed).values)
     assert seq_path.read_text() == "n,value\n" + "".join(
-        "%d,%d\n" % (n, fixed_count(plan, n).value()) for n in range(1, 41)
+        "%d,%d\n" % (n, value) for n, value in enumerate(fixed.values, start=1)
     )
 
 
@@ -622,7 +660,7 @@ def test_construct_rate_is_correctly_rounded_at_low_precision(capsys):
     assert code == 0
     plan = build_plan(GrowthTarget.finite(1), "compensated", n_max=1059)
     with mp.workprec(500):
-        reference = mp.log(construction.fixed_count(plan, 1059).value()) / 1059
+        reference = mp.log(count_table(plan).factored[1058].value()) / 1059
         expected = mp.nstr(reference, digits_for_bits(32))
     assert expected == "0.993844068"
     assert table_rows(out)[1058]["rate"] == expected

@@ -3,9 +3,12 @@ import io
 import json
 import math
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from perigee import construction, precision
@@ -13,14 +16,9 @@ from perigee.construction import (
     _exponent,
     _point_period,
     build_plan,
-    claimed_vs_exact_report,
     count_table,
     deficit_report,
     enumerate_oracle,
-    fixed_count,
-    fixed_sequence,
-    least_count_claimed,
-    least_count_exact,
     load_plan,
     plan_from_json,
     plan_to_json,
@@ -29,6 +27,7 @@ from perigee.construction import (
 )
 from perigee.numtheory import BudgetError, divisors
 from perigee.orbits import (
+    CountSequence,
     growth_diagnostics,
     least_from_fixed,
     read_sequence_csv,
@@ -58,23 +57,46 @@ SMALL_PLANS = (
 )
 
 
+def claimed_vs_exact(plan, table):
+    """(n, p_n**K_n - 1, L_n, every proper divisor block trivial) per n of the
+    table, with the bound formed from the plan's ints and checked against the
+    table's block.  Asserts the lemma: L_n >= p_n**K_n - 1, equal for n >= 2
+    exactly when every proper divisor block is trivial, and one above it at
+    n = 1 (the zero point)."""
+    rows = []
+    for n, (comp, block, exact) in enumerate(zip(plan.components, table.blocks, table.least), 1):
+        claimed = comp.p**comp.K - 1
+        assert int(block) - 1 == claimed
+        trivial = all(plan.components[d - 1].K == 0 for d in divisors(n) if d != n)
+        rows.append((n, claimed, int(exact), trivial))
+    assert all(exact >= max(claimed, 0) for _, claimed, exact, _ in rows)
+    assert all((exact == claimed) == trivial for n, claimed, exact, trivial in rows if n >= 2)
+    assert rows[0][2] - rows[0][1] == 1
+    assert table.discrepancy_count == sum(exact != claimed for _, claimed, exact, _ in rows)
+    return rows
+
+
 @pytest.mark.parametrize("target, strategy, gamma, n_max", SMALL_PLANS)
 def test_count_table_matches_the_int_route(target, strategy, gamma, n_max):
-    # the decimal table, string by string, against the int closed forms
+    # the decimal table, string by string, against int references that share
+    # none of its code: the product of each factored F_n, orbits' Moebius
+    # inversion of those ints, and p**K - 1 (in claimed_vs_exact)
     plan = build_plan(target, strategy, n_max=n_max, gamma=gamma)
     table = count_table(plan)
+    fixed = CountSequence.fixed(f.value() for f in table.factored)
+    least = least_from_fixed(fixed)
     for n in range(1, n_max + 1):
-        f_n = fixed_count(plan, n)
-        assert str(table.factored[n - 1]) == str(f_n)
-        assert str(table.values[n - 1]) == str(f_n.value())
-        assert str(table.least[n - 1]) == str(least_count_exact(plan, n))
-        claimed = construction.EXACT_CONTEXT.subtract(table.blocks[n - 1], 1)
-        assert str(claimed) == str(least_count_claimed(plan, n))
-    report = claimed_vs_exact_report(plan, least_from_fixed(fixed_sequence(plan)))
-    assert table.discrepancy_count == report.discrepancy_count
+        exponents = Counter()
+        for d in divisors(n):
+            exponents[plan.components[d - 1].p] += plan.components[d - 1].K
+        expected = "*".join("%d^%d" % pair for pair in sorted(exponents.items()) if pair[1])
+        assert str(table.factored[n - 1]) == (expected or "1")
+        assert str(table.values[n - 1]) == str(fixed.values[n - 1])
+        assert str(table.least[n - 1]) == str(least.values[n - 1])
+    claimed_vs_exact(plan, table)
     # and the logs growth_diagnostics sums from the factors, against the ints' own
     by_factors = growth_diagnostics(table.factored, window_len=5)
-    by_values = growth_diagnostics(fixed_sequence(plan), window_len=5)
+    by_values = growth_diagnostics(fixed, window_len=5)
     for entry, entry_int in zip(by_factors.entries, by_values.entries):
         assert [entry[0]] + [x.decimal(38) for x in entry[1:]] == (
             [entry_int[0]] + [x.decimal(38) for x in entry_int[1:]]
@@ -104,7 +126,7 @@ def test_paper_plan_below_log2():
     # the first exponent flips to 0 because C < log 2
     plan = build_plan(GrowthTarget.finite(C_BELOW_LOG2), "paper", n_max=6)
     assert [c.K for c in plan.components] == [0, 1, 1, 1, 1, 2]
-    assert fixed_count(plan, 6).value() == 1029
+    assert count_table(plan).values[5] == 1029
 
 
 def test_compensated_plan():
@@ -116,9 +138,10 @@ def test_compensated_plan():
 def test_zero_plan():
     plan = build_plan(GrowthTarget.zero(), n_max=5)
     assert all(c.K == 0 for c in plan.components)
-    assert [fixed_count(plan, n).value() for n in range(1, 6)] == [1] * 5
-    assert least_count_exact(plan, 1) == 1
-    assert all(least_count_exact(plan, n) == 0 for n in range(2, 6))
+    table = count_table(plan)
+    assert list(table.values) == [1] * 5
+    assert table.least[0] == 1
+    assert all(exact == 0 for exact in table.least[1:])
 
 
 def test_infinite_plan():
@@ -144,70 +167,77 @@ def test_strategy_pairing_validation():
 
 def test_fixed_count_examples():
     plan = build_plan(GrowthTarget.finite(C_ABOVE_LOG2), "paper", n_max=6)
-    assert str(fixed_count(plan, 6)) == "2^1*3^1*7^3"
-    assert fixed_count(plan, 6).value() == 2058
-    assert fixed_count(plan, 5).value() == 22
-    assert fixed_count(plan, 2).value() == 6
+    table = count_table(plan)
+    assert str(table.factored[5]) == "2^1*3^1*7^3"
+    assert table.factored[5].value() == 2058
+    assert table.values[5] == 2058
+    assert table.values[4] == 22
+    assert table.values[1] == 6
 
 
 def test_least_count_examples():
     plan = build_plan(GrowthTarget.finite(C_ABOVE_LOG2), "paper", n_max=6)
-    assert least_count_exact(plan, 2) == 4
-    assert least_count_exact(plan, 6) == 2058 - 14 - 6 + 2
-    assert least_count_claimed(plan, 6) == 48
-    assert least_count_claimed(plan, 2) == 2
+    table = count_table(plan)
+    assert table.least[1] == 4
+    assert table.least[5] == 2058 - 14 - 6 + 2
+    assert table.blocks[5] - 1 == 48
+    assert table.blocks[1] - 1 == 2
 
 
 def test_horizon_guard():
     plan = build_plan(GrowthTarget.finite(C_ABOVE_LOG2), "paper", n_max=6)
-    with pytest.raises(ValueError):
-        fixed_count(plan, 7)
-    # but any n is fine against an explicit truncation
-    assert fixed_count(plan, 60, component_limit=6).value() > 0
+    with pytest.raises(ValueError, match="beyond plan horizon"):
+        count_table(plan, 7)
+    for n_max, limit in ((0, None), (0, 6), (6, 0), (6, 7)):
+        with pytest.raises(ValueError):
+            count_table(plan, n_max, limit)
+    # but any n is fine against an explicit truncation, whose later blocks are trivial
+    table = count_table(plan, 60, component_limit=6)
+    assert table.values[59] > 0
+    assert table.values[:6] == count_table(plan).values
+    assert set(table.blocks[6:]) == {1}
 
 
 def test_half_log_plan_claimed_equals_exact():
     plan = build_plan(GrowthTarget.finite(Fraction(1, 2)), "paper", n_max=4)
     assert [c.K for c in plan.components] == [0, 0, 0, 1]
-    assert least_count_claimed(plan, 4) == 4
-    assert least_count_exact(plan, 4) == 4
-    report = claimed_vs_exact_report(plan, least_from_fixed(fixed_sequence(plan, 4)))
-    assert report.lower_bound_ok and report.equality_matches_predicate
+    table = count_table(plan, 4)
+    assert table.blocks[3] - 1 == 4
+    assert table.least[3] == 4
+    claimed_vs_exact(plan, table)
 
 
 def test_claimed_vs_exact_report():
     plan = build_plan(GrowthTarget.finite(C_ABOVE_LOG2), "paper", n_max=6)
-    report = claimed_vs_exact_report(plan, least_from_fixed(fixed_sequence(plan)))
-    assert report.lower_bound_ok
-    assert report.equality_matches_predicate
-    row = report.rows[5]
-    assert (row.claimed, row.exact) == (48, 2040)
+    table = count_table(plan)
+    rows = claimed_vs_exact(plan, table)
+    assert rows[5][1:3] == (48, 2040)
     # n = 1 always differs by exactly one (the zero point)
-    assert report.rows[0].exact - report.rows[0].claimed == 1
+    assert rows[0][2] - rows[0][1] == 1
 
 
 def test_claimed_vs_exact_report_reads_inverted_counts():
     plan = build_plan(GrowthTarget.finite(Fraction(3, 2)), "compensated", n_max=24)
-    report = claimed_vs_exact_report(plan, least_from_fixed(fixed_sequence(plan)))
-    assert [r.exact for r in report.rows] == [least_count_exact(plan, n) for n in range(1, 25)]
-    with pytest.raises(ValueError):
-        claimed_vs_exact_report(plan, fixed_sequence(plan))
+    table = count_table(plan)
+    claimed_vs_exact(plan, table)
+    fixed = CountSequence.fixed(f.value() for f in table.factored)
+    assert table.least == least_from_fixed(fixed).values
 
 
 def test_zero_plan_claimed_vs_exact():
     plan = build_plan(GrowthTarget.zero(), n_max=4)
-    report = claimed_vs_exact_report(plan, least_from_fixed(fixed_sequence(plan, 4)))
-    assert report.rows[0].claimed == 0 and report.rows[0].exact == 1
-    assert all(r.claimed == 0 and r.exact == 0 for r in report.rows[1:])
+    rows = claimed_vs_exact(plan, count_table(plan, 4))
+    assert rows[0][1] == 0 and rows[0][2] == 1
+    assert all(claimed == 0 and exact == 0 for _, claimed, exact, _ in rows[1:])
 
 
 def test_oracle_matches_closed_forms():
     plan = build_plan(GrowthTarget.finite(C_ABOVE_LOG2), "paper", n_max=6)
     counts = enumerate_oracle(plan, 6, 60)
     assert counts.points == 113190
-    for n in range(1, 61):
-        assert counts.fixed.values[n - 1] == fixed_count(plan, n, component_limit=6).value()
-        assert counts.least.values[n - 1] == least_count_exact(plan, n, component_limit=6)
+    table = count_table(plan, 60, component_limit=6)
+    assert counts.fixed.values == table.values
+    assert counts.least.values == table.least
     # inversion consistency within the oracle itself
     assert least_from_fixed(counts.fixed).values == counts.least.values
     assert counts.fixed.values[5] == 2058 and counts.least.values[5] == 2040
@@ -267,9 +297,28 @@ def test_oracle_counts_eight_components():
     plan = build_plan(GrowthTarget.finite(1), "compensated", n_max=8)
     counts = enumerate_oracle(plan, 8, 24)
     assert counts.points == 7971810
-    for n in range(1, 25):
-        assert counts.fixed.values[n - 1] == fixed_count(plan, n, component_limit=8).value()
-        assert counts.least.values[n - 1] == least_count_exact(plan, n, component_limit=8)
+    table = count_table(plan, 24, component_limit=8)
+    assert counts.fixed.values == table.values
+    assert counts.least.values == table.least
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    strategy=st.sampled_from(("paper", "compensated")),
+    C=st.fractions(min_value=Fraction(1, 4), max_value=Fraction(11, 10), max_denominator=20),
+    N=st.integers(1, 8),
+    data=st.data(),
+)
+def test_count_table_matches_enumeration_at_every_truncation(strategy, C, N, data):
+    # enumeration never forms a product of blocks or a Moebius sum, so it is
+    # an oracle for the table at each truncation M and past the horizon
+    plan = build_plan(GrowthTarget.finite(C), strategy, n_max=N)
+    n_max = data.draw(st.integers(1, 3 * N), label="n_max")
+    for M in range(1, N + 1):
+        counts = enumerate_oracle(plan, M, n_max, max_points=10**30)
+        table = count_table(plan, n_max, M)
+        assert table.values == counts.fixed.values, M
+        assert table.least == counts.least.values, M
 
 
 @pytest.mark.parametrize("p, multiplier", [(7, 0), (6, 3)])
@@ -289,7 +338,7 @@ def test_oracle_sees_composite_modulus():
     bad = dataclasses.replace(plan.components[2], p=9, multiplier=4)
     plan = dataclasses.replace(plan, components=plan.components[:2] + (bad,) + plan.components[3:])
     counts = enumerate_oracle(plan, 3, 6)
-    closed = tuple(fixed_count(plan, n, component_limit=3).value() for n in range(1, 7))
+    closed = count_table(plan, 6, component_limit=3).values
     assert counts.fixed.values[0] == 6 and closed[0] == 2
     assert counts.fixed.values != closed
 
@@ -300,7 +349,7 @@ def test_deficit_report_compensated():
     assert report.ok
     assert not report.negative_budget
     # envelope: |(1/n) log F_n - C| < log(p_n)/n at certified n
-    diag = growth_diagnostics(fixed_sequence(plan))
+    diag = growth_diagnostics(count_table(plan).factored)
     for row in report.rows:
         if row.budget_nonnegative:
             n = row.n
@@ -423,17 +472,20 @@ def test_subexponential_plan():
     for c in plan.components:
         assert c.K == math.isqrt(c.n)
     # growth witness: log F_n >= floor(n**gamma) * log(n+1) for n with K_n > 0
+    table = count_table(plan)
     for n in range(1, 41):
         k = math.isqrt(n)
-        assert fixed_count(plan, n).value() >= (n + 1) ** k
+        assert table.values[n - 1] >= (n + 1) ** k
 
 
 def test_infinite_plan_rate_certificate():
     plan = build_plan(GrowthTarget.infinite(), n_max=6)
     for c in plan.components:
         assert c.p > c.n**c.n
+    table = count_table(plan)
     for n in range(1, 7):
-        value = fixed_count(plan, n).value()
+        value = table.factored[n - 1].value()
+        assert value == table.values[n - 1]
         assert value >= plan.components[n - 1].p
         assert value < math.inf
 
@@ -453,20 +505,20 @@ def test_orbit_size_divides_least_counts():
         build_plan(GrowthTarget.infinite(), n_max=8),
     )
     for plan in plans:
-        for n in range(1, plan.N + 1):
-            assert least_count_exact(plan, n) % n == 0
+        for n, exact in enumerate(count_table(plan).least, start=1):
+            assert int(exact) % n == 0
 
 
 def test_fixed_sequence_and_sigma_target():
     plan = build_plan(GrowthTarget.finite(C_ABOVE_LOG2), "paper", n_max=6)
-    seq = fixed_sequence(plan)
-    assert seq.values == tuple(fixed_count(plan, n).value() for n in range(1, 7))
+    table = count_table(plan)
+    assert table.values == tuple(f.value() for f in table.factored)
     assert sigma_rate_target(plan, 6) == C_ABOVE_LOG2 * sum(divisors(6)) / 6
 
 
 def test_rate_at_six_exceeds_target():
     plan = build_plan(GrowthTarget.finite(C_ABOVE_LOG2), "paper", n_max=6)
-    rate = mpf_of(growth_diagnostics(fixed_sequence(plan)).rate(6))
+    rate = mpf_of(growth_diagnostics(count_table(plan).factored).rate(6))
     assert abs(rate - mp.mpf("1.2715816527323325")) < 1e-12
 
 

@@ -20,7 +20,7 @@ def unused_imports(source):
 
 
 def unread_definitions(definitions, readers):
-    """(file, line, name) of each function, method or property of
+    """(file, line, name) of each function, method, property or class of
     `definitions` (a dict of file name to source) that no source of `readers`
     reads by name or attribute.  Dunders are called by the language itself,
     so they are exempt."""
@@ -35,7 +35,7 @@ def unread_definitions(definitions, readers):
         (name, node.lineno, node.name)
         for name, source in definitions.items()
         for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.FunctionDef)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and not (node.name.startswith("__") and node.name.endswith("__"))
         and node.name not in read
     )
@@ -143,12 +143,14 @@ def test_unread_definitions_detector():
         "    @property\n    def used(self):\n        return 1\n\n"
         "    @property\n    def dead_property(self):\n        return 2\n\n"
         "    def dead_method(self):\n        return self.used\n\n"
-        "def tested():\n    def helper():\n        pass\n    return helper\n",
+        "def tested():\n    def helper():\n        pass\n    return helper\n\n"
+        "class DeadRow:\n    n: int\n",
     }
-    readers = dict(definitions, **{"test_m.py": "from m import tested\n\ntested()\n"})
+    readers = dict(definitions, **{"test_m.py": "from m import A, tested\n\nA()\ntested()\n"})
     assert unread_definitions(definitions, readers) == [
         ("m.py", 10, "dead_property"),
         ("m.py", 13, "dead_method"),
+        ("m.py", 21, "DeadRow"),
     ]
 
 
