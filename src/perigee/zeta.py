@@ -10,12 +10,14 @@ prod over n of (1 - z^n)^(-L_n/n), with nonnegative integer coefficients.
 A minimal-linear-recurrence search over the coefficients probes whether the
 truncation c_0..c_M is consistent with a rational function.  The verdict
 "no-low-order-recurrence" is a proof that no linear recurrence of length
-<= M//2 - 1 fits c_0..c_M, certified by a rank computation modulo a prime;
-"consistent-with-rational" is only ever "consistent with".  Both verdicts are
-statements about the truncation, never about the full series.
+<= M//2 - 1 fits c_0..c_M, certified modulo a prime by the linear complexity
+profile of one Berlekamp-Massey run; "consistent-with-rational" is only ever
+"consistent with".  Both verdicts are statements about the truncation, never
+about the full series.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,7 +31,8 @@ from .orbits import (
 VERDICT_RATIONAL = "consistent-with-rational"
 VERDICT_NO_RECURRENCE = "no-low-order-recurrence"
 
-# The Mersenne prime 2**61 - 1: the rank check's field of residues.
+# The Mersenne prime 2**61 - 1: the field of residues in which one
+# Berlekamp-Massey profile certifies the window matrix's full rank.
 RANK_PRIME = 2**61 - 1
 
 
@@ -49,12 +52,18 @@ class ZetaSeries:
         return len(self.coefficients) - 1
 
 
-def zeta_truncate(F, order):
-    """Coefficients through z**order via the exact exponential recurrence."""
+def _check_order(F, order, what):
     if F.kind != KIND_FIXED:
-        raise ValueError("zeta series needs a fixed-count sequence")
+        raise ValueError("%s needs a fixed-count sequence" % what)
+    if order < 0:
+        raise ValueError("truncation order must be nonnegative")
     if order > F.N:
         raise ValueError("truncation order %d beyond horizon %d" % (order, F.N))
+
+
+def zeta_truncate(F, order):
+    """Coefficients through z**order via the exact exponential recurrence."""
+    _check_order(F, order, "zeta series")
     # a_m = m! * c_m is an integer:
     # a_m = sum over k of F_k * ((m-1)!/(m-k)!) * a_{m-k}, summed by Horner.
     values = F.values
@@ -105,10 +114,7 @@ def orbit_product_form(F, order):
     L_n/n are then nonnegative integers and so are all series coefficients.
     Must agree with zeta_truncate coefficient by coefficient.
     """
-    if F.kind != KIND_FIXED:
-        raise ValueError("orbit product needs a fixed-count sequence")
-    if order > F.N:
-        raise ValueError("truncation order %d beyond horizon %d" % (order, F.N))
+    _check_order(F, order, "orbit product")
     L = least_from_fixed(F)
     series = [1] + [0] * order
     for n in range(1, order + 1):
@@ -131,48 +137,42 @@ def orbit_product_form(F, order):
 # --- rationality probe ----------------------------------------------------------
 
 
+def _lfsr(seq, inverse, reduce):
+    """Berlekamp-Massey (Massey 1969) over a field given by inverse and reduce.
+
+    Returns (L, C, profile): the minimal LFSR length L of seq, its connection
+    polynomial C = (1, c_1, ..) with deg C <= L, and the linear complexity
+    profile, profile[i] = the minimal length for the prefix s_0..s_i.
+    """
+    C, B = [1], [1]
+    L, m, b = 0, 1, 1
+    profile = []
+    for i in range(len(seq)):
+        past = seq[i + 1 - len(C) : i]
+        d = reduce(sum(map(operator.mul, C[1:], reversed(past)), seq[i]))
+        if d:
+            coef = reduce(d * inverse(b))
+            T = C
+            C = C + [0] * (m + len(B) - len(C))
+            for j, x in enumerate(B, start=m):
+                C[j] = reduce(C[j] - coef * x)
+            if 2 * L <= i:
+                L, B, b, m = i + 1 - L, T, d, 0
+        m += 1
+        profile.append(L)
+    while len(C) > 1 and C[-1] == 0:
+        C.pop()
+    return L, tuple(C), profile
+
+
 def berlekamp_massey(sequence):
     """Minimal LFSR over the rationals.
 
     Returns (L, C) where C = (1, c_1, ..) is the connection polynomial:
     sum over j of C_j * s_{i-j} = 0 for every i in [L, len(sequence)).
     """
-    seq = [Fraction(s) for s in sequence]
-    C = [Fraction(1)]
-    B = [Fraction(1)]
-    L = 0
-    m = 1
-    b = Fraction(1)
-    for i, s_i in enumerate(seq):
-        d = s_i
-        for j in range(1, len(C)):
-            if j > i:
-                break
-            d += C[j] * seq[i - j]
-        if d == 0:
-            m += 1
-            continue
-        coef = d / b
-        shifted = [Fraction(0)] * m + [coef * x for x in B]
-        if 2 * L <= i:
-            old_c = C[:]
-            if len(shifted) > len(C):
-                C = C + [Fraction(0)] * (len(shifted) - len(C))
-            for j, x in enumerate(shifted):
-                C[j] -= x
-            B = old_c
-            L = i + 1 - L
-            b = d
-            m = 1
-        else:
-            if len(shifted) > len(C):
-                C = C + [Fraction(0)] * (len(shifted) - len(C))
-            for j, x in enumerate(shifted):
-                C[j] -= x
-            m += 1
-    while len(C) > 1 and C[-1] == 0:
-        C.pop()
-    return L, tuple(C)
+    L, C, _ = _lfsr([Fraction(s) for s in sequence], lambda x: 1 / Fraction(x), lambda x: x)
+    return L, tuple(map(Fraction, C))
 
 
 @dataclass(frozen=True)
@@ -180,9 +180,10 @@ class ProbeVerdict:
     """Outcome of rationality_probe.
 
     recurrence_length is the minimal recurrence length L found by
-    Berlekamp-Massey, except for a no-low-order-recurrence verdict certified
-    by the rank check, where it is the lower bound M//2 (every recurrence
-    that fits the truncation is at least that long) and BM never runs.
+    Berlekamp-Massey over Q, except for a no-low-order-recurrence verdict
+    certified by the rank check, where it is the lower bound M//2 (every
+    recurrence that fits the truncation is at least that long) and
+    Berlekamp-Massey runs only modulo RANK_PRIME.
     """
 
     verdict: str
@@ -199,27 +200,25 @@ class ProbeVerdict:
 
 
 def _normalize_pair(num, den):
-    """Scale numerator and denominator together to primitive integers, den(0) > 0."""
-    scale = 1
-    for c in list(num) + list(den):
-        scale = scale * c.denominator // math.gcd(scale, c.denominator)
-    n_int = [int(c * scale) for c in num]
-    d_int = [int(c * scale) for c in den]
-    g = 0
-    for c in n_int + d_int:
-        g = math.gcd(g, abs(c))
-    if g > 1:
-        n_int = [c // g for c in n_int]
-        d_int = [c // g for c in d_int]
-    if d_int[0] < 0:
-        n_int = [-c for c in n_int]
-        d_int = [-c for c in d_int]
-    return tuple(n_int), tuple(d_int)
+    """Scale numerator and denominator together to primitive integers; den(0) keeps its sign."""
+    terms = [*num, *den]
+    scale = math.lcm(*(c.denominator for c in terms))
+    ints = [int(c * scale) for c in terms]
+    g = math.gcd(*ints)
+    ints = [c // g for c in ints]
+    return tuple(ints[: len(num)]), tuple(ints[len(num) :])
 
 
 def _window_has_full_rank(seq, cap):
-    """Whether the window matrix [s_{i-j}], i = cap..M, j = 0..cap, has full
-    column rank modulo RANK_PRIME, by Gaussian elimination on residues.
+    """Whether the window matrix W = [s_{i-j}], i = cap..M, j = 0..cap, has
+    full column rank modulo RANK_PRIME, read off one Berlekamp-Massey profile.
+
+    Lemma.  A nonzero kernel vector v of W factors uniquely as v = x^k * u with
+    u(0) != 0 and deg u <= cap - k, and v is in the kernel exactly when u / u(0)
+    is a recurrence of length cap - k for the prefix s_0..s_{M-k}.  So W has
+    full column rank iff LC(s_0..s_{M-k}) > cap - k for every k = 0..cap, where
+    LC is the linear complexity, and one pass of _lfsr gives it for every
+    prefix (Jonckheere and Ma 1989 give the Hankel reading of the profile).
 
     Reduction mod a prime is a ring homomorphism on the rationals whose
     denominators it does not divide, so full rank mod RANK_PRIME implies full
@@ -227,26 +226,13 @@ def _window_has_full_rank(seq, cap):
     prime, or RANK_PRIME divides a denominator (impossible for zeta
     coefficients with M < RANK_PRIME, whose denominators divide M!).
     """
-    residues = []
-    for c in seq:
-        den = c.denominator % RANK_PRIME
-        if den == 0:
-            return False
-        residues.append(c.numerator * pow(den, -1, RANK_PRIME) % RANK_PRIME)
-    rows = [[residues[i - j] for j in range(cap + 1)] for i in range(cap, len(seq))]
-    # Eliminate column by column, dropping each pivot row and finished column.
-    for _ in range(cap + 1):
-        pivot = next((row for row in rows if row[0]), None)
-        if pivot is None:
-            return False
-        rows.remove(pivot)
-        inv = pow(pivot[0], -1, RANK_PRIME)
-        tail = [x * inv % RANK_PRIME for x in pivot[1:]]
-        rows = [
-            [(x - row[0] * y) % RANK_PRIME for x, y in zip(row[1:], tail)] if row[0] else row[1:]
-            for row in rows
-        ]
-    return True
+    try:
+        residues = [c.numerator * pow(c.denominator, -1, RANK_PRIME) % RANK_PRIME for c in seq]
+    except ValueError:  # RANK_PRIME divides a denominator
+        return False
+    _, _, profile = _lfsr(residues, lambda x: pow(x, -1, RANK_PRIME), lambda x: x % RANK_PRIME)
+    # profile[-1 - k] is LC(s_0..s_{M-k})
+    return all(profile[-1 - k] > cap - k for k in range(cap + 1))
 
 
 def rationality_probe(S):
@@ -257,28 +243,27 @@ def rationality_probe(S):
     kernel vector of the window matrix [c_{i-j}] (i = cap..M, j = 0..cap).
     So when that matrix has full column rank mod RANK_PRIME the verdict
     no-low-order-recurrence is proven, with recurrence_length = cap + 1 as a
-    lower bound.  Otherwise Berlekamp-Massey finds the minimal recurrence: if
-    it has length L <= cap it leaves at least L + 1 verification terms beyond
-    the fitting window, and the candidate rational function is denominator =
-    connection polynomial, numerator = (denominator * series) truncated,
-    which must have no terms past the recurrence window.  The verdict is
-    inherently about the finite truncation: it never asserts anything about
-    the full series.
+    lower bound.  Otherwise Berlekamp-Massey over Q finds the minimal
+    recurrence: if it has length L <= cap it leaves at least L + 1
+    verification terms beyond the fitting window, and the candidate rational
+    function is denominator = connection polynomial, numerator = (denominator
+    * series) truncated, which must have no terms past the recurrence window.
+    The verdict is inherently about the finite truncation: it never asserts
+    anything about the full series.
     """
     if S.M < 8:
         raise ValueError("probe needs at least 8 coefficients beyond c_0")
     cap = S.M // 2 - 1
     if _window_has_full_rank(S.coefficients, cap):
         return ProbeVerdict(VERDICT_NO_RECURRENCE, None, None, cap + 1)
-    seq = list(S.coefficients)
-    L, C = berlekamp_massey(seq)
+    L, C = berlekamp_massey(S.coefficients)
     if L > cap:
         return ProbeVerdict(VERDICT_NO_RECURRENCE, None, None, L)
-    product = _mul_trunc(list(C), seq, S.M)
-    if any(product[m] != 0 for m in range(L, S.M + 1)):
+    product = _mul_trunc(C, S.coefficients, S.M)
+    if any(product[L:]):
         return ProbeVerdict(VERDICT_NO_RECURRENCE, None, None, L)
-    numerator = product[:L] if L > 0 else product[:1]
+    numerator = product[: max(L, 1)]
     while len(numerator) > 1 and numerator[-1] == 0:
         numerator.pop()
-    num, den = _normalize_pair(numerator, list(C))
+    num, den = _normalize_pair(numerator, C)
     return ProbeVerdict(VERDICT_RATIONAL, num, den, L)

@@ -389,6 +389,14 @@ def test_zeta_missing_input_is_a_config_error(capsys, tmp_path):
     assert code == 2 and "missing.csv" in err
 
 
+def test_zeta_rejects_a_negative_order(capsys, tmp_path):
+    seq = tmp_path / "seq.csv"
+    seq.write_text("n,value\n" + "".join("%d,1\n" % n for n in range(1, 13)))
+    code, out, err = run(capsys, "zeta", "--sequence", str(seq), "--max-m", "-3")
+    assert code == 2 and out == ""
+    assert err == "error: truncation order must be nonnegative\n"
+
+
 def test_analyze_command(capsys, tmp_path):
     seq = tmp_path / "seq.csv"
     rows = ["n,value"] + ["%d,%d" % (n, 2**n - 1) for n in range(1, 21)]
@@ -564,6 +572,38 @@ def test_oracle_stdout_is_pinned(capsys, tmp_path):
         )
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, fmt
+
+
+def test_zeta_stdout_is_pinned(capsys, tmp_path):
+    # stdout as the probe printed it when Gaussian elimination decided the
+    # certificate: a certified series (the compensated C = 1 counts at the
+    # default --max-m) and one that Berlekamp-Massey finds rational (Lucas).
+    golden = {
+        ("compensated", "csv"):
+        "3eb5ac772981d0f715b92375ddb5d3da922aed3ff4a67b83e13912480bab2352",
+        ("compensated", "json"):
+        "d3d4881039e79e99feb168c218c8e147d802eb5eddbefe08f49ba7a4bcd5d297",
+        ("lucas", "csv"):
+        "b1cd4c5239dbc5dee4e952d8e7bd9564383d1af29d377e6c733018b34104a32c",
+        ("lucas", "json"):
+        "54c411da2561b2e340fc85269ca597956305ff4f94b39a6f45213a8b75bde189",
+    }
+    compensated, lucas = tmp_path / "compensated.csv", tmp_path / "lucas.csv"
+    code, _, _ = run(
+        capsys,
+        "construct", "--C", "1", "--strategy", "compensated", "--max-n", "256",
+        "--sequence-out", str(compensated),
+    )
+    assert code == 0
+    values = [1, 3]
+    while len(values) < 40:
+        values.append(values[-1] + values[-2])
+    lucas.write_text("n,value\n" + "".join("%d,%d\n" % (n, v) for n, v in enumerate(values, 1)))
+    for (name, fmt), digest in golden.items():
+        path = compensated if name == "compensated" else lucas
+        code, out, _ = run(capsys, "zeta", "--sequence", str(path), "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, (name, fmt)
 
 
 def refuse(*args, **kwargs):

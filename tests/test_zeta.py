@@ -52,6 +52,9 @@ def test_truncate_validation():
         zeta_truncate(CountSequence.least([1, 2]), 2)
     with pytest.raises(ValueError):
         zeta_truncate(doubling_sequence(4), 9)
+    for truncate in (zeta_truncate, orbit_product_form):
+        with pytest.raises(ValueError, match="truncation order must be nonnegative"):
+            truncate(doubling_sequence(4), -3)
 
 
 def test_recurrence_invariant():
@@ -250,16 +253,37 @@ def test_probe_matches_bm_on_random_series(coefficients):
     assert_probe_matches_bm(coefficients)
 
 
+def count_core_runs(monkeypatch):
+    """Record the field of every Berlekamp-Massey core run: "mod" or "Q"."""
+    runs = []
+    core = zeta._lfsr
+
+    def counting(seq, inverse, reduce):
+        runs.append("mod" if reduce(RANK_PRIME) == 0 else "Q")
+        return core(seq, inverse, reduce)
+
+    monkeypatch.setattr(zeta, "_lfsr", counting)
+    return runs
+
+
 def test_probe_certifies_without_berlekamp_massey(monkeypatch):
     def refuse(sequence):
         raise AssertionError("the rank check should decide this series")
 
     monkeypatch.setattr(zeta, "berlekamp_massey", refuse)
+    runs = count_core_runs(monkeypatch)
     rng = random.Random(5)
     least = CountSequence.least([n * rng.randint(0, 9) for n in range(1, 65)])
     verdict = rationality_probe(zeta_truncate(fixed_from_least(least), 64))
     assert verdict.verdict == VERDICT_NO_RECURRENCE
     assert verdict.recurrence_length == 32
+    assert runs == ["mod"]
+    # a rational series is not certified, and falls back to one run over Q
+    monkeypatch.setattr(zeta, "berlekamp_massey", berlekamp_massey)
+    runs.clear()
+    verdict = rationality_probe(zeta_truncate(doubling_sequence(32), 32))
+    assert verdict.verdict == VERDICT_RATIONAL
+    assert runs == ["mod", "Q"]
 
 
 @pytest.mark.parametrize(
@@ -279,9 +303,127 @@ def test_probe_falls_back_when_the_prime_divides_a_denominator(coefficients, mon
         return berlekamp_massey(sequence)
 
     monkeypatch.setattr(zeta, "berlekamp_massey", counting)
+    runs = count_core_runs(monkeypatch)
     verdict = rationality_probe(ZetaSeries(coefficients=tuple(coefficients)))
     assert calls == [len(coefficients)]
+    assert runs == ["Q"]
     monkeypatch.undo()
     want, num, den, length = bm_only_probe(coefficients)
     assert (verdict.verdict, verdict.numerator, verdict.denominator) == (want, num, den)
     assert verdict.recurrence_length == length
+
+
+# The reference for _window_has_full_rank: cubic Gaussian elimination.
+def eliminated_full_rank(seq, cap):
+    """Whether the window matrix [s_{i-j}], i = cap..M, j = 0..cap, has full
+    column rank modulo RANK_PRIME, by Gaussian elimination on residues.
+
+    Reduction mod a prime is a ring homomorphism on the rationals whose
+    denominators it does not divide, so full rank mod RANK_PRIME implies full
+    rank over Q.  False means "not certified": the rank is deficient mod the
+    prime, or RANK_PRIME divides a denominator (impossible for zeta
+    coefficients with M < RANK_PRIME, whose denominators divide M!).
+    """
+    residues = []
+    for c in seq:
+        den = c.denominator % RANK_PRIME
+        if den == 0:
+            return False
+        residues.append(c.numerator * pow(den, -1, RANK_PRIME) % RANK_PRIME)
+    rows = [[residues[i - j] for j in range(cap + 1)] for i in range(cap, len(seq))]
+    # Eliminate column by column, dropping each pivot row and finished column.
+    for _ in range(cap + 1):
+        pivot = next((row for row in rows if row[0]), None)
+        if pivot is None:
+            return False
+        rows.remove(pivot)
+        inv = pow(pivot[0], -1, RANK_PRIME)
+        tail = [x * inv % RANK_PRIME for x in pivot[1:]]
+        rows = [
+            [(x - row[0] * y) % RANK_PRIME for x, y in zip(row[1:], tail)] if row[0] else row[1:]
+            for row in rows
+        ]
+    return True
+
+
+window_length = st.integers(min_value=8, max_value=48)
+
+
+@st.composite
+def fraction_window(draw):
+    M = draw(window_length)
+    return [Fraction(1)] + draw(st.lists(small_fractions, min_size=M, max_size=M))
+
+
+@st.composite
+def sparse_window(draw):
+    M = draw(window_length)
+    terms = draw(st.lists(st.sampled_from([0, 1, -1, 2]), min_size=M + 1, max_size=M + 1))
+    return [Fraction(c) for c in terms]
+
+
+@st.composite
+def rational_window(draw, perturb=False):
+    M = draw(window_length)
+    order = draw(st.integers(min_value=0, max_value=M))
+    den = [1] + draw(
+        st.lists(st.integers(min_value=-3, max_value=3), min_size=order, max_size=order)
+    )
+    num = draw(st.lists(small_fractions, min_size=1, max_size=order + 1))
+    seq = [Fraction(c) for c in series_of(num, den, M)]
+    if perturb:
+        seq[draw(st.integers(min_value=0, max_value=M))] += draw(small_fractions.filter(bool))
+    return seq
+
+
+@st.composite
+def zeta_window(draw):
+    M = draw(window_length)
+    counts = draw(st.lists(st.integers(min_value=-3, max_value=9), min_size=M, max_size=M))
+    return list(zeta_truncate(CountSequence.fixed(counts), M).coefficients)
+
+
+@st.composite
+def mostly_zero_window(draw):
+    M = draw(window_length)
+    seq = [Fraction(0)] * (M + 1)
+    for m in draw(st.lists(st.integers(min_value=0, max_value=M), min_size=1, max_size=4)):
+        seq[m] = draw(small_fractions)
+    return seq
+
+
+@st.composite
+def colliding_window(draw):
+    # c + k * RANK_PRIME and c have the same residue but differ over Q
+    seq = draw(rational_window())
+    lifts = draw(
+        st.lists(st.integers(min_value=-2, max_value=2), min_size=len(seq), max_size=len(seq))
+    )
+    return [c + k * RANK_PRIME for c, k in zip(seq, lifts)]
+
+
+@st.composite
+def prime_denominator_window(draw):
+    seq = draw(fraction_window())
+    seq[draw(st.integers(min_value=0, max_value=len(seq) - 1))] = Fraction(1, RANK_PRIME)
+    return seq
+
+
+@given(
+    st.one_of(
+        fraction_window(),
+        sparse_window(),
+        rational_window(),
+        rational_window(perturb=True),
+        zeta_window(),
+        mostly_zero_window(),
+        colliding_window(),
+        prime_denominator_window(),
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_profile_decides_rank_as_elimination_does(seq):
+    # the profile test is an iff, so it agrees with elimination at every cap
+    M = len(seq) - 1
+    for cap in range(M // 2 + 1):
+        assert zeta._window_has_full_rank(seq, cap) == eliminated_full_rank(seq, cap), cap
