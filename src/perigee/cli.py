@@ -31,6 +31,7 @@ from . import construction, numtheory, orbits, toral, zeta
 from .numtheory import BudgetError
 from .precision import (
     DEFAULT_PRECISION_BITS,
+    MAX_DECISION_BITS,
     PrecisionError,
     decimal_from_floors,
     digits_for_bits,
@@ -438,8 +439,12 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if "precision_bits" in args and args.precision_bits < 8:
-            raise ValueError("--precision-bits must be at least 8")
+        if "precision_bits" in args and not 8 <= args.precision_bits <= MAX_DECISION_BITS:
+            raise ValueError(
+                "--precision-bits must be at least 8 and at most %d" % MAX_DECISION_BITS
+            )
+        if (getattr(args, "max_n", None) or 0) > sys.maxsize:
+            raise ValueError("--max-n must be at most %d" % sys.maxsize)
         with unlimited_int_digits():
             return args.func(args, sys.stdout)
     except (BudgetError, MemoryError) as exc:

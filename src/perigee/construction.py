@@ -36,8 +36,8 @@ import decimal
 import itertools
 import json
 import math
+import re
 from collections import Counter, namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .numtheory import (
@@ -77,25 +77,19 @@ EXACT_CONTEXT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, tr
     decimal.InvalidOperation, decimal.Overflow, decimal.Inexact, decimal.Rounded])
 
 
-@dataclass(frozen=True)
-class ComponentSpec:
+class ComponentSpec(namedtuple("ComponentSpec", "n p K multiplier")):
     """One finite component: the map x -> multiplier * x on (Z/p)^K."""
 
-    n: int
-    p: int
-    K: int
-    multiplier: int
+    __slots__ = ()
 
     def group_order(self):
         return self.p**self.K
 
 
-@dataclass(frozen=True)
-class ConstructionPlan:
-    target: GrowthTarget
-    strategy: str
-    components: tuple[ComponentSpec, ...]
-    gamma: Fraction | None = None
+class ConstructionPlan(
+    namedtuple("ConstructionPlan", "target strategy components gamma", defaults=(None,))
+):
+    __slots__ = ()
 
     @property
     def N(self):
@@ -271,11 +265,7 @@ def sigma_rate_target(plan, n):
 # --- enumeration oracle -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OracleCounts:
-    fixed: CountSequence
-    least: CountSequence
-    points: int
+OracleCounts = namedtuple("OracleCounts", "fixed least points")
 
 
 def _point_period(multiplier, p, vector):
@@ -338,18 +328,11 @@ def enumerate_oracle(plan, component_limit, n_max, max_points=DEFAULT_ENUMERATIO
 # --- compensated-strategy deficit certification --------------------------------
 
 
-@dataclass(frozen=True)
-class DeficitRow:
-    n: int
-    budget_nonnegative: bool
-    verified: bool
+DeficitRow = namedtuple("DeficitRow", "n budget_nonnegative verified")
 
 
-@dataclass(frozen=True)
-class DeficitReport:
-    rows: tuple[DeficitRow, ...]
-    negative_budget: tuple[int, ...]
-    unverified: tuple[int, ...]
+class DeficitReport(namedtuple("DeficitReport", "rows negative_budget unverified")):
+    __slots__ = ()
 
     @property
     def ok(self):
@@ -427,25 +410,42 @@ def plan_to_json(plan):
     return obj
 
 
+_JSON_NAMES = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _shaped(value, kind, what):
+    """value, if it has the JSON shape (dict, list or str) plan_to_json writes."""
+    if not isinstance(value, kind):
+        raise ValueError("plan %s must be %s" % (what, _JSON_NAMES[kind]))
+    return value
+
+
+def _decimal_int(text, what):
+    """int of an integer field, which plan_to_json writes as a decimal string."""
+    if not (isinstance(text, str) and re.fullmatch(r"-?[0-9]+", text)):
+        raise ValueError("plan %s must be a decimal string, not %r" % (what, text))
+    return int(text)
+
+
 @unlimited_int_digits()
 def plan_from_json(obj):
-    """Inverse of plan_to_json; a component's legacy "g" field is ignored."""
-    target = GrowthTarget.from_json(obj["target"])
+    """Inverse of plan_to_json, accepting only the shapes it writes (every
+    integer a decimal string); a component's legacy "g" field is ignored."""
+    _shaped(obj, dict, "file")
+    target = GrowthTarget.from_json(_shaped(obj["target"], dict, "target"))
     strategy = obj["strategy"]
-    gamma = Fraction(obj["gamma"]) if "gamma" in obj else None
+    if strategy not in _STRATEGIES[target.kind]:
+        raise ValueError("plan strategy %r does not fit a %s target" % (strategy, target.kind))
+    gamma = Fraction(_shaped(obj["gamma"], str, "gamma")) if "gamma" in obj else None
     components = []
-    for raw in obj["components"]:
+    for raw in _shaped(obj["components"], list, "components"):
+        _shaped(raw, dict, "component")
         components.append(
-            ComponentSpec(
-                n=int(raw["n"]),
-                p=int(raw["p"]),
-                K=int(raw["K"]),
-                multiplier=int(raw["multiplier"]),
-            )
+            ComponentSpec(*(_decimal_int(raw[key], key) for key in ComponentSpec._fields))
         )
     if [c.n for c in components] != list(range(1, len(components) + 1)):
         raise ValueError("components must cover n = 1..N in order")
-    if int(obj["N"]) != len(components):
+    if _decimal_int(obj["N"], "N") != len(components):
         raise ValueError("N disagrees with the component list")
     return ConstructionPlan(
         target=target, strategy=strategy, components=tuple(components), gamma=gamma

@@ -12,7 +12,8 @@ instead of hanging.
 
 import math
 import random
-from dataclasses import dataclass
+import sys
+from collections import namedtuple
 from functools import lru_cache
 
 # Least prime p ≡ 1 (mod n) satisfies p <= B * n**5.5 for an effective but
@@ -42,11 +43,10 @@ class BudgetError(RuntimeError):
     """A search budget or the trial-division bound was exhausted."""
 
 
-@dataclass(frozen=True)
-class FactoredNatural:
+class FactoredNatural(namedtuple("FactoredNatural", "factors")):
     """A positive integer carried as a sorted tuple of (prime, exponent)."""
 
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
     @classmethod
     def from_pairs(cls, pairs):
@@ -97,15 +97,23 @@ _STRONG_BASES = (
 )
 
 
-def _product_of_primes_below(bound):
-    out = 1
-    for m in range(2, bound):
-        if all(m % q for q in range(2, math.isqrt(m) + 1)):
-            out *= m
-    return out
+def _prime_sieve(bound):
+    """Sieve of Eratosthenes: a bytearray s with s[m] = 1 exactly for the primes m <= bound."""
+    if bound >= sys.maxsize:
+        raise BudgetError("a sieve up to %d does not fit in memory" % bound)
+    sieve = bytearray([1]) * (bound + 1)
+    sieve[0] = sieve[1] = 0
+    # Slices of one zero buffer: a fresh buffer per q leaves about 0.4 MB
+    # of freed heap resident for least_primes_congruent_one(20000), which
+    # raises peak RSS.
+    zeros = memoryview(bytes(len(range(4, bound + 1, 2))))
+    for q in range(2, math.isqrt(bound) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = zeros[: len(range(q * q, bound + 1, q))]
+    return sieve
 
 
-_SMALL_PRIME_PRODUCT = _product_of_primes_below(1000)
+_SMALL_PRIME_PRODUCT = math.prod(m for m, prime in enumerate(_prime_sieve(999)) if prime)
 
 
 def _strong_probable_prime(n, base, d, r):
@@ -256,14 +264,7 @@ def least_primes_congruent_one(n_max):
     if n_max < 1:
         raise ValueError("n_max must be positive")
     bound = SIEVE_FACTOR * n_max + 1
-    sieve = bytearray([1]) * (bound + 1)
-    sieve[0] = sieve[1] = 0
-    # Slices of one zero buffer: a fresh buffer per q leaves about 0.4 MB
-    # of freed heap resident at n_max = 20000, which raises peak RSS.
-    zeros = memoryview(bytes(len(range(4, bound + 1, 2))))
-    for q in range(2, math.isqrt(bound) + 1):
-        if sieve[q]:
-            sieve[q * q :: q] = zeros[: len(range(q * q, bound + 1, q))]
+    sieve = _prime_sieve(bound)
     primes = []
     for n in range(1, n_max + 1):
         p = next((c for c in range(n + 1, bound + 1, n) if sieve[c]), None)

@@ -13,7 +13,7 @@ at finite horizon.
 """
 
 import csv
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .numtheory import divisors, mobius
 from .precision import DEFAULT_PRECISION_BITS, LogReal, unlimited_int_digits
@@ -30,8 +30,7 @@ class RealizabilityError(ValueError):
         self.n = n
 
 
-@dataclass(frozen=True)
-class CountSequence:
+class CountSequence(namedtuple("CountSequence", "kind values")):
     """A finite prefix of an integer sequence indexed from n = 1.
 
     kind is "fixed" (period counts) or "least" (least-period counts).
@@ -40,14 +39,17 @@ class CountSequence:
     is enforced here.
     """
 
-    kind: str
-    values: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in (KIND_FIXED, KIND_LEAST):
+    def __new__(cls, kind, values):
+        if kind not in (KIND_FIXED, KIND_LEAST):
             raise ValueError("kind must be 'fixed' or 'least'")
-        if not all(isinstance(v, int) for v in self.values):
+        if not all(isinstance(v, int) for v in values):
             raise ValueError("values must be exact integers")
+        return super().__new__(cls, kind, values)
+
+    # _replace builds through _make, which would skip __new__'s checks
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @classmethod
     def fixed(cls, values):
@@ -89,22 +91,15 @@ def least_from_fixed(F):
     return CountSequence(KIND_LEAST, tuple(out))
 
 
-@dataclass(frozen=True)
-class RealizabilityRow:
-    n: int
-    least: int
-    nonnegative: bool
-    divisible: bool
+class RealizabilityRow(namedtuple("RealizabilityRow", "n least nonnegative divisible")):
+    __slots__ = ()
 
     @property
     def ok(self):
         return self.nonnegative and self.divisible
 
 
-@dataclass(frozen=True)
-class RealizabilityReport:
-    rows: tuple[RealizabilityRow, ...]
-    ok: bool
+RealizabilityReport = namedtuple("RealizabilityReport", "rows ok")
 
 
 def realizability_check(F):
@@ -122,8 +117,9 @@ def realizability_check(F):
     return RealizabilityReport(rows=rows, ok=all(r.ok for r in rows))
 
 
-@dataclass(frozen=True)
-class GrowthDiagnostics:
+class GrowthDiagnostics(
+    namedtuple("GrowthDiagnostics", "entries skipped window_len window_inf window_sup")
+):
     """Per-n logarithmic rates of a count sequence, with a trailing window.
 
     entries holds (n, log value, log value / n) for every n with a positive
@@ -133,11 +129,7 @@ class GrowthDiagnostics:
     number of entries.
     """
 
-    entries: tuple[tuple[int, LogReal, LogReal], ...]
-    skipped: tuple[int, ...]
-    window_len: int
-    window_inf: LogReal
-    window_sup: LogReal
+    __slots__ = ()
 
     def rate(self, n):
         for m, _, r in self.entries:
@@ -182,18 +174,12 @@ def growth_diagnostics(S, window_len=10, precision_bits=DEFAULT_PRECISION_BITS):
     )
 
 
-@dataclass(frozen=True)
-class SandwichViolation:
-    r: int
-    inequality: str  # "upper" (L_r <= F_r) or "lower" (L_r >= F_r - sum of proper F_d)
-    least: int
-    bound: int
+# inequality is "upper" (L_r <= F_r) or "lower" (L_r >= F_r - sum of proper F_d)
+SandwichViolation = namedtuple("SandwichViolation", "r inequality least bound")
 
 
-@dataclass(frozen=True)
-class SandwichReport:
-    checked_n: int
-    violations: tuple[SandwichViolation, ...]
+class SandwichReport(namedtuple("SandwichReport", "checked_n violations")):
+    __slots__ = ()
 
     @property
     def ok(self):

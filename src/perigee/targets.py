@@ -6,7 +6,7 @@ cannot be represented; callers supply a rational approximation (for example
 to that rational.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 ZERO = "zero"
@@ -14,19 +14,21 @@ FINITE = "finite"
 INFINITE = "infinite"
 
 
-@dataclass(frozen=True)
-class GrowthTarget:
-    kind: str
-    value: Fraction | None = None
+class GrowthTarget(namedtuple("GrowthTarget", "kind value")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in (ZERO, FINITE, INFINITE):
-            raise ValueError("unknown growth-target kind %r" % (self.kind,))
-        if self.kind == FINITE:
-            if not isinstance(self.value, Fraction) or self.value <= 0:
+    def __new__(cls, kind, value=None):
+        if kind not in (ZERO, FINITE, INFINITE):
+            raise ValueError("unknown growth-target kind %r" % (kind,))
+        if kind == FINITE:
+            if not isinstance(value, Fraction) or value <= 0:
                 raise ValueError("finite growth target must be a positive Fraction")
-        elif self.value is not None:
-            raise ValueError("%s target carries no value" % self.kind)
+        elif value is not None:
+            raise ValueError("%s target carries no value" % kind)
+        return super().__new__(cls, kind, value)
+
+    # _replace builds through _make, which would skip __new__'s checks
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @classmethod
     def zero(cls):
@@ -68,8 +70,9 @@ class GrowthTarget:
 
     @classmethod
     def from_json(cls, obj):
+        """Inverse of to_json: a finite target's value must be a string."""
         kind = obj.get("kind")
-        if kind == FINITE:
+        if kind == FINITE and isinstance(obj.get("value"), str):
             return cls.finite(Fraction(obj["value"]))
         if kind == ZERO:
             return cls.zero()

@@ -23,7 +23,7 @@ which this module computes from numerically isolated roots with certified
 error radii.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
@@ -45,19 +45,22 @@ class ConvergenceError(ArithmeticError):
     """Root isolation did not certify within the iteration budget."""
 
 
-@dataclass(frozen=True)
-class IntegerPolynomial:
+class IntegerPolynomial(namedtuple("IntegerPolynomial", "coefficients")):
     """Monic integer polynomial, coefficients stored low-to-high."""
 
-    coefficients: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.coefficients) < 2:
+    def __new__(cls, coefficients):
+        if len(coefficients) < 2:
             raise ValueError("degree must be at least 1")
-        if self.coefficients[-1] != 1:
+        if coefficients[-1] != 1:
             raise ValueError("polynomial must be monic")
-        if not all(isinstance(c, int) for c in self.coefficients):
+        if not all(isinstance(c, int) for c in coefficients):
             raise ValueError("coefficients must be integers")
+        return super().__new__(cls, coefficients)
+
+    # _replace builds through _make, which would skip __new__'s checks
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @classmethod
     def parse(cls, text):
@@ -287,21 +290,15 @@ def toral_fix_sequence(f, n_max):
 # --- Mahler measure --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RootEnclosure:
-    value: object  # mpc approximation
-    radius: object  # mpf: certified distance bound to the residing cluster
-    modulus_lower: object
-    modulus_upper: object
-    near_unit: bool
+# value is an mpc approximation; radius an mpf, a certified distance bound to
+# the residing cluster, and the modulus bounds mpfs
+RootEnclosure = namedtuple(
+    "RootEnclosure", "value radius modulus_lower modulus_upper near_unit"
+)
 
 
-@dataclass(frozen=True)
-class MahlerResult:
-    measure: object
-    error_bound: object
-    roots: tuple[RootEnclosure, ...]
-    precision_bits: int
+class MahlerResult(namedtuple("MahlerResult", "measure error_bound roots precision_bits")):
+    __slots__ = ()
 
     @property
     def flagged(self):

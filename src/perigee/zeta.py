@@ -18,7 +18,7 @@ about the full series.
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .orbits import (
@@ -36,16 +36,19 @@ VERDICT_NO_RECURRENCE = "no-low-order-recurrence"
 RANK_PRIME = 2**61 - 1
 
 
-@dataclass(frozen=True)
-class ZetaSeries:
-    """Exact rational coefficients c_0..c_M of a truncated zeta function."""
+class ZetaSeries(namedtuple("ZetaSeries", "coefficients source")):
+    """Exact rational coefficients c_0..c_M of a truncated zeta function,
+    and the CountSequence they were computed from, if any."""
 
-    coefficients: tuple[Fraction, ...]
-    source: CountSequence | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.coefficients or self.coefficients[0] != 1:
+    def __new__(cls, coefficients, source=None):
+        if not coefficients or coefficients[0] != 1:
             raise ValueError("series must start with c_0 = 1")
+        return super().__new__(cls, coefficients, source)
+
+    # _replace builds through _make, which would skip __new__'s checks
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def M(self):
@@ -175,8 +178,9 @@ def berlekamp_massey(sequence):
     return L, tuple(map(Fraction, C))
 
 
-@dataclass(frozen=True)
-class ProbeVerdict:
+class ProbeVerdict(
+    namedtuple("ProbeVerdict", "verdict numerator denominator recurrence_length")
+):
     """Outcome of rationality_probe.
 
     recurrence_length is the minimal recurrence length L found by
@@ -186,10 +190,7 @@ class ProbeVerdict:
     Berlekamp-Massey runs only modulo RANK_PRIME.
     """
 
-    verdict: str
-    numerator: tuple[int, ...] | None
-    denominator: tuple[int, ...] | None
-    recurrence_length: int
+    __slots__ = ()
 
     def to_json(self):
         obj = {"verdict": self.verdict}

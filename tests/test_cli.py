@@ -242,6 +242,22 @@ def test_oracle_mismatch_exit_code(capsys, tmp_path, monkeypatch):
     assert "MISMATCH" in out
 
 
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda obj: obj.update(components=None), "plan components must be a list"),
+    (lambda obj: [obj], "plan file must be an object"),
+    (lambda obj: obj.update(target=5), "plan target must be an object"),
+    (lambda obj: obj["components"][0].update(K=1.5), "plan K must be a decimal string, not 1.5"),
+    (lambda obj: obj["components"][0].update(K=True), "plan K must be a decimal string, not True"),
+])
+def test_oracle_reads_only_the_plan_shapes_save_plan_writes(capsys, tmp_path, corrupt, message):
+    # each used to end in a traceback (exit 1) or, for K, load as K = 1
+    obj = plan_to_json(build_plan(GrowthTarget.finite(1), "compensated", n_max=4))
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(corrupt(obj) or obj))
+    code, out, err = run(capsys, "oracle", "--plan", str(path))
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
 def test_oracle_catches_composite_modulus(capsys, tmp_path):
     # load_plan validates: a modulus that is not prime is rejected by name
     # before any row is printed (the oracle itself catches p = 9, see
@@ -506,21 +522,40 @@ def test_exact_commands_never_import_mpmath(capsys, tmp_path):
         ["zeta", "--sequence", str(seq)],
         ["oracle", "--plan", str(plan), "--components", "3", "--max-n", "6"],
     ]
-    script = (
+    done = run_fresh(
         "import sys\n"
         "from perigee.cli import main\n"
         "codes = [main(argv) for argv in %r]\n"
         "sys.stderr.write('%%s %%s' %% (codes, 'mpmath' in sys.modules))\n" % commands
     )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == "%s False" % ([0] * len(commands))
+
+
+def test_cli_import_loads_every_layer_and_no_heavy_module():
+    # the bench tracer reads all seven layers from sys.modules right after
+    # importing perigee.cli, so none of them may be imported lazily; and
+    # dataclasses (which pulls in inspect and ast) and mpmath stay unloaded
+    layers = ("numtheory", "precision", "construction", "orbits", "toral", "zeta", "cli")
+    done = run_fresh(
+        "import sys\n"
+        "import perigee.cli\n"
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'mpmath') if m in sys.modules))\n"
+        "print(sorted(m for m in %r if 'perigee.' + m not in sys.modules))\n" % (layers,)
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n[]\n"
+
+
+def run_fresh(script):
+    """Run a Python script in a fresh interpreter that imports this checkout's perigee."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))
     ))
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
-    assert done.returncode == 0, done.stderr
-    assert done.stderr == "%s False" % ([0] * len(commands))
 
 
 def sha256_of(path):
@@ -737,6 +772,8 @@ def test_precision_bits_flag(capsys):
 
 
 def test_precision_bits_below_eight_is_a_config_error(capsys, tmp_path):
+    # and so is one above the decision ceiling: primes --precision-bits
+    # 99999999999999999999 used to run on for good
     seq = tmp_path / "seq.csv"
     seq.write_text("n,value\n1,1\n2,3\n")
     for argv in (
@@ -745,9 +782,33 @@ def test_precision_bits_below_eight_is_a_config_error(capsys, tmp_path):
         ["lehmer", "--poly", "-2,1", "--max-n", "2"],
         ["primes", "--max-n", "2"],
     ):
-        code, out, err = run(capsys, *argv, "--precision-bits", "7")
-        assert code == 2 and out == "", argv
-        assert "--precision-bits must be at least 8" in err
+        for bits in ("7", "16385", "99999999999999999999"):
+            code, out, err = run(capsys, *argv, "--precision-bits", bits)
+            assert (code, out) == (2, ""), argv
+            assert err == "error: --precision-bits must be at least 8 and at most 16384\n"
+
+
+def test_max_n_above_maxsize_is_a_config_error(capsys):
+    # each used to end in an OverflowError traceback (exit 1) or an islice
+    # message
+    huge = str(sys.maxsize + 1)
+    for argv in (
+        ["primes", "--max-n", huge],
+        ["construct", "--C", "1", "--max-n", huge],
+        ["construct", "--target", "infinite", "--max-n", huge],
+        ["lehmer", "--poly", "-1,-1,1", "--max-n", huge],
+        ["oracle", "--plan", "unread.json", "--max-n", huge],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: --max-n must be at most %d\n" % sys.maxsize)
+
+
+def test_max_n_whose_sieve_cannot_exist_is_a_budget_error(capsys):
+    # the largest --max-n taken, whose sieve of 64 * n_max entries no index
+    # can address: this was an OverflowError traceback (exit 1)
+    code, out, err = run(capsys, "primes", "--max-n", str(sys.maxsize))
+    assert (code, out) == (3, "")
+    assert err.startswith("budget exceeded: a sieve up to ")
 
 
 def test_exact_commands_take_no_precision_bits(capsys, tmp_path):

@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import json
 import math
@@ -325,8 +324,8 @@ def test_count_table_matches_enumeration_at_every_truncation(strategy, C, N, dat
 def test_oracle_rejects_non_unit_multiplier(p, multiplier):
     # at p = 6, 3 * 3 = 3 fixes the vector (3,), but (1,) never returns
     plan = build_plan(GrowthTarget.finite(C_ABOVE_LOG2), "paper", n_max=3)
-    bad = dataclasses.replace(plan.components[2], p=p, multiplier=multiplier)
-    plan = dataclasses.replace(plan, components=plan.components[:2] + (bad,))
+    bad = plan.components[2]._replace(p=p, multiplier=multiplier)
+    plan = plan._replace(components=plan.components[:2] + (bad,))
     with pytest.raises(ValueError, match="not a unit"):
         enumerate_oracle(plan, 3, 3)
 
@@ -335,8 +334,8 @@ def test_oracle_sees_composite_modulus():
     # 4 has order 3 mod 9, so p**K matches, but 4 * 3 = 3 mod 9 fixes the
     # vector 3: enumeration finds 3 fixed vectors where the closed form has 1
     plan = build_plan(GrowthTarget.finite(1), "compensated", n_max=8)
-    bad = dataclasses.replace(plan.components[2], p=9, multiplier=4)
-    plan = dataclasses.replace(plan, components=plan.components[:2] + (bad,) + plan.components[3:])
+    bad = plan.components[2]._replace(p=9, multiplier=4)
+    plan = plan._replace(components=plan.components[:2] + (bad,) + plan.components[3:])
     counts = enumerate_oracle(plan, 3, 6)
     closed = count_table(plan, 6, component_limit=3).values
     assert counts.fixed.values[0] == 6 and closed[0] == 2
@@ -426,8 +425,8 @@ def test_negative_budget_floors_to_zero(monkeypatch):
 
 def _with_exponent(plan, n, K):
     components = list(plan.components)
-    components[n - 1] = dataclasses.replace(components[n - 1], K=K)
-    return dataclasses.replace(plan, components=tuple(components))
+    components[n - 1] = components[n - 1]._replace(K=K)
+    return plan._replace(components=tuple(components))
 
 
 def test_deficit_report_catches_shifted_exponents():

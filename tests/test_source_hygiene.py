@@ -120,6 +120,36 @@ def test_no_unused_imports_in_tests():
     assert unused_imports_in(sorted(Path(__file__).resolve().parent.glob("*.py"))) == []
 
 
+def imported_modules(source):
+    """Top-level names of the modules an import statement of the source loads."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_imported_modules_detector():
+    source = (
+        "import os.path\nfrom . import cli\nfrom json import dumps\n\n"
+        "def f():\n    import dataclasses\n"
+    )
+    assert imported_modules(source) == {"os", "json", "dataclasses"}
+
+
+def test_no_module_imports_dataclasses():
+    # every perigee process imports every layer: records are namedtuples,
+    # which cost a tenth of a frozen dataclass to create, and the dataclasses
+    # import alone pulls in inspect, ast, dis and tokenize
+    importers = [
+        path.name for path in sorted(PACKAGE.glob("*.py"))
+        if "dataclasses" in imported_modules(path.read_text(encoding="utf-8"))
+    ]
+    assert importers == []
+
+
 def test_unread_private_functions_detector():
     sources = {
         "a.py": "def _local():\n    pass\n\ndef _dead():\n    pass\n\n"
