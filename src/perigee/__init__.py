@@ -37,7 +37,6 @@ from .orbits import (
 )
 from .targets import GrowthTarget
 from .toral import (
-    ConvergenceError,
     DegeneracyError,
     IntegerPolynomial,
     MahlerResult,

@@ -8,9 +8,11 @@ exists only on the commands that print reals (construct, analyze, lehmer,
 primes): it sets their printed digits and lehmer's Mahler tolerance, never
 a decision, since every floor and comparison is exact.
 
-Logs and rates print from certified integer balls (precision.LogReal), so
-only lehmer, for its Mahler measure lines, loads mpmath; every other command
-never pays for importing it.
+Logs, rates and lehmer's Mahler measure print from certified integer balls
+(precision.LogReal, toral.mahler_measure), correctly rounded, and so does
+lehmer's gap_at_max_n, from the ball of |rate - m(f)|.  No command imports
+mpmath, except lehmer when its polynomial needs the mp.polyroots fallback (a
+repeated root, or coefficients beyond float range).
 
 Exit codes: 0 ok, 1 oracle mismatch, 2 invalid configuration or parse error
 (including a missing or unreadable input file), 3 computation budget exceeded
@@ -25,7 +27,6 @@ import re
 import sys
 from contextlib import contextmanager
 from decimal import Decimal
-from functools import partial
 
 from . import construction, numtheory, orbits, toral, zeta
 from .numtheory import BudgetError
@@ -33,10 +34,12 @@ from .precision import (
     DEFAULT_PRECISION_BITS,
     MAX_DECISION_BITS,
     PrecisionError,
-    decimal_from_floors,
+    ball_digits,
+    decimal_from_scaled,
+    decimal_up,
     digits_for_bits,
+    escalate,
     unlimited_int_digits,
-    working_precision,
 )
 from .targets import FINITE, GrowthTarget
 from .toral import DegeneracyError, IntegerPolynomial
@@ -206,9 +209,14 @@ def cmd_oracle(args, out):
 # --- lehmer ---------------------------------------------------------------------
 
 
-def cmd_lehmer(args, out):
-    from mpmath import mp
+def _gap_ball(rate, measure, bits):
+    """(lo, hi) with lo <= |rate - m(f)| * 2**bits <= hi, from the two balls."""
+    (r_lo, r_hi), (m_lo, m_hi) = rate.ball(bits), measure.ball(bits)
+    lo, hi = r_lo - m_hi, r_hi - m_lo
+    return (lo, hi) if lo >= 0 else (-hi, -lo) if hi <= 0 else (0, max(-lo, hi))
 
+
+def cmd_lehmer(args, out):
     poly = IntegerPolynomial.parse(args.poly)
     sequence = toral.toral_fix_sequence(poly, args.max_n)
     bits = args.precision_bits
@@ -220,14 +228,15 @@ def cmd_lehmer(args, out):
         [n, value, rate.decimal(dps)]
         for value, (n, _, rate) in zip(sequence.values, diagnostics.entries)
     ]
-    n = diagnostics.entries[-1][0]
-    with working_precision(bits):
-        gap = abs(mp.log(sequence.values[n - 1]) / n - measure.measure)
+    rate = diagnostics.entries[-1][2]
+    mahler = ball_digits(measure.lo, measure.hi, measure.scale, dps)
     summary = {
-        "mahler": mp.nstr(measure.measure, dps),
-        "mahler_error_bound": mp.nstr(measure.error_bound, dps),
-        "entropy": mp.nstr(measure.measure, dps),
-        "gap_at_max_n": mp.nstr(gap, dps),
+        "mahler": mahler,
+        "mahler_error_bound": decimal_up(measure.hi - measure.lo, measure.scale + 1, dps),
+        "entropy": mahler,
+        "gap_at_max_n": escalate(
+            lambda b: ball_digits(*_gap_ball(rate, measure, b), b, dps), measure.scale
+        ),
         "near_unit_roots": len(measure.flagged),
     }
     _emit(args, header, rows, summary, out)
@@ -288,12 +297,25 @@ def cmd_analyze(args, out):
 # --- primes ---------------------------------------------------------------------
 
 
-def _bound_ratio_floor(p_squared, n_power, j):
-    """floor(x * 10**j) for x = p / n**PRIME_BOUND_EXPONENT, from x**2 =
-    p_squared / n_power: the integer square root of a floor is exact."""
+def _bound_ratio(p_squared, n_power, dps):
+    """The printed ratio x = p / n**PRIME_BOUND_EXPONENT, from x**2 =
+    p_squared / n_power: its decimal exponent e, 10**e <= x < 10**(e + 1), by
+    comparing p_squared with n_power * 10**(2e) from a bit-length estimate,
+    then its digits floor(x * 10**(dps - e)) as the integer square root of one
+    floor, which is exact."""
+
+    def at_least(k):  # x**2 >= 10**k
+        return p_squared >= n_power * 10**k if k >= 0 else p_squared * 10**-k >= n_power
+
+    e = (p_squared.bit_length() - n_power.bit_length()) * 3 // 20
+    while not at_least(2 * e):
+        e -= 1
+    while at_least(2 * e + 2):
+        e += 1
+    j = dps - e
     if j >= 0:
-        return math.isqrt(p_squared * 10 ** (2 * j) // n_power)
-    return math.isqrt(p_squared // (n_power * 10 ** (-2 * j)))
+        return decimal_from_scaled(math.isqrt(p_squared * 10 ** (2 * j) // n_power), e, dps)
+    return decimal_from_scaled(math.isqrt(p_squared // (n_power * 10 ** (-2 * j))), e, dps)
 
 
 def cmd_primes(args, out):
@@ -307,7 +329,7 @@ def cmd_primes(args, out):
     worst = None  # (n, p**2, n**11, ratio)
     for n, p in enumerate(numtheory.least_primes_congruent_one(args.max_n), start=1):
         p_squared, n_power = p * p, n**twice_exponent
-        ratio = decimal_from_floors(partial(_bound_ratio_floor, p_squared, n_power), dps)
+        ratio = _bound_ratio(p_squared, n_power, dps)
         rows.append((n, p, ratio))
         # ratio > worst ratio, cross-multiplied; strict, so a tie keeps the first n
         if n >= 2 and (worst is None or p_squared * worst[2] > worst[1] * n_power):

@@ -15,7 +15,6 @@ at finite horizon.
 import csv
 from collections import namedtuple
 
-from .numtheory import divisors, mobius
 from .precision import DEFAULT_PRECISION_BITS, LogReal, unlimited_int_digits
 
 KIND_FIXED = "fixed"
@@ -74,20 +73,26 @@ def fixed_from_least(L):
     """F_n = sum of L_d over d | n."""
     if L.kind != KIND_LEAST:
         raise ValueError("expected a least-period sequence")
-    vals = L.values
-    out = [sum(vals[d - 1] for d in divisors(n)) for n in range(1, L.N + 1)]
+    out = [0] * L.N
+    for d, value in enumerate(L.values, start=1):
+        for m in range(d - 1, L.N, d):
+            out[m] += value
     return CountSequence(KIND_FIXED, tuple(out))
 
 
 def least_from_fixed(F):
-    """L_n = sum of mu(n/d) * F_d over d | n; negatives are preserved."""
+    """L_n = sum of mu(n/d) * F_d over d | n; negatives are preserved.
+
+    Inverted in place by a sieve over multiples: once L_n is final (every
+    proper divisor of n came before it), it is taken off F_m for m = 2n,
+    3n, ..., so no n is factored.
+    """
     if F.kind != KIND_FIXED:
         raise ValueError("expected a fixed-count sequence")
-    vals = F.values
-    out = [
-        sum(mobius(n // d) * vals[d - 1] for d in divisors(n))
-        for n in range(1, F.N + 1)
-    ]
+    out = list(F.values)
+    for n in range(1, F.N + 1):
+        for m in range(2 * n - 1, F.N, n):
+            out[m] -= out[n - 1]
     return CountSequence(KIND_LEAST, tuple(out))
 
 
@@ -196,15 +201,16 @@ def lemma_sandwich_check(F, L):
         raise ValueError("expected a (fixed, least) pair")
     if F.N != L.N:
         raise ValueError("horizon mismatch")
+    proper = [0] * F.N  # the sums of F_d over proper divisors d, by a sieve
+    for d, value in enumerate(F.values, start=1):
+        for m in range(2 * d - 1, F.N, d):
+            proper[m] += value
     violations = []
-    for r in range(1, F.N + 1):
-        f_r = F.values[r - 1]
-        l_r = L.values[r - 1]
+    for r, f_r, l_r, below in zip(range(1, F.N + 1), F.values, L.values, proper):
         if l_r > f_r:
             violations.append(SandwichViolation(r, "upper", l_r, f_r))
-        proper = sum(F.values[d - 1] for d in divisors(r) if d != r)
-        if l_r < f_r - proper:
-            violations.append(SandwichViolation(r, "lower", l_r, f_r - proper))
+        if l_r < f_r - below:
+            violations.append(SandwichViolation(r, "lower", l_r, f_r - below))
     return SandwichReport(checked_n=F.N, violations=tuple(violations))
 
 

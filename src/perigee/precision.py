@@ -21,15 +21,19 @@ contexts, so both are safe to call from any thread.
 LogReal carries a log, a rate or a rate's distance to a rational as such a
 ball, refined on demand, and prints it through decimal_from_floors, which
 writes a positive real from its exact decimal floors, correctly rounded, in
-the layout of mp.nstr; unlimited_int_digits lifts Python's int<->str digit
-limit around conversions of long counts.
+the layout of mp.nstr (decimal_from_scaled); ball_digits prints any ball
+whose two ends round alike, escalate doubles a ball's precision until they
+do, and decimal_up prints a ball's radius rounded up.  dyadic_mp turns a
+ball's integers into exact mpmath numbers, importing mpmath only then;
+unlimited_int_digits lifts Python's int<->str digit limit around
+conversions of long counts.
 """
 
 import math
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .numtheory import FactoredNatural, floor_root
 
@@ -40,7 +44,7 @@ DEFAULT_PRECISION_BITS = 128
 # rules out; treat it as a bug, not as bad luck.
 MAX_DECISION_BITS = 1 << 14
 
-_GUARD_BITS = 12
+GUARD_BITS = 12
 
 
 class PrecisionError(ArithmeticError):
@@ -84,7 +88,7 @@ def log_enclosure(n, bits):
     """
     if n < 1:
         raise ValueError("log needs an integer n >= 1")
-    w = bits + _GUARD_BITS + n.bit_length().bit_length()
+    w = bits + GUARD_BITS + n.bit_length().bit_length()
     shift = max(0, n.bit_length() - w - 1)
     m = n >> shift
     k = m.bit_length()
@@ -147,24 +151,20 @@ def digits_for_bits(bits):
     return max(1, int(bits * 0.3010299956639812))
 
 
-def working_precision(bits):
-    """mp.workprec context at bits plus the guard bits every printed value carries."""
-    from mpmath import mp
+def escalate(attempt, bits):
+    """The first value of attempt(b) other than None for b = bits, 2 * bits, ...
+    up to MAX_DECISION_BITS (Ziv's strategy)."""
+    while (found := attempt(bits)) is None:
+        bits = _doubled(bits, "digit")
+    return found
 
-    return mp.workprec(bits + _GUARD_BITS)
 
+def _head(floor_at, dps):
+    """(floor(x * 10**(dps - e)), e) for the real x > 0 with 10**e <= x < 10**(e + 1).
 
-def decimal_from_floors(floor_at, dps):
-    """mp.nstr's string for a real x > 0, rounded half up from exact floors.
-
-    floor_at(j) must return floor(x * 10**j) exactly for every integer j.
-    The leading decimal exponent e (10**e <= x < 10**(e+1)) is read off the
-    first nonzero floor, tried from j = dps up; x is rounded half up at digit
-    dps + 1 to dps significant digits, and the digits are laid out as
-    mp.nstr(x, dps) lays out its own: fixed notation when
-    min(-(dps // 3), -5) < e < dps, else d.ddde+E or d.ddde-E, with trailing
-    zeros stripped down to one after the point.  For x >= 10**-dps this takes
-    at most two calls of floor_at.
+    floor_at(j) must return floor(x * 10**j) exactly for every integer j.  e
+    is read off the first nonzero floor, tried from j = dps up; for
+    x >= 10**-dps this takes at most two calls of floor_at.
     """
     j = dps
     while (head := floor_at(j)) == 0:
@@ -172,13 +172,24 @@ def decimal_from_floors(floor_at, dps):
     e = len(str(head)) - 1 - j
     # head has dps + 1 + cut digits; floor(floor(y) / 10**k) = floor(y / 10**k)
     cut = e + j - dps
-    scaled = head // 10**cut if cut >= 0 else floor_at(dps - e)
+    return (head // 10**cut if cut >= 0 else floor_at(dps - e)), e
+
+
+def decimal_from_scaled(scaled, e, dps):
+    """mp.nstr's string for a real x with 10**e <= x < 10**(e + 1), from
+    scaled = floor(x * 10**(dps - e)), its dps + 1 leading digits.
+
+    x is rounded half up at digit dps + 1 to dps significant digits, and the
+    digits are laid out as mp.nstr(x, dps) lays out its own: fixed notation
+    when min(-(dps // 3), -5) < e < dps, else d.ddde+E or d.ddde-E, with
+    trailing zeros stripped down to one after the point.
+    """
     lead, rest = divmod(scaled, 10)
     if rest >= 5:
         lead += 1
-        if lead == 10**dps:
-            lead //= 10
-            e += 1
+    if lead == 10**dps:
+        lead //= 10
+        e += 1
     digits = str(lead)
     if min(-(dps // 3), -5) < e < dps:
         if e < 0:
@@ -192,6 +203,51 @@ def decimal_from_floors(floor_at, dps):
     if text.endswith("."):
         text += "0"
     return text + exponent
+
+
+def decimal_from_floors(floor_at, dps):
+    """decimal_from_scaled's string for a real x > 0 known by its exact
+    decimal floors floor_at(j) = floor(x * 10**j)."""
+    return decimal_from_scaled(*_head(floor_at, dps), dps)
+
+
+def _dyadic_floor(n, bits, j):
+    """floor(n / 2**bits * 10**j) for an integer n >= 0."""
+    return n * 10**j >> bits if j >= 0 else (n >> bits) // 10**-j
+
+
+def ball_digits(lo, hi, bits, dps):
+    """The string decimal_from_floors prints at dps for every real x with
+    0 <= lo <= x * 2**bits <= hi, or None if the ends print different ones.
+
+    Rounding to dps digits is monotone, so ends that print alike decide the
+    digits of every x between them; zero prints 0.0, as mp.nstr does.
+    """
+    low, high = (
+        decimal_from_floors(partial(_dyadic_floor, end, bits), dps) if end else "0.0"
+        for end in (lo, hi)
+    )
+    return low if low == high else None
+
+
+def decimal_up(n, bits, dps):
+    """n / 2**bits for an integer n >= 0, rounded up to dps significant digits
+    and laid out as decimal_from_scaled lays out digits."""
+    if not n:
+        return "0.0"
+    _, e = _head(partial(_dyadic_floor, n, bits), dps)
+    k = dps - 1 - e
+    up = -(-n * 10**k >> bits) if k >= 0 else -(-n // (10**-k << bits))
+    return decimal_from_scaled(10 * up, e, dps)
+
+
+def dyadic_mp(scale, *parts):
+    """n / 2**scale as an exact mpf, or (re + i*im) / 2**scale as an exact mpc."""
+    from mpmath import mp
+    from mpmath.libmp import from_man_exp
+
+    parts = tuple(from_man_exp(n, -scale) for n in parts)
+    return mp.make_mpc(parts) if len(parts) == 2 else mp.make_mpf(*parts)
 
 
 class LogReal:
@@ -211,7 +267,7 @@ class LogReal:
         if isinstance(count, FactoredNatural) and not count.factors:  # log 0 is read as count == 1
             count = 1
         self.count, self.scale, self.offset, self.den = count, scale, offset, den
-        bits = precision_bits + _GUARD_BITS
+        bits = precision_bits + GUARD_BITS
         # [b, lo, hi] with lo <= log(count) * 2**b <= hi
         self._log = log or [bits, *_count_log_ball(count, bits)]
 

@@ -15,14 +15,14 @@ the companion matrix M of f, and also |Res(f, x^n - 1)|.  Three routes:
 
 When f does not vanish at any root of unity, delta_n is the number of points
 of period n of the toral automorphism induced by M, and its logarithmic
-growth rate is the Mahler measure
-
-    m(f) = sum of max(log |a_i|, 0),
-
-which this module computes from numerically isolated roots with certified
-error radii.
+growth rate is the Mahler measure m(f) = sum of max(log |a_i|, 0).
+mahler_measure certifies it as an integer ball: roots from float
+Aberth-Ehrlich iteration (from mp.polyroots only when that fails), refined
+and enclosed in fixed-point Gaussian integers.
 """
 
+import cmath
+import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
@@ -30,7 +30,8 @@ from itertools import islice
 
 from .numtheory import euler_phi
 from .orbits import KIND_FIXED, CountSequence
-from .precision import DEFAULT_PRECISION_BITS, digits_for_bits, working_precision
+from .precision import (DEFAULT_PRECISION_BITS, GUARD_BITS, ball_digits, digits_for_bits,
+                        dyadic_mp, escalate, log_enclosure)
 
 
 class DegeneracyError(ValueError):
@@ -39,10 +40,6 @@ class DegeneracyError(ValueError):
     def __init__(self, cyclotomic_index, message):
         super().__init__(message)
         self.cyclotomic_index = cyclotomic_index
-
-
-class ConvergenceError(ArithmeticError):
-    """Root isolation did not certify within the iteration budget."""
 
 
 class IntegerPolynomial(namedtuple("IntegerPolynomial", "coefficients")):
@@ -290,136 +287,190 @@ def toral_fix_sequence(f, n_max):
 # --- Mahler measure --------------------------------------------------------------
 
 
-# value is an mpc approximation; radius an mpf, a certified distance bound to
-# the residing cluster, and the modulus bounds mpfs
-RootEnclosure = namedtuple(
-    "RootEnclosure", "value radius modulus_lower modulus_upper near_unit"
-)
+class RootEnclosure(namedtuple("RootEnclosure", "x y scale bound lower upper near_unit")):
+    """A root within bound of x + iy, in a cluster with moduli in [lower, upper],
+    all over 2**scale; value, radius and modulus_* read them as exact mpmath."""
 
-
-class MahlerResult(namedtuple("MahlerResult", "measure error_bound roots precision_bits")):
     __slots__ = ()
+    value = property(lambda r: dyadic_mp(r.scale, r.x, r.y))
+    radius = property(lambda r: dyadic_mp(r.scale, r.bound))
+    modulus_lower = property(lambda r: dyadic_mp(r.scale, r.lower))
+    modulus_upper = property(lambda r: dyadic_mp(r.scale, r.upper))
 
-    @property
-    def flagged(self):
-        return tuple(i for i, r in enumerate(self.roots) if r.near_unit)
+
+class MahlerResult(namedtuple("MahlerResult", "polynomial scale lo hi roots precision_bits")):
+    """lo <= m(f) * 2**scale <= hi, a ball whose ends print alike at precision_bits;
+    measure and error_bound are its midpoint and radius as exact mpfs."""
+
+    __slots__ = ()
+    measure = property(lambda m: dyadic_mp(m.scale + 1, m.lo + m.hi))
+    error_bound = property(lambda m: dyadic_mp(m.scale + 1, m.hi - m.lo))
+    flagged = property(lambda m: tuple(i for i, r in enumerate(m.roots) if r.near_unit))
+
+    def ball(self, bits):
+        """(lo, hi) with lo <= m(f) * 2**bits <= hi, refined above scale."""
+        found = bits > self.scale and _enclose(self.polynomial, bits, self.precision_bits)
+        lo, hi, scale = (*found[:2], bits) if found else (self.lo, self.hi, self.scale)
+        return lo << bits >> scale, -(-hi << bits >> scale)
 
 
-def _certified_enclosures(coeffs_desc, degree, tol):
-    """Roots with certified radii at the current working precision.
-
-    Radii use the classical covering bound for monic f: every root of f lies
-    in the union of disks D(z_i, d*|f(z_i)| / prod_{j != i} |z_i - z_j|), and
-    a connected component of k disks holds exactly k roots.  Returns None if
-    the disks are not yet tight enough to classify every modulus against the
-    unit circle at tolerance tol.
-    """
-    from mpmath import mp
-    from mpmath.libmp import NoConvergence
-
+@lru_cache(maxsize=16)
+def _float_start(coeffs):
+    """The roots of monic f to about float precision by Aberth-Ehrlich iteration
+    from a circle of radius |f(0)|**(1/d), with f(z)/f'(z) from the reversed
+    polynomial in 1/z where |z| > 1 (O. Aberth, Math. Comp. 27, 1973; D. A.
+    Bini and G. Fiorentino, Numer. Algorithms 23, 2000); None if it fails."""
+    d = len(coeffs) - 1
     try:
-        roots = mp.polyroots(coeffs_desc, maxsteps=200, extraprec=mp.prec)
-    except NoConvergence:
+        low = [complex(c) for c in coeffs]
+        roots = [abs(low[0]) ** (1 / d) * cmath.exp(1j * (2 * math.pi * k / d + 0.4))
+                 for k in range(d)]
+        for _ in range(100):
+            done = True
+            for i, z in enumerate(roots):
+                big = abs(z) > 1
+                y, p, q = 1 / z if big else z, 0, 0
+                for c in low if big else reversed(low):
+                    p, q = p * y + c, q * y + p
+                ratio = z * p / (d * p - y * q) if big else p / q
+                w = ratio / (1 - ratio * sum(1 / (z - u) for u in roots[:i] + roots[i + 1:]))
+                roots[i] = z = z - w
+                done = done and abs(w) <= 1e-10 * abs(z)
+            if done and all(map(cmath.isfinite, roots)):
+                return tuple(roots)
+    except (OverflowError, ZeroDivisionError):
         return None
-    # Guard factor absorbs rounding in the radius evaluation itself.
-    guard = 1 + mp.mpf(2) ** (-mp.prec // 2)
-    radii = []
-    for i, z in enumerate(roots):
-        sep = mp.mpf(1)
-        for j, w in enumerate(roots):
-            if i != j:
-                sep *= abs(z - w)
-        if sep == 0:
-            return None
-        residual = abs(mp.polyval(coeffs_desc, z))
-        radii.append(degree * residual / sep * guard)
 
-    # Union-find over intersecting disks.
-    parent = list(range(degree))
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(degree):
-        for j in range(i + 1, degree):
-            if abs(roots[i] - roots[j]) <= radii[i] + radii[j]:
-                pi, pj = find(i), find(j)
-                if pi != pj:
-                    parent[pi] = pj
-
-    clusters = {}
-    for i in range(degree):
-        clusters.setdefault(find(i), []).append(i)
-
-    enclosures = [None] * degree
-    for members in clusters.values():
-        lo = min(max(abs(roots[i]) - radii[i], mp.mpf(0)) for i in members)
-        hi = max(abs(roots[i]) + radii[i] for i in members)
-        if hi - lo > tol / 2:
-            return None
-        if lo > 1 or hi < 1:
-            near = False
-        elif lo >= 1 - tol and hi <= 1 + tol:
-            near = True
+def _newton(coeffs, start, b):
+    """The float start refined by Newton steps on x + iy = z * 2**b, each root
+    until a step moves it under 2**(b/2) ulps; None if one does not get there."""
+    roots = []
+    for z in start or ():
+        x, y = (int(t * 2.0**60) << b >> 60 for t in (z.real, z.imag))
+        for _ in range(b.bit_length() + 4):
+            pr, pi, qr, qi = 1 << b, 0, 0, 0  # f(z) and f'(z) times 2**b, by Horner
+            for c in reversed(coeffs[:-1]):
+                qr, qi = (qr * x - qi * y >> b) + pr, (qr * y + qi * x >> b) + pi
+                pr, pi = (pr * x - pi * y >> b) + (c << b), pr * y + pi * x >> b
+            norm = qr * qr + qi * qi
+            if not norm:
+                return None
+            dx, dy = (pr * qr + pi * qi << b) // norm, (pi * qr - pr * qi << b) // norm
+            x, y = x - dx, y - dy
+            if abs(dx) + abs(dy) < 1 << b // 2:
+                break
         else:
             return None
-        for i in members:
-            enclosures[i] = RootEnclosure(
-                value=roots[i],
-                radius=radii[i],
-                modulus_lower=lo,
-                modulus_upper=hi,
-                near_unit=near,
-            )
-    return enclosures
+        roots.append((x, y))
+    return None if start is None else roots
+
+
+def _square_free_parts(coeffs):
+    """Monic P_1, P_2, ... with product f, P_i = g_(i-1) / g_i for g_0 = f and g_i =
+    gcd(g_(i-1), g_(i-1)'): the roots of multiplicity at least i, each once."""
+    parts, g = [], list(coeffs)
+    while len(g) > 1:
+        a, r = g, [i * c for i, c in enumerate(g)][1:]
+        while r:
+            a, r = r, _poly_divmod(a, r)[1]
+        a = [Fraction(c) / a[-1] for c in a]
+        parts.append(tuple(int(c) for c in _poly_divmod(g, a)[0]))
+        g = a
+    return parts
+
+
+def _polyroots(coeffs, b):
+    """The fallback start for square-free f: mp.polyroots at b bits (and as many
+    extra), as Gaussian integers at scale b; None if it does not converge."""
+    from mpmath import mp
+
+    with mp.workprec(b):
+        try:
+            roots = mp.polyroots(coeffs[::-1], maxsteps=200, extraprec=b)
+        except mp.NoConvergence:
+            return None
+        return [tuple(int(mp.nint(mp.ldexp(t, b))) for t in (z.real, z.imag)) for z in roots]
+
+
+def _certify(coeffs, roots, b, precision_bits, isolated):
+    """(lo, hi, enclosures), lo <= m(f) * 2**b <= hi, from approximations (x, y)
+    = z * 2**b of the roots of monic f; None if two coincide, two disks meet
+    while isolated is set, or a cluster straddles the unit circle wider than
+    2**-precision_bits.  Each root lies in a disk D(z_i, d |f(z_i)| / prod over
+    j != i of |z_i - z_j|), a component of k disks holding k roots (D. Braess
+    and K. P. Hadeler, Numer. Math. 21, 1973); its squared radius is an exact
+    rational, rounded up.  A cluster of k roots with moduli in [lo, hi] adds
+    [k log lo, k log hi] outside the circle and [0, k log hi] across it."""
+    if roots is None:
+        return None
+    d, one, g, band = len(roots), 1 << b, GUARD_BITS, 1 << b - precision_bits
+    radii, cluster = [], list(range(d))
+    for i, (x, y) in enumerate(roots):
+        re, im = 1, 0
+        for k, c in enumerate(reversed(coeffs[:-1]), start=1):
+            re, im = re * x - im * y + (c << b * k), re * y + im * x
+        sep = math.prod((x - u) ** 2 + (y - v) ** 2 for j, (u, v) in enumerate(roots) if j != i)
+        if not sep:
+            return None
+        radii.append(math.isqrt(d * d * (re * re + im * im) // sep) + 1)
+        for j, (u, v) in enumerate(roots[:i]):
+            if (x - u) ** 2 + (y - v) ** 2 <= (radii[i] + radii[j]) ** 2:
+                if isolated:
+                    return None
+                cluster = [cluster[j] if c == cluster[i] else c for c in cluster]
+    lo = hi = 0
+    log2_lo, log2_hi = log_enclosure(2, b + g)
+    enclosures = [None] * d
+    for label in set(cluster):
+        group = [i for i in range(d) if cluster[i] == label]
+        moduli = [(math.isqrt(roots[i][0] ** 2 + roots[i][1] ** 2), radii[i]) for i in group]
+        low, high = max(min(m - r for m, r in moduli), 0), max(m + r + 1 for m, r in moduli)
+        near = low <= one <= high
+        if near and not one - band <= low <= high <= one + band:
+            return None
+        if high > one:
+            hi += len(group) * (log_enclosure(high << g, b + g)[1] - (b + g) * log2_lo)
+        if low > one:
+            lo += len(group) * max(log_enclosure(low << g, b + g)[0] - (b + g) * log2_hi, 0)
+        for i in group:
+            enclosures[i] = RootEnclosure(*roots[i], b, radii[i], low, high, near)
+    lo, hi = lo >> g, -(-hi >> g)
+    # m(f) > 0 forces m(f) > 1/(104 d log 6d) (A. Blanksby and H. L. Montgomery,
+    # Acta Arith. 18, 1971: M(a) > 1 + 1/(52 d log 6d) unless a is a root of unity)
+    if hi * 1024 * d * (6 * d).bit_length() < one:
+        lo = hi = 0
+    return lo, hi, tuple(enclosures)
+
+
+@lru_cache(maxsize=16)
+def _enclose(f, bits, precision_bits):
+    """_certify's ball and enclosures for f at scale bits, from the float start
+    refined by Newton if that isolates every root, else from mp.polyroots on the
+    square-free parts; a root at 0 is exact.  None if neither certifies."""
+    zeros = next(i for i, c in enumerate(f.coefficients) if c)
+    coeffs = f.coefficients[zeros:]
+    found = _certify(coeffs, _newton(coeffs, _float_start(coeffs), bits), bits, precision_bits, True)
+    if found is None:
+        parts = [_certify(part, _polyroots(part, bits), bits, precision_bits, False)
+                 for part in _square_free_parts(coeffs)]
+        if None not in parts:
+            found = (sum(part[0] for part in parts), sum(part[1] for part in parts),
+                     sum((part[2] for part in parts), ()))
+    zero = RootEnclosure(0, 0, bits, 0, 0, 0, False)
+    return found and (*found[:2], (zero,) * zeros + found[2])
 
 
 def mahler_measure(f, precision_bits=DEFAULT_PRECISION_BITS):
-    """Certified Mahler measure: sum of max(log |root|, 0).
+    """Certified Mahler measure m(f), the sum of max(log |root|, 0), as an integer
+    ball at b = precision_bits + guard bits, doubled until its ends print alike
+    at precision_bits; roots within 2**-precision_bits of the unit circle are
+    flagged.  Only the polyroots fallback and the mpmath fields load mpmath."""
+    dps = digits_for_bits(precision_bits)
 
-    Roots are isolated by simultaneous iteration at escalating working
-    precision until every certified modulus interval is decisively above the
-    unit circle, below it, or within 2**-precision_bits of it.  Near-unit
-    roots contribute zero and are flagged; their possible contribution is
-    folded into error_bound, as is the rounding of the working logs and of
-    the returned measure.
-    """
-    from mpmath import mp
+    def attempt(bits):
+        found = _enclose(f, bits, precision_bits)
+        return found and ball_digits(*found[:2], bits, dps) and MahlerResult(
+            f, bits, *found, precision_bits)
 
-    degree = f.degree
-    dps = max(30, 2 * digits_for_bits(precision_bits), 3 * degree)
-    for _ in range(12):
-        with mp.workdps(dps):
-            coeffs = [mp.mpf(c) for c in reversed(f.coefficients)]
-            tol = mp.mpf(2) ** (-precision_bits)
-            enclosures = _certified_enclosures(coeffs, degree, tol)
-            if enclosures is not None:
-                measure = mp.mpf(0)
-                error = mp.mpf(0)
-                for enc in enclosures:
-                    if enc.near_unit:
-                        error += max(mp.log(enc.modulus_upper), mp.mpf(0))
-                    elif enc.modulus_lower > 1:
-                        lo = mp.log(enc.modulus_lower)
-                        hi = mp.log(enc.modulus_upper)
-                        measure += (lo + hi) / 2
-                        error += (hi - lo) / 2
-                # each log, sum and halving above is off by at most an ulp, and
-                # rounding to the returned precision moves the measure by gap
-                error += 8 * degree * mp.eps * (1 + measure)
-                with working_precision(precision_bits):
-                    rounded = +measure
-                    gap = abs(mp.fsub(rounded, measure, exact=True))
-                    return MahlerResult(
-                        measure=rounded,
-                        error_bound=mp.fadd(error, gap, rounding="c"),
-                        roots=tuple(enclosures),
-                        precision_bits=precision_bits,
-                    )
-        dps *= 2
-    raise ConvergenceError(
-        "root certification failed for %s at %d working digits" % (f, dps // 2)
-    )
+    return escalate(attempt, precision_bits + GUARD_BITS)

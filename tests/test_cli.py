@@ -316,22 +316,26 @@ def test_lehmer_golden(capsys):
     assert [line.split(",")[1] for line in out.splitlines()[1:6]] == ["1", "1", "4", "5", "11"]
 
 
+LEHMER10 = "1,1,0,-1,-1,-1,-1,-1,0,1,1"
+DEGREE30 = "3,1,4,1,5,9,2,6,5,3,5,8,9,7,9,3,2,3,8,4,6,2,6,4,3,3,8,3,2,7,1"
+
+
 def test_lehmer_stdout_is_pinned(capsys):
     # stdout of the Bareiss determinant route (the first three from repeated
     # companion-matrix products, the degree-30 one from the x^n mod f
     # window); the subresultant on x^n mod f - 1 must reproduce it byte for byte.
-    # mahler_error_bound includes the rounding of the printed measure.
-    lehmer10 = "1,1,0,-1,-1,-1,-1,-1,0,1,1"
-    degree30 = "3,1,4,1,5,9,2,6,5,3,5,8,9,7,9,3,2,3,8,4,6,2,6,4,3,3,8,3,2,7,1"
+    # Since the Mahler measure is an integer ball, mahler_error_bound is the
+    # ball's radius rounded up and gap_at_max_n is certified: those two lines
+    # changed, and every other line is the mpmath route's, byte for byte.
     golden = {
-        (lehmer10, "300", "csv", "128"):
-        "d816f191d3a040c18a8a4f9b3686b71397a13db8471354123eabc2179d798a1a",
-        (lehmer10, "300", "json", "8"):
-        "b6d884185da9c3d49f7aa96d6d545240c26fa85d5db913d13f519360c0ebdc5c",
+        (LEHMER10, "300", "csv", "128"):
+        "f864a467a57a879ec4d29a107756bd58727cf0ad66834abb85d67a7806c28448",
+        (LEHMER10, "300", "json", "8"):
+        "52926ebc9aad27d408c1a06f67f7feea4a03acf20b836c5511689f8a028f7151",
         ("-2,1", "200", "csv", "128"):
-        "ec77acd5ff265508fcc08edb53e981a7119f0a50aec68c5c276627977113684d",
-        (degree30, "60", "csv", "128"):
-        "ab9bbf89490480027aa0bbb431cb3bcd809ba04697cd03028c2cf94ee5839483",
+        "db144f5c7ecac36760dec9dafd3c72a6819e1e86e08cc073b79742c458baa0b0",
+        (DEGREE30, "60", "csv", "128"):
+        "18fbd9d96058e8c6c1016d50d542085a0072f587d49362aab30805eebd999ec5",
     }
     for (poly, max_n, fmt, bits), digest in golden.items():
         code, out, _ = run(
@@ -341,6 +345,41 @@ def test_lehmer_stdout_is_pinned(capsys):
         )
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, (poly, fmt)
+
+
+def test_lehmer_mahler_lines_are_pinned(capsys):
+    # the mahler and entropy lines of the mpmath route, verbatim, for the
+    # pinned inputs above and the bench's Lehmer input
+    lehmer10 = ("0.16235761200773813943219880355496580771", "0.16")
+    golden = {
+        (LEHMER10, "300", "128"): lehmer10[0],
+        (LEHMER10, "300", "8"): lehmer10[1],
+        ("-2,1", "200", "128"): "0.69314718055994530941723212145817656808",
+        (DEGREE30, "60", "128"): "2.6091341993576047413581184425270106765",
+        (LEHMER10, "1000", "128"): lehmer10[0],
+    }
+    for (poly, max_n, bits), mahler in golden.items():
+        code, out, _ = run(
+            capsys, "lehmer", "--poly", poly, "--max-n", max_n, "--precision-bits", bits
+        )
+        assert code == 0
+        summary = summary_lines(out)
+        assert (summary["mahler"], summary["entropy"]) == (mahler, mahler), (poly, max_n)
+
+
+def test_lehmer_gap_is_certified(capsys):
+    # for x - 2 the gap is log 2 - log(2^n - 1)/n; the mpf difference printed
+    # 0.0 at n = 300 and went wrong after 13 digits at n = 60
+    for max_n, printed in (
+        ("300", "1.636364488432575517698590651662091881e-93"),
+        ("60", "1.4456028966473392459702007215984756198e-20"),
+    ):
+        code, out, _ = run(capsys, "lehmer", "--poly", "-2,1", "--max-n", max_n)
+        assert code == 0
+        n = int(max_n)
+        with mp.workdps(400):
+            assert mp.nstr(mp.log(2) - mp.log(2**n - 1) / n, 38) == printed
+        assert summary_lines(out)["gap_at_max_n"] == printed
 
 
 def test_lehmer_gap_and_entropy(capsys):
@@ -506,8 +545,9 @@ def test_primes_output_is_pinned(capsys):
 
 def test_exact_commands_never_import_mpmath(capsys, tmp_path):
     # primes, zeta and oracle print only exact integers and rationals, and
-    # construct and analyze print logs and rates from integer balls, so a
-    # fresh interpreter running them never pays for importing mpmath
+    # construct, analyze and lehmer print logs, rates and Mahler measures
+    # from integer balls, so a fresh interpreter running them never pays for
+    # importing mpmath
     plan, seq = tmp_path / "plan.json", tmp_path / "seq.csv"
     commands = [
         ["construct", "--C", "1", "--strategy", "compensated", "--max-n", "12",
@@ -521,6 +561,9 @@ def test_exact_commands_never_import_mpmath(capsys, tmp_path):
         ["primes", "--max-n", "300"],
         ["zeta", "--sequence", str(seq)],
         ["oracle", "--plan", str(plan), "--components", "3", "--max-n", "6"],
+        ["lehmer", "--poly", LEHMER10, "--max-n", "50"],
+        ["lehmer", "--poly", "-2,1", "--max-n", "300"],
+        ["lehmer", "--poly", DEGREE30, "--max-n", "20"],
     ]
     done = run_fresh(
         "import sys\n"
@@ -530,6 +573,20 @@ def test_exact_commands_never_import_mpmath(capsys, tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stderr == "%s False" % ([0] * len(commands))
+
+
+def test_lehmer_loads_mpmath_only_for_repeated_roots():
+    # (x^2 - x - 1)^2 takes the mp.polyroots fallback, so the guard above
+    # would see mpmath if a command loaded it
+    done = run_fresh(
+        "import sys\n"
+        "from perigee.cli import main\n"
+        "code = main(['lehmer', '--poly', '1,2,-1,-2,1', '--max-n', '8'])\n"
+        "sys.stderr.write('%s %s' % (code, 'mpmath' in sys.modules))\n"
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == "0 True"
+    assert "# mahler=0.96242365011920689499551782684873684627" in done.stdout
 
 
 def test_cli_import_loads_every_layer_and_no_heavy_module():

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from perigee.numtheory import divisors, mobius
 from perigee.orbits import (
     CountSequence,
+    SandwichViolation,
     fixed_from_least,
     growth_diagnostics,
     least_from_fixed,
@@ -89,6 +91,32 @@ def test_sandwich_holds_for_derived_pairs(values):
     # any nonnegative least-count sequence induces a pair satisfying both bounds
     F = fixed_from_least(CountSequence.least(values))
     assert lemma_sandwich_check(F, least_from_fixed(F)).ok
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=80),
+    st.lists(st.integers(-10**6, 10**6), min_size=80, max_size=80),
+)
+def test_sieves_match_the_divisor_sums(values, other):
+    # the sieves over multiples against the divisor and Moebius sums they replaced
+    N = len(values)
+    F, L = CountSequence.fixed(values), CountSequence.least(other[:N])
+    assert least_from_fixed(F).values == tuple(
+        sum(mobius(n // d) * values[d - 1] for d in divisors(n)) for n in range(1, N + 1)
+    )
+    assert fixed_from_least(L).values == tuple(
+        sum(other[d - 1] for d in divisors(n)) for n in range(1, N + 1)
+    )
+    expected = []
+    for r in range(1, N + 1):
+        f_r, l_r = values[r - 1], other[r - 1]
+        if l_r > f_r:
+            expected.append(SandwichViolation(r, "upper", l_r, f_r))
+        bound = f_r - sum(values[d - 1] for d in divisors(r) if d != r)
+        if l_r < bound:
+            expected.append(SandwichViolation(r, "lower", l_r, bound))
+    assert lemma_sandwich_check(F, L).violations == tuple(expected)
 
 
 def test_sandwich_flags_violations():

@@ -1,5 +1,5 @@
 import math
-from decimal import ROUND_HALF_UP, Context, Decimal
+from decimal import ROUND_CEILING, ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 
 import pytest
@@ -9,7 +9,14 @@ from mpmath import iv, mp
 from mpmath.libmp import mpf_ceil, mpf_floor, mpf_shift, to_int
 
 from perigee.numtheory import FactoredNatural
-from perigee.precision import LogReal, decimal_from_floors, log_enclosure
+from perigee.precision import (
+    LogReal,
+    ball_digits,
+    decimal_from_floors,
+    decimal_up,
+    dyadic_mp,
+    log_enclosure,
+)
 
 
 def floors_of(x):
@@ -54,6 +61,45 @@ def test_decimal_from_floors_rounds_where_nstr_truncates():
     assert decimal_from_floors(floors_of(x), 1) == "0.4"
     with mp.workprec(m.bit_length()):
         assert mp.nstr(mp.ldexp(m, -300), 1) == "0.3"
+
+
+def dyadic(n, bits):
+    """n / 2**bits as an exact Decimal, for bits >= 0."""
+    return Decimal("%de-%d" % (n * 5**bits, bits))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 2**300), st.integers(0, 400), st.integers(1, 60))
+@example(10**39 - 1, 0, 38)  # 99...9 rounds up to 1.0e+39: a carry into the exponent
+@example(5**40, 40, 20)  # exactly 1e-40: nothing to round
+def test_decimal_up_rounds_up(n, bits, dps):
+    text = decimal_up(n, bits, dps)
+    assert Decimal(text) == Context(prec=dps, rounding=ROUND_CEILING).plus(dyadic(n, bits))
+    # laid out as decimal_from_floors lays out the same value
+    assert text == decimal_from_floors(floors_of(Fraction(Decimal(text))), dps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**200), st.integers(0, 2**40), st.integers(0, 300), st.integers(1, 40))
+def test_ball_digits_decide_only_what_both_ends_print(lo, width, bits, dps):
+    hi = lo + width
+    text = ball_digits(lo, hi, bits, dps)
+    ends = [decimal_from_floors(floors_of(Fraction(end, 2**bits)), dps) if end else "0.0"
+            for end in (lo, hi)]
+    assert text == (ends[0] if ends[0] == ends[1] else None)
+
+
+def test_ball_digits_of_zero_and_decimal_up_of_zero():
+    assert ball_digits(0, 0, 140, 38) == decimal_up(0, 140, 38) == "0.0"
+    assert ball_digits(0, 1, 140, 38) is None  # 0 and 2**-140 print differently
+
+
+def test_dyadic_mp_is_exact():
+    n, scale = 3**300 + 1, 500
+    with mp.workprec(2000):
+        assert dyadic_mp(scale, n) * mp.mpf(2) ** scale == n
+        z = dyadic_mp(scale, n, -n - 2)
+        assert (z.real * 2**scale, z.imag * 2**scale) == (n, -n - 2)
 
 
 def iv_log_ball(n, bits):

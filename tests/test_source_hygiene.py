@@ -150,6 +150,42 @@ def test_no_module_imports_dataclasses():
     assert importers == []
 
 
+def import_time_modules(source):
+    """Top-level names of the modules the source loads when it is imported:
+    its import statements outside any function body."""
+    names, pending = set(), list(ast.parse(source).body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.split(".")[0])
+        pending.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_import_time_modules_detector():
+    source = (
+        "import os.path\nfrom . import cli\n\nif True:\n    import json\n\n"
+        "class A:\n    import csv\n\n    def f(self):\n        import mpmath\n\n"
+        "def g():\n    from mpmath import mp\n"
+    )
+    assert import_time_modules(source) == {"os", "json", "csv"}
+
+
+def test_no_module_imports_mpmath_at_import_time():
+    # mpmath costs every process that loads it; only the Mahler measure's
+    # mp.polyroots fallback and its mpmath-typed fields import it, inside
+    # the functions that need it
+    importers = [
+        path.name for path in sorted(PACKAGE.glob("*.py"))
+        if "mpmath" in import_time_modules(path.read_text(encoding="utf-8"))
+    ]
+    assert importers == []
+
+
 def test_unread_private_functions_detector():
     sources = {
         "a.py": "def _local():\n    pass\n\ndef _dead():\n    pass\n\n"

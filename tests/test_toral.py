@@ -1,11 +1,15 @@
+import math
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from perigee import toral
 from perigee.orbits import realizability_check
+from perigee.precision import log_enclosure
 from perigee.toral import (
     DegeneracyError,
     IntegerPolynomial,
@@ -284,3 +288,114 @@ def test_convergence_envelope():
             for n in range(1, 40):
                 rate = mp.log(delta_n(poly, n)) / n
                 assert abs(rate - result.measure) <= budget / n + mp.mpf(2) ** -80
+
+
+# --- the Mahler measure against Graeffe root squaring -------------------------
+
+
+def graeffe(coeffs):
+    """f_1 with f_1(x**2) = (-1)**d f(x) f(-x): its roots are the squares of f's."""
+    d = len(coeffs) - 1
+    prod = poly_mul(coeffs, [c if i % 2 == 0 else -c for i, c in enumerate(coeffs)])
+    return [(-1) ** d * c for c in prod[::2]]
+
+
+def graeffe_enclosure(coeffs, k, bits=64):
+    """(lo, hi, scale) with lo <= m(f) * 2**scale <= hi, from f_k after k root
+    squarings, whose measure is M(f)**(2**k).  Landau's bound gives
+    M(f_k) <= ||f_k||_2, and |c_j| <= binom(d, j) M(f_k) bounds it below."""
+    for _ in range(k):
+        coeffs = graeffe(coeffs)
+    d = len(coeffs) - 1
+    lo = max(
+        log_enclosure(abs(c), bits)[0] - log_enclosure(math.comb(d, j), bits)[1]
+        for j, c in enumerate(coeffs) if c
+    )
+    hi = -(-log_enclosure(sum(c * c for c in coeffs), bits)[1] // 2)
+    return max(lo, 0), hi, bits + k
+
+
+def inside(ball, outer):
+    (lo, hi, s), (out_lo, out_hi, t) = ball, outer
+    return out_lo << s <= lo << t and hi << t <= out_hi << s
+
+
+def overlap(first, second):
+    (lo, hi, s), (lo2, hi2, t) = first, second
+    return lo << t <= hi2 << s and lo2 << s <= hi << t
+
+
+def ball_of(result):
+    return result.lo, result.hi, result.scale
+
+
+def through_fallback(poly, precision_bits=128):
+    """mahler_measure with the float start switched off, so every root comes
+    from mp.polyroots."""
+    toral._enclose.cache_clear()
+    try:
+        with mock.patch.object(toral, "_float_start", lambda coeffs: None):
+            return toral.mahler_measure(poly, precision_bits)
+    finally:
+        toral._enclose.cache_clear()
+
+
+def test_graeffe_enclosure_is_narrow_and_holds_closed_forms():
+    # m(x - 2) = log 2 and m(x^2 - 3x + 1) = 2 log phi, inside widths that
+    # shrink like 2**-k
+    with mp.workprec(200):
+        closed_forms = ((SHIFT.coefficients, mp.log(2)),
+                        ((1, -3, 1), 2 * mp.log((1 + mp.sqrt(5)) / 2)))
+        for coeffs, closed in closed_forms:
+            lo, hi, scale = graeffe_enclosure(list(coeffs), 12)
+            assert lo <= closed * 2**scale <= hi
+            assert hi - lo < 2 ** (scale - 10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(-9, 9), min_size=1, max_size=12))
+def test_mahler_ball_lies_in_the_graeffe_enclosure(low):
+    # random monic f of degree <= 12 with no cyclotomic factor, repeated roots
+    # and roots at 0 included
+    poly = IntegerPolynomial(tuple(low) + (1,))
+    assume(cyclotomic_factor_index(poly) is None)
+    certified = ball_of(mahler_measure(poly))
+    assert inside(certified, graeffe_enclosure(low + [1], 10))
+    fallback = ball_of(through_fallback(poly))
+    assert overlap(certified, fallback)
+
+
+def test_repeated_roots_certify_through_the_fallback():
+    # (x^2 - x - 1)^2: Newton from the float start loses its quadratic
+    # convergence at the double roots, so mp.polyroots supplies them
+    square = IntegerPolynomial((1, 2, -1, -2, 1))
+    toral._enclose.cache_clear()
+    with mock.patch.object(toral, "_polyroots", wraps=toral._polyroots) as fallback:
+        result = mahler_measure(square)
+    assert fallback.called
+    with mp.workprec(400):
+        expected = 2 * mp.log((1 + mp.sqrt(5)) / 2)
+        assert result.lo <= expected * 2**result.scale <= result.hi
+    assert len(result.roots) == 4 and not result.flagged
+    assert inside(ball_of(result), graeffe_enclosure([1, 2, -1, -2, 1], 10))
+
+
+def test_mahler_of_roots_at_zero_and_on_the_circle_is_exact():
+    # x^2 (x - 2): two exact roots at 0; x^4 - 1 and x - 1: roots of unity,
+    # whose measure 0 the ball reaches exactly
+    result = mahler_measure(IntegerPolynomial((0, 0, -2, 1)))
+    with mp.workprec(200):
+        assert result.lo <= mp.log(2) * 2**result.scale <= result.hi
+    assert [r.value for r in result.roots[:2]] == [0, 0]
+    for coeffs in ((-1, 0, 0, 0, 1), (-1, 1)):
+        result = mahler_measure(IntegerPolynomial(coeffs))
+        assert (result.lo, result.hi) == (0, 0) and result.measure == 0
+        assert len(result.flagged) == len(coeffs) - 1
+
+
+def test_mahler_refines_its_ball_on_demand():
+    result = mahler_measure(GOLDEN)
+    lo, hi = result.ball(4 * result.scale)
+    assert hi - lo < 2 ** (2 * result.scale)
+    coarse = result.ball(result.scale // 2)
+    assert inside((lo, hi, 4 * result.scale), (*coarse, result.scale // 2))
