@@ -29,18 +29,15 @@ from .orbits import (
     CountSequence,
     GrowthDiagnostics,
     RealizabilityError,
-    fixed_from_least,
     growth_diagnostics,
     least_from_fixed,
     lemma_sandwich_check,
-    realizability_check,
 )
 from .targets import GrowthTarget
 from .toral import (
     DegeneracyError,
     IntegerPolynomial,
     MahlerResult,
-    delta_n,
     delta_n_resultant,
     mahler_measure,
     toral_fix_sequence,

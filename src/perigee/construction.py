@@ -150,13 +150,28 @@ def _exponent(n, C, p, spent):
     return adaptive_floor(build)
 
 
+def _checked_gamma(strategy, gamma):
+    """gamma as a Fraction in (0, 1) for the subexponential strategy; None for the others."""
+    if strategy != STRATEGY_SUBEXPONENTIAL:
+        if gamma is not None:
+            raise ValueError("gamma only applies to the subexponential strategy")
+        return None
+    try:
+        gamma = Fraction(gamma) if gamma is not None else None
+    except ZeroDivisionError as exc:
+        raise ValueError("cannot parse gamma %r" % gamma) from exc
+    if gamma is None or not 0 < gamma < 1:
+        raise ValueError("subexponential strategy needs gamma in (0, 1)")
+    return gamma
+
+
 def build_plan(target, strategy=None, n_max=1, gamma=None):
     """Build components n = 1..n_max for the given target and strategy.
 
     strategy None picks the target's own: trivial for zero, infinite for
-    infinite and paper for a finite target.  This is the one place that
-    checks a strategy against its target, and gamma (a Fraction or anything
-    Fraction parses) against the strategy.  Components with K_n = 0 are
+    infinite and paper for a finite target.  It checks the strategy against
+    its target, and gamma (a Fraction or anything Fraction parses) against
+    the strategy, as plan_from_json does.  Components with K_n = 0 are
     still recorded (as trivial groups) so that indices stay aligned with the
     product over all n.
     """
@@ -166,13 +181,7 @@ def build_plan(target, strategy=None, n_max=1, gamma=None):
     strategy = strategy or allowed[0]
     if strategy not in allowed:
         raise ValueError("%s target takes strategy %s" % (target.kind, " or ".join(allowed)))
-    if strategy == STRATEGY_SUBEXPONENTIAL:
-        gamma = Fraction(gamma) if gamma is not None else None
-        if gamma is None or not 0 < gamma < 1:
-            raise ValueError("subexponential strategy needs gamma in (0, 1)")
-    elif gamma is not None:
-        raise ValueError("gamma only applies to the subexponential strategy")
-
+    gamma = _checked_gamma(strategy, gamma)
     C = target.value
     # every finite plan takes its p_n from one sieve; the infinite one scans above n**n
     primes = None if strategy == STRATEGY_INFINITE else least_primes_congruent_one(n_max)
@@ -436,7 +445,7 @@ def plan_from_json(obj):
     strategy = obj["strategy"]
     if strategy not in _STRATEGIES[target.kind]:
         raise ValueError("plan strategy %r does not fit a %s target" % (strategy, target.kind))
-    gamma = Fraction(_shaped(obj["gamma"], str, "gamma")) if "gamma" in obj else None
+    gamma = _shaped(obj["gamma"], str, "gamma") if "gamma" in obj else None
     components = []
     for raw in _shaped(obj["components"], list, "components"):
         _shaped(raw, dict, "component")
@@ -447,9 +456,8 @@ def plan_from_json(obj):
         raise ValueError("components must cover n = 1..N in order")
     if _decimal_int(obj["N"], "N") != len(components):
         raise ValueError("N disagrees with the component list")
-    return ConstructionPlan(
-        target=target, strategy=strategy, components=tuple(components), gamma=gamma
-    )
+    return ConstructionPlan(target=target, strategy=strategy, components=tuple(components),
+                            gamma=_checked_gamma(strategy, gamma))
 
 
 def save_plan(plan, path):

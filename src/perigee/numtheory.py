@@ -278,6 +278,8 @@ def floor_root(x, k):
         raise ValueError("need x >= 0 and k >= 1")
     if x in (0, 1) or k == 1:
         return x
+    if x.bit_length() <= k:  # 2 <= x < 2**k; for a huge k, r**(k - 1) is too large to form
+        return 1
     r = 1 << ((x.bit_length() + k - 1) // k)
     while True:
         nxt = ((k - 1) * r + x // r ** (k - 1)) // k

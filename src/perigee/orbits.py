@@ -5,11 +5,11 @@ points of least period n determine each other:
 
     F_n = sum of L_d over d | n,      L_n = sum of mu(n/d) * F_d over d | n.
 
-This module converts both ways exactly, reports whether a fixed-count
-sequence could come from an actual map (inversion nonnegative and divisible
-by n), computes logarithmic growth diagnostics, and checks the two sandwich
-inequalities that pin the least-period growth rate to the period growth rate
-at finite horizon.
+This module inverts F to L exactly, computes logarithmic growth diagnostics,
+and checks the two sandwich inequalities that pin the least-period growth
+rate to the period growth rate at finite horizon.  The forward sum and the
+realizability check (every L_n nonnegative and divisible by n) are test
+oracles, in tests/oracles.py.
 """
 
 import csv
@@ -62,23 +62,6 @@ class CountSequence(namedtuple("CountSequence", "kind values")):
     def N(self):
         return len(self.values)
 
-    def value(self, n):
-        """1-based accessor."""
-        if not 1 <= n <= self.N:
-            raise IndexError("index %d outside 1..%d" % (n, self.N))
-        return self.values[n - 1]
-
-
-def fixed_from_least(L):
-    """F_n = sum of L_d over d | n."""
-    if L.kind != KIND_LEAST:
-        raise ValueError("expected a least-period sequence")
-    out = [0] * L.N
-    for d, value in enumerate(L.values, start=1):
-        for m in range(d - 1, L.N, d):
-            out[m] += value
-    return CountSequence(KIND_FIXED, tuple(out))
-
 
 def least_from_fixed(F):
     """L_n = sum of mu(n/d) * F_d over d | n; negatives are preserved.
@@ -96,32 +79,6 @@ def least_from_fixed(F):
     return CountSequence(KIND_LEAST, tuple(out))
 
 
-class RealizabilityRow(namedtuple("RealizabilityRow", "n least nonnegative divisible")):
-    __slots__ = ()
-
-    @property
-    def ok(self):
-        return self.nonnegative and self.divisible
-
-
-RealizabilityReport = namedtuple("RealizabilityReport", "rows ok")
-
-
-def realizability_check(F):
-    """Is F the period-count sequence of some map?
-
-    Necessary and sufficient at finite horizon: every inverted least count
-    must be nonnegative and divisible by n (points of least period n come in
-    orbits of size n).
-    """
-    L = least_from_fixed(F)
-    rows = tuple(
-        RealizabilityRow(n, ln, ln >= 0, ln % n == 0)
-        for n, ln in enumerate(L.values, start=1)
-    )
-    return RealizabilityReport(rows=rows, ok=all(r.ok for r in rows))
-
-
 class GrowthDiagnostics(
     namedtuple("GrowthDiagnostics", "entries skipped window_len window_inf window_sup")
 ):
@@ -135,12 +92,6 @@ class GrowthDiagnostics(
     """
 
     __slots__ = ()
-
-    def rate(self, n):
-        for m, _, r in self.entries:
-            if m == n:
-                return r
-        raise KeyError("no rate computed at n = %d" % n)
 
 
 def growth_diagnostics(S, window_len=10, precision_bits=DEFAULT_PRECISION_BITS):

@@ -23,10 +23,8 @@ ball, refined on demand, and prints it through decimal_from_floors, which
 writes a positive real from its exact decimal floors, correctly rounded, in
 the layout of mp.nstr (decimal_from_scaled); ball_digits prints any ball
 whose two ends round alike, escalate doubles a ball's precision until they
-do, and decimal_up prints a ball's radius rounded up.  dyadic_mp turns a
-ball's integers into exact mpmath numbers, importing mpmath only then;
-unlimited_int_digits lifts Python's int<->str digit limit around
-conversions of long counts.
+do, and decimal_up prints a ball's radius rounded up; unlimited_int_digits
+lifts Python's int<->str digit limit around conversions of long counts.
 """
 
 import math
@@ -239,15 +237,6 @@ def decimal_up(n, bits, dps):
     k = dps - 1 - e
     up = -(-n * 10**k >> bits) if k >= 0 else -(-n // (10**-k << bits))
     return decimal_from_scaled(10 * up, e, dps)
-
-
-def dyadic_mp(scale, *parts):
-    """n / 2**scale as an exact mpf, or (re + i*im) / 2**scale as an exact mpc."""
-    from mpmath import mp
-    from mpmath.libmp import from_man_exp
-
-    parts = tuple(from_man_exp(n, -scale) for n in parts)
-    return mp.make_mpc(parts) if len(parts) == 2 else mp.make_mpf(*parts)
 
 
 class LogReal:

@@ -73,7 +73,10 @@ class GrowthTarget(namedtuple("GrowthTarget", "kind value")):
         """Inverse of to_json: a finite target's value must be a string."""
         kind = obj.get("kind")
         if kind == FINITE and isinstance(obj.get("value"), str):
-            return cls.finite(Fraction(obj["value"]))
+            try:
+                return cls.finite(Fraction(obj["value"]))
+            except ZeroDivisionError as exc:
+                raise ValueError("bad growth-target value %r" % obj["value"]) from exc
         if kind == ZERO:
             return cls.zero()
         if kind == INFINITE:

@@ -2,16 +2,14 @@
 
 For a monic integer polynomial f with roots a_1..a_d, the quantity
 delta_n = product of |a_i^n - 1| is an integer: it equals |det(M^n - I)| for
-the companion matrix M of f, and also |Res(f, x^n - 1)|.  Three routes:
+the companion matrix M of f, and also |Res(f, x^n - 1)|.  Two routes:
 
 * toral_fix_sequence, the sequence `lehmer` prints, steps r_n = x^n mod f by
   one monic division per n and takes Res(f, r_n - 1) = Res(f, x^n - 1) (f is
   monic) by the integer subresultant remainder sequence, O(d^2) per n.
-* delta_n, the determinant oracle: M is multiplication by x on Z[x]/(f), so
-  column j of M^n is r_(n+j).  It finds r_n by square-and-multiply and ends
-  in a fraction-free (Bareiss) determinant of M^n - I.
 * delta_n_resultant, the resultant oracle: a rational remainder chain on
-  x^n - 1 that shares no code with the other two.
+  x^n - 1 that shares no code with the first.  The determinant oracle, a
+  Bareiss determinant of M^n - I, is in tests/oracles.py.
 
 When f does not vanish at any root of unity, delta_n is the number of points
 of period n of the toral automorphism induced by M, and its logarithmic
@@ -31,7 +29,7 @@ from itertools import islice
 from .numtheory import euler_phi
 from .orbits import KIND_FIXED, CountSequence
 from .precision import (DEFAULT_PRECISION_BITS, GUARD_BITS, ball_digits, digits_for_bits,
-                        dyadic_mp, escalate, log_enclosure)
+                        escalate, log_enclosure)
 
 
 class DegeneracyError(ValueError):
@@ -91,8 +89,6 @@ def _poly_divmod(a, b):
     a = [Fraction(x) for x in a]
     b = [Fraction(x) for x in _trim(b)]
     db = len(b) - 1
-    if db < 0:
-        raise ZeroDivisionError("division by the zero polynomial")
     lead = b[db]
     q = [Fraction(0)] * max(0, len(a) - db)
     for i in range(len(a) - 1, db - 1, -1):
@@ -173,18 +169,12 @@ def cyclotomic_factor_index(f):
 # --- exact delta_n --------------------------------------------------------------
 
 
-def _residues(f, n=1):
-    """Yield x^k mod f for k = n, n + 1, ..., as the module docstring says."""
+def _residues(f):
+    """Yield x^n mod f for n = 1, 2, ..., one multiplication by x at a time."""
     residue = [1]
-    for bit in bin(n)[2:]:
-        square = [0] * (2 * len(residue) - 1)
-        for i, a in enumerate(residue):
-            for j, b in enumerate(residue):
-                square[i + j] += a * b
-        _, residue = _poly_divmod_monic_int([0] * int(bit) + square, f.coefficients)
     while True:
-        yield residue
         _, residue = _poly_divmod_monic_int([0] + residue, f.coefficients)
+        yield residue
 
 
 def _subresultant(a, b):
@@ -215,43 +205,6 @@ def _subresultant(a, b):
         return 0
     da = len(a) - 1
     return s * (h * b[0] ** da // h**da)
-
-
-def _det_bareiss(m):
-    """Exact integer determinant by fraction-free elimination."""
-    a = [row[:] for row in m]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[-1][-1]
-
-
-def delta_n(f, n):
-    """|det(M^n - I)| with exact integer arithmetic (x^n mod f, then Bareiss)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    d = f.degree
-    columns = [r + [0] * (d - len(r)) for r in islice(_residues(f, n), d)]
-    for j, column in enumerate(columns):
-        column[j] -= 1
-    # the rows are the columns of M^n - I; transposing keeps the determinant
-    return abs(_det_bareiss(columns))
 
 
 def delta_n_resultant(f, n):
@@ -287,24 +240,14 @@ def toral_fix_sequence(f, n_max):
 # --- Mahler measure --------------------------------------------------------------
 
 
-class RootEnclosure(namedtuple("RootEnclosure", "x y scale bound lower upper near_unit")):
-    """A root within bound of x + iy, in a cluster with moduli in [lower, upper],
-    all over 2**scale; value, radius and modulus_* read them as exact mpmath."""
-
-    __slots__ = ()
-    value = property(lambda r: dyadic_mp(r.scale, r.x, r.y))
-    radius = property(lambda r: dyadic_mp(r.scale, r.bound))
-    modulus_lower = property(lambda r: dyadic_mp(r.scale, r.lower))
-    modulus_upper = property(lambda r: dyadic_mp(r.scale, r.upper))
+# A root within bound of x + iy, in a cluster with moduli in [lower, upper], all over 2**scale
+RootEnclosure = namedtuple("RootEnclosure", "x y scale bound lower upper near_unit")
 
 
 class MahlerResult(namedtuple("MahlerResult", "polynomial scale lo hi roots precision_bits")):
-    """lo <= m(f) * 2**scale <= hi, a ball whose ends print alike at precision_bits;
-    measure and error_bound are its midpoint and radius as exact mpfs."""
+    """lo <= m(f) * 2**scale <= hi, a ball whose ends print alike at precision_bits."""
 
     __slots__ = ()
-    measure = property(lambda m: dyadic_mp(m.scale + 1, m.lo + m.hi))
-    error_bound = property(lambda m: dyadic_mp(m.scale + 1, m.hi - m.lo))
     flagged = property(lambda m: tuple(i for i, r in enumerate(m.roots) if r.near_unit))
 
     def ball(self, bits):
@@ -314,17 +257,17 @@ class MahlerResult(namedtuple("MahlerResult", "polynomial scale lo hi roots prec
         return lo << bits >> scale, -(-hi << bits >> scale)
 
 
-@lru_cache(maxsize=16)
-def _float_start(coeffs):
-    """The roots of monic f to about float precision by Aberth-Ehrlich iteration
-    from a circle of radius |f(0)|**(1/d), with f(z)/f'(z) from the reversed
-    polynomial in 1/z where |z| > 1 (O. Aberth, Math. Comp. 27, 1973; D. A.
-    Bini and G. Fiorentino, Numer. Algorithms 23, 2000); None if it fails."""
+def _aberth(coeffs, edges):
+    """The roots of monic f to float precision, or None, by Aberth-Ehrlich iteration
+    from b - a points on the circle of radius |c_a / c_b|**(1/(b - a)) for each (a, b)
+    of edges, with f(z)/f'(z) from the reversed polynomial in 1/z where |z| > 1 (O. Aberth,
+    Math. Comp. 27, 1973; D. A. Bini and G. Fiorentino, Numer. Algorithms 23, 2000)."""
     d = len(coeffs) - 1
     try:
         low = [complex(c) for c in coeffs]
-        roots = [abs(low[0]) ** (1 / d) * cmath.exp(1j * (2 * math.pi * k / d + 0.4))
-                 for k in range(d)]
+        roots = [abs(low[a] / low[b]) ** (1 / (b - a))
+                 * cmath.exp(1j * (2 * math.pi * k / (b - a) + 2 * math.pi * a / d + 0.4))
+                 for a, b in edges for k in range(b - a)]
         for _ in range(100):
             done = True
             for i, z in enumerate(roots):
@@ -342,12 +285,33 @@ def _float_start(coeffs):
         return None
 
 
+@lru_cache(maxsize=16)
+def _float_start(coeffs):
+    """_aberth's roots of monic f, f(0) != 0, from the circle of radius
+    |f(0)|**(1/d); if that fails, from the edges of the upper convex hull of the
+    points (i, log |c_i|), so that roots of very different sizes start near their
+    own moduli (D. A. Bini, Numer. Algorithms 13, 1996)."""
+    hull = []
+    for i, c in enumerate(coeffs):
+        if c:
+            y = math.log(abs(c))
+            while len(hull) > 1 and ((hull[-1][1] - hull[-2][1]) * (i - hull[-1][0])
+                                     <= (y - hull[-1][1]) * (hull[-1][0] - hull[-2][0])):
+                hull.pop()
+            hull.append((i, y))
+    edges = [(a, b) for (a, _), (b, _) in zip(hull, hull[1:])]
+    found = _aberth(coeffs, [(0, len(coeffs) - 1)])
+    return _aberth(coeffs, edges) if found is None and len(edges) > 1 else found
+
+
 def _newton(coeffs, start, b):
     """The float start refined by Newton steps on x + iy = z * 2**b, each root
-    until a step moves it under 2**(b/2) ulps; None if one does not get there."""
+    until a step moves it under 2**(b/2) ulps; None if one does not get there.
+    A start keeps 60 fractional bits, and 60 bits past its lead if |z| < 1/2."""
     roots = []
     for z in start or ():
-        x, y = (int(t * 2.0**60) << b >> 60 for t in (z.real, z.imag))
+        shift = 60 - min(0, math.frexp(abs(z))[1])
+        x, y = (int(Fraction(t) * 2**shift) << b >> shift for t in (z.real, z.imag))
         for _ in range(b.bit_length() + 4):
             pr, pi, qr, qi = 1 << b, 0, 0, 0  # f(z) and f'(z) times 2**b, by Horner
             for c in reversed(coeffs[:-1]):
@@ -465,7 +429,7 @@ def mahler_measure(f, precision_bits=DEFAULT_PRECISION_BITS):
     """Certified Mahler measure m(f), the sum of max(log |root|, 0), as an integer
     ball at b = precision_bits + guard bits, doubled until its ends print alike
     at precision_bits; roots within 2**-precision_bits of the unit circle are
-    flagged.  Only the polyroots fallback and the mpmath fields load mpmath."""
+    flagged.  Only the polyroots fallback loads mpmath."""
     dps = digits_for_bits(precision_bits)
 
     def attempt(bits):

@@ -21,12 +21,7 @@ import operator
 from collections import namedtuple
 from fractions import Fraction
 
-from .orbits import (
-    KIND_FIXED,
-    CountSequence,
-    RealizabilityError,
-    least_from_fixed,
-)
+from .orbits import KIND_FIXED, RealizabilityError, least_from_fixed
 
 VERDICT_RATIONAL = "consistent-with-rational"
 VERDICT_NO_RECURRENCE = "no-low-order-recurrence"
@@ -81,20 +76,6 @@ def zeta_truncate(F, order):
         factorial *= m
         coeffs.append(Fraction(acc, factorial))
     return ZetaSeries(coefficients=tuple(coeffs), source=F)
-
-
-def sequence_from_series(S):
-    """Invert the recurrence: recover F_1..F_M exactly from the coefficients."""
-    c = S.coefficients
-    values = []
-    for m in range(1, S.M + 1):
-        acc = m * c[m]
-        for k in range(1, m):
-            acc -= values[k - 1] * c[m - k]
-        if acc.denominator != 1:
-            raise ValueError("series does not come from an integer sequence")
-        values.append(int(acc))
-    return CountSequence(KIND_FIXED, tuple(values))
 
 
 def _mul_trunc(a, b, order):

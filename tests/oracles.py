@@ -1,0 +1,141 @@
+"""Independent oracles for the package's closed forms; only the tests run them.
+
+Each recomputes what a command prints by a route that shares no code with
+the one the command runs:
+
+* delta_n: |det(M^n - I)| for the companion matrix M of a monic f, from
+  x^n mod f stepped one multiplication by x at a time (residues_by_steps)
+  and a fraction-free determinant, against toral_fix_sequence's
+  subresultants;
+* fixed_from_least: F_n = sum of L_d over d | n, the sum that
+  orbits.least_from_fixed inverts;
+* realizability_check: whether F is the period-count sequence of some map;
+* sequence_from_series: F_1..F_M back from the zeta coefficients that
+  zeta.zeta_truncate forms.
+
+dyadic turns the integer balls the package certifies into exact mpfs for
+the mpmath-based checks.
+"""
+
+from collections import namedtuple
+
+from mpmath import mp
+from mpmath.libmp import from_man_exp
+
+from perigee.orbits import KIND_FIXED, KIND_LEAST, CountSequence, least_from_fixed
+
+
+def dyadic(n, scale):
+    """n / 2**scale as an exact mpf, whatever mpmath's working precision."""
+    return mp.make_mpf(from_man_exp(n, -scale))
+
+
+def measure_and_radius(result):
+    """A MahlerResult's ball lo <= m(f) * 2**scale <= hi as its midpoint and
+    radius, exact mpfs."""
+    scale = result.scale + 1
+    return dyadic(result.lo + result.hi, scale), dyadic(result.hi - result.lo, scale)
+
+
+# --- the determinant route to delta_n -----------------------------------------
+
+
+def residues_by_steps(coeffs, count):
+    """x^k mod f for k = 0, ..., count - 1, one multiplication by x at a time."""
+    residue, out = [1] + [0] * (len(coeffs) - 2), []
+    for _ in range(count):
+        out.append(residue)
+        top = residue[-1]
+        residue = [a - top * c for a, c in zip([0] + residue[:-1], coeffs)]
+    return out
+
+
+def det_bareiss(m):
+    """Exact integer determinant by fraction-free elimination."""
+    a = [row[:] for row in m]
+    n = len(a)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for r in range(k + 1, n):
+                if a[r][k] != 0:
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
+def delta_n(f, n):
+    """|det(M^n - I)|: M is multiplication by x on Z[x]/(f), so column j of
+    M^n is x^(n + j) mod f."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    columns = [list(r) for r in residues_by_steps(f.coefficients, n + f.degree)[n:]]
+    for j, column in enumerate(columns):
+        column[j] -= 1
+    # the rows are the columns of M^n - I; transposing keeps the determinant
+    return abs(det_bareiss(columns))
+
+
+# --- orbit counts --------------------------------------------------------------
+
+
+def fixed_from_least(L):
+    """F_n = sum of L_d over d | n."""
+    if L.kind != KIND_LEAST:
+        raise ValueError("expected a least-period sequence")
+    out = [0] * L.N
+    for d, value in enumerate(L.values, start=1):
+        for m in range(d - 1, L.N, d):
+            out[m] += value
+    return CountSequence(KIND_FIXED, tuple(out))
+
+
+class RealizabilityRow(namedtuple("RealizabilityRow", "n least nonnegative divisible")):
+    __slots__ = ()
+
+    @property
+    def ok(self):
+        return self.nonnegative and self.divisible
+
+
+RealizabilityReport = namedtuple("RealizabilityReport", "rows ok")
+
+
+def realizability_check(F):
+    """Is F the period-count sequence of some map?
+
+    Necessary and sufficient at finite horizon: every inverted least count
+    must be nonnegative and divisible by n (points of least period n come in
+    orbits of size n).
+    """
+    L = least_from_fixed(F)
+    rows = tuple(
+        RealizabilityRow(n, ln, ln >= 0, ln % n == 0)
+        for n, ln in enumerate(L.values, start=1)
+    )
+    return RealizabilityReport(rows=rows, ok=all(r.ok for r in rows))
+
+
+def sequence_from_series(S):
+    """Invert the zeta recurrence: recover F_1..F_M exactly from the coefficients."""
+    c = S.coefficients
+    values = []
+    for m in range(1, S.M + 1):
+        acc = m * c[m]
+        for k in range(1, m):
+            acc -= values[k - 1] * c[m - k]
+        if acc.denominator != 1:
+            raise ValueError("series does not come from an integer sequence")
+        values.append(int(acc))
+    return CountSequence(KIND_FIXED, tuple(values))

@@ -248,9 +248,17 @@ def test_oracle_mismatch_exit_code(capsys, tmp_path, monkeypatch):
     (lambda obj: obj.update(target=5), "plan target must be an object"),
     (lambda obj: obj["components"][0].update(K=1.5), "plan K must be a decimal string, not 1.5"),
     (lambda obj: obj["components"][0].update(K=True), "plan K must be a decimal string, not True"),
+    (lambda obj: obj.update(strategy="subexponential", gamma="1/0"), "cannot parse gamma '1/0'"),
+    (lambda obj: obj["target"].update(value="1/0"), "bad growth-target value '1/0'"),
+    (lambda obj: obj.update(strategy="subexponential", gamma="3/2"),
+     "subexponential strategy needs gamma in (0, 1)"),
+    (lambda obj: obj.update(strategy="subexponential"),
+     "subexponential strategy needs gamma in (0, 1)"),
+    (lambda obj: obj.update(gamma="1/2"), "gamma only applies to the subexponential strategy"),
 ])
 def test_oracle_reads_only_the_plan_shapes_save_plan_writes(capsys, tmp_path, corrupt, message):
-    # each used to end in a traceback (exit 1) or, for K, load as K = 1
+    # each used to end in a traceback (exit 1) or, for K and the last three
+    # gammas, which plan_to_json never writes, load and exit 0
     obj = plan_to_json(build_plan(GrowthTarget.finite(1), "compensated", n_max=4))
     path = tmp_path / "plan.json"
     path.write_text(json.dumps(corrupt(obj) or obj))
@@ -909,3 +917,25 @@ def test_construct_strategy_is_checked_by_build_plan(capsys, tmp_path):
     assert not plan.exists()
     with pytest.raises(ValueError, match="^infinite target takes strategy infinite$"):
         build_plan(GrowthTarget.infinite(), "paper", n_max=3)
+
+
+def test_construct_gamma_with_a_zero_denominator_is_a_config_error(capsys):
+    # Fraction("1/0") raised ZeroDivisionError, which main did not map (exit 1)
+    code, out, err = run(
+        capsys, "construct", "--C", "1", "--strategy", "subexponential", "--gamma", "1/0",
+        "--max-n", "5",
+    )
+    assert (code, out, err) == (2, "", "error: cannot parse gamma '1/0'\n")
+
+
+@pytest.mark.parametrize("c", [10**305 + 1, 2**965 + 1], ids=["10^305+1", "2^965+1"])
+def test_lehmer_certifies_a_root_beyond_two_to_the_964(capsys, c):
+    # the float start of the root -c was scaled by 2.0**60, which overflowed
+    # past 2**964 (OverflowError, exit 1); m(x + c) = log c
+    code, out, err = run(capsys, "lehmer", "--poly", "%d,1" % c, "--max-n", "3")
+    assert code == 0, err
+    with mp.workprec(400):
+        expected = mp.nstr(mp.log(c), digits_for_bits(128))
+    assert summary_lines(out)["mahler"] == summary_lines(out)["entropy"] == expected
+    assert expected in ("702.28845336318393362548739367873108332",
+                        "668.88702924034722358762899720714038819")

@@ -348,11 +348,11 @@ def test_deficit_report_compensated():
     assert report.ok
     assert not report.negative_budget
     # envelope: |(1/n) log F_n - C| < log(p_n)/n at certified n
-    diag = growth_diagnostics(count_table(plan).factored)
+    rates = {n: rate for n, _, rate in growth_diagnostics(count_table(plan).factored).entries}
     for row in report.rows:
         if row.budget_nonnegative:
             n = row.n
-            rate = mpf_of(diag.rate(n))
+            rate = mpf_of(rates[n])
             bound = mp.log(plan.components[n - 1].p) / n
             assert abs(rate - 1) < bound
 
@@ -517,7 +517,9 @@ def test_fixed_sequence_and_sigma_target():
 
 def test_rate_at_six_exceeds_target():
     plan = build_plan(GrowthTarget.finite(C_ABOVE_LOG2), "paper", n_max=6)
-    rate = mpf_of(growth_diagnostics(count_table(plan).factored).rate(6))
+    n, _, rate = growth_diagnostics(count_table(plan).factored).entries[5]
+    assert n == 6
+    rate = mpf_of(rate)
     assert abs(rate - mp.mpf("1.2715816527323325")) < 1e-12
 
 

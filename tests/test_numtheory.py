@@ -15,6 +15,7 @@ from perigee.numtheory import (
     element_of_order,
     euler_phi,
     factorize,
+    floor_root,
     is_prime,
     least_prime_congruent_one,
     least_primes_congruent_one,
@@ -202,3 +203,14 @@ def test_factored_natural():
     assert str(f) == "2^1*3^1*7^3"
     assert str(FactoredNatural.from_pairs([])) == "1"
     assert int(FactoredNatural.from_pairs([(5, 0)])) == 1
+
+
+def test_floor_root_of_a_huge_index_is_one():
+    # construct --strategy subexponential --gamma 1/10**30 asks for the
+    # 10**30-th root of n; the first Newton step formed 2**(10**30 - 1)
+    assert floor_root(2, 10**30) == floor_root(12, 10**400) == 1
+    assert floor_root(2**64 - 1, 64) == 1 and floor_root(2**64, 64) == 2
+    for x in range(200):
+        for k in range(1, 10):
+            r = floor_root(x, k)
+            assert r**k <= x < (r + 1) ** k

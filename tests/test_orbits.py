@@ -7,16 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from oracles import fixed_from_least, realizability_check
 from perigee.numtheory import divisors, mobius
 from perigee.orbits import (
     CountSequence,
     SandwichViolation,
-    fixed_from_least,
     growth_diagnostics,
     least_from_fixed,
     lemma_sandwich_check,
     read_sequence_csv,
-    realizability_check,
     write_sequence_csv,
 )
 
@@ -130,7 +129,8 @@ def test_sandwich_flags_violations():
 def test_growth_diagnostics_doubling():
     F = CountSequence.fixed([2**n - 1 for n in range(1, 201)])
     diag = growth_diagnostics(F, window_len=10)
-    assert abs(mpf_of(diag.rate(200)) - mp.log(2)) < 1e-2
+    n, _, rate = diag.entries[-1]
+    assert n == 200 and abs(mpf_of(rate) - mp.log(2)) < 1e-2
     assert not diag.window_inf > diag.window_sup
 
 
@@ -175,7 +175,9 @@ def test_finite_horizon_rate_agreement():
     diag_f = growth_diagnostics(F, window_len=4)
     diag_l = growth_diagnostics(L, window_len=4)
     tolerance = mp.log(N) / N
-    assert abs(mpf_of(diag_f.rate(N)) - mpf_of(diag_l.rate(N))) <= tolerance
+    (n_f, _, rate_f), (n_l, _, rate_l) = diag_f.entries[-1], diag_l.entries[-1]
+    assert n_f == n_l == N
+    assert abs(mpf_of(rate_f) - mpf_of(rate_l)) <= tolerance
 
 
 def test_equal_rates_tie_exactly_and_the_first_n_wins():

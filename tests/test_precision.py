@@ -14,7 +14,6 @@ from perigee.precision import (
     ball_digits,
     decimal_from_floors,
     decimal_up,
-    dyadic_mp,
     log_enclosure,
 )
 
@@ -92,14 +91,6 @@ def test_ball_digits_decide_only_what_both_ends_print(lo, width, bits, dps):
 def test_ball_digits_of_zero_and_decimal_up_of_zero():
     assert ball_digits(0, 0, 140, 38) == decimal_up(0, 140, 38) == "0.0"
     assert ball_digits(0, 1, 140, 38) is None  # 0 and 2**-140 print differently
-
-
-def test_dyadic_mp_is_exact():
-    n, scale = 3**300 + 1, 500
-    with mp.workprec(2000):
-        assert dyadic_mp(scale, n) * mp.mpf(2) ** scale == n
-        z = dyadic_mp(scale, n, -n - 2)
-        assert (z.real * 2**scale, z.imag * 2**scale) == (n, -n - 2)
 
 
 def iv_log_ball(n, bits):

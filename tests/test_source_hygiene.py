@@ -41,6 +41,38 @@ def unread_definitions(definitions, readers):
     )
 
 
+def unread_members(definitions, readers):
+    """(file, line, name) of each method, property or `name = property(...)`
+    in a class body of `definitions` that no source of `readers` reads as an
+    attribute.  A member is reached through its instance or class, so a bare
+    name of the same spelling does not read it; dunders are exempt."""
+    read = {
+        node.attr
+        for source in readers.values()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+    }
+    flagged = []
+    for file, source in definitions.items():
+        for cls in ast.walk(ast.parse(source)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    names = [node.name]
+                elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call) and (
+                    getattr(node.value.func, "id", None) == "property"
+                ):
+                    names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+                else:
+                    continue
+                flagged.extend(
+                    (file, node.lineno, name) for name in names
+                    if not (name.startswith("__") and name.endswith("__")) and name not in read
+                )
+    return sorted(flagged)
+
+
 def unread_private_functions(sources):
     """(file, line, name) of each `_name` function that no module of
     `sources` (a dict of file name to source) reads by name or attribute."""
@@ -177,8 +209,7 @@ def test_import_time_modules_detector():
 
 def test_no_module_imports_mpmath_at_import_time():
     # mpmath costs every process that loads it; only the Mahler measure's
-    # mp.polyroots fallback and its mpmath-typed fields import it, inside
-    # the functions that need it
+    # mp.polyroots fallback imports it, inside the function that needs it
     importers = [
         path.name for path in sorted(PACKAGE.glob("*.py"))
         if "mpmath" in import_time_modules(path.read_text(encoding="utf-8"))
@@ -232,6 +263,40 @@ def test_no_unread_definitions_in_package():
     }
     assert definitions and readers
     assert unread_definitions(definitions, readers) == []
+
+
+def test_unread_members_detector():
+    definitions = {
+        "m.py": "class A:\n    def __init__(self):\n        pass\n\n"
+        "    def read(self):\n        return 1\n\n"
+        "    def by_name_only(self):\n        return 2\n\n"
+        "    @property\n    def unread_property(self):\n        return 3\n\n"
+        "    shown = property(lambda a: 4)\n    hidden = property(lambda a: 5)\n"
+        "    plain = 6\n\n"
+        "def by_name_only():\n    return A().read() + A().shown\n",
+    }
+    readers = dict(definitions, **{"use.py": "from m import by_name_only\n\nby_name_only()\n"})
+    assert unread_members(definitions, readers) == [
+        ("m.py", 8, "by_name_only"),
+        ("m.py", 12, "unread_property"),
+        ("m.py", 16, "hidden"),
+    ]
+
+
+def test_package_defines_nothing_only_tests_read():
+    # what only the tests read (oracles, mpmath views of balls) lives in
+    # tests/oracles.py: each function, class and class member of the package
+    # is read by the package or the bench harness, a member as an attribute
+    root = PACKAGE.parent.parent
+    definitions = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    readers = {
+        str(p.relative_to(root)): p.read_text(encoding="utf-8")
+        for folder in ("src", "bench")
+        for p in (root / folder).rglob("*.py")
+    }
+    assert definitions and readers
+    unread = unread_definitions(definitions, readers) + unread_members(definitions, readers)
+    assert sorted(set(unread)) == []
 
 
 def test_never_passed_parameters_detector():

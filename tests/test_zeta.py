@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perigee.orbits import CountSequence, RealizabilityError, fixed_from_least
+from oracles import fixed_from_least, sequence_from_series
+from perigee.orbits import CountSequence, RealizabilityError
 from perigee.toral import IntegerPolynomial, toral_fix_sequence
 from perigee import zeta
 from perigee.zeta import (
@@ -17,7 +18,6 @@ from perigee.zeta import (
     berlekamp_massey,
     orbit_product_form,
     rationality_probe,
-    sequence_from_series,
     zeta_truncate,
 )
 
