@@ -52,6 +52,13 @@ EXIT_DEGENERATE = 4
 
 
 def _emit(args, header, rows, summary, out):
+    """Write the table and its summary to out, as CSV or as the JSON mirror.
+
+    rows is consumed once, in order; in CSV each row is written as soon as it
+    is built, so a command that passes a generator holds one formatted row at
+    a time.  Every decision that can fail, and every summary value, is made
+    before _emit is called, so no failure follows the first printed row.
+    """
     if args.format == "csv":
         out.write(",".join(header) + "\n")
         for row in rows:
@@ -187,16 +194,17 @@ def cmd_oracle(args, out):
         plan, components, n_max, max_points=args.max_points
     )
     table = construction.count_table(plan, n_max, components)
+    columns = (counts.fixed.values, counts.least.values, table.values, table.least)
+
+    def match(f_oracle, l_oracle, f_closed, l_closed):
+        return f_oracle == f_closed and l_oracle == l_closed
+
+    mismatches = sum(not match(*counts_n) for counts_n in zip(*columns))
     header = ["n", "F_oracle", "L_oracle", "F_closed", "L_closed", "status"]
-    rows = []
-    mismatches = 0
-    for n in range(1, n_max + 1):
-        f_oracle, f_closed = counts.fixed.values[n - 1], table.values[n - 1]
-        l_oracle, l_closed = counts.least.values[n - 1], table.least[n - 1]
-        ok = f_oracle == f_closed and l_oracle == l_closed
-        if not ok:
-            mismatches += 1
-        rows.append([n, f_oracle, l_oracle, f_closed, l_closed, "MATCH" if ok else "MISMATCH"])
+    rows = (
+        [n, *counts_n, "MATCH" if match(*counts_n) else "MISMATCH"]
+        for n, counts_n in enumerate(zip(*columns), start=1)
+    )
     summary = {
         "points": counts.points,
         "components": components,
@@ -224,10 +232,10 @@ def cmd_lehmer(args, out):
     diagnostics = orbits.growth_diagnostics(sequence, precision_bits=bits)
     header = ["n", "delta", "rate"]
     dps = digits_for_bits(bits)
-    rows = [
+    rows = (
         [n, value, rate.decimal(dps)]
         for value, (n, _, rate) in zip(sequence.values, diagnostics.entries)
-    ]
+    )
     rate = diagnostics.entries[-1][2]
     mahler = ball_digits(measure.lo, measure.hi, measure.scale, dps)
     summary = {
@@ -253,7 +261,7 @@ def cmd_zeta(args, out):
     series = zeta.zeta_truncate(sequence, order)
     probe = zeta.rationality_probe(series)
     header = ["m", "numerator", "denominator"]
-    rows = [[m, c.numerator, c.denominator] for m, c in enumerate(series.coefficients)]
+    rows = ([m, c.numerator, c.denominator] for m, c in enumerate(series.coefficients))
     if args.format == "csv":
         summary = {"probe": json.dumps(probe.to_json(), separators=(",", ":"))}
     else:
@@ -268,18 +276,18 @@ def cmd_zeta(args, out):
 def cmd_analyze(args, out):
     with open(args.sequence, "r", encoding="utf-8", newline="") as fh:
         sequence = orbits.read_sequence_csv(fh)
+    # the least-period counts and divisor sums are freed before any log exists
+    sandwich = orbits.lemma_sandwich_check(sequence, orbits.least_from_fixed(sequence))
     bits = args.precision_bits
     diagnostics = orbits.growth_diagnostics(
         sequence, window_len=args.window, precision_bits=bits
     )
-    least = orbits.least_from_fixed(sequence)
-    sandwich = orbits.lemma_sandwich_check(sequence, least)
     dps = digits_for_bits(bits)
     header = ["n", "value", "log", "rate"]
-    rows = [
+    rows = (
         [n, sequence.values[n - 1], lg.decimal(dps), rate.decimal(dps)]
         for (n, lg, rate) in diagnostics.entries
-    ]
+    )
     summary = {
         "window_len": diagnostics.window_len,
         "window_inf": diagnostics.window_inf.decimal(dps),
@@ -324,20 +332,22 @@ def cmd_primes(args, out):
     dps = digits_for_bits(args.precision_bits)
     # The bound exponent is a half-integer, so the squared ratio is rational.
     twice_exponent = int(2 * numtheory.PRIME_BOUND_EXPONENT)
-    header = ["n", "p", "ratio"]
-    rows = []
-    worst = None  # (n, p**2, n**11, ratio)
-    for n, p in enumerate(numtheory.least_primes_congruent_one(args.max_n), start=1):
+    primes = numtheory.least_primes_congruent_one(args.max_n)
+    worst = None  # (n, p**2, n**11) of the largest ratio over n >= 2
+    for n, p in enumerate(primes, start=1):
         p_squared, n_power = p * p, n**twice_exponent
-        ratio = _bound_ratio(p_squared, n_power, dps)
-        rows.append((n, p, ratio))
         # ratio > worst ratio, cross-multiplied; strict, so a tie keeps the first n
         if n >= 2 and (worst is None or p_squared * worst[2] > worst[1] * n_power):
-            worst = (n, p_squared, n_power, ratio)
+            worst = (n, p_squared, n_power)
+    header = ["n", "p", "ratio"]
+    rows = (
+        (n, p, _bound_ratio(p * p, n**twice_exponent, dps))
+        for n, p in enumerate(primes, start=1)
+    )
     summary = {
         "bound_exponent": numtheory.PRIME_BOUND_EXPONENT,
         "bound_constant": numtheory.PRIME_BOUND_CONSTANT,
-        "max_ratio": worst[3] if worst else "none",
+        "max_ratio": _bound_ratio(worst[1], worst[2], dps) if worst else "none",
         "max_ratio_n": worst[0] if worst else "none",
     }
     _emit(args, header, rows, summary, out)

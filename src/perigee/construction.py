@@ -46,14 +46,13 @@ from .numtheory import (
     divisors,
     element_of_order,
     factorize,
-    floor_root,
     is_prime,
     least_prime_congruent_one,
     least_primes_congruent_one,
     mobius,
 )
 from .orbits import KIND_FIXED, KIND_LEAST, CountSequence
-from .precision import adaptive_decide, adaptive_floor, log_ball, unlimited_int_digits
+from .precision import LogReal, adaptive_decide, adaptive_floor, log_ball, unlimited_int_digits
 from .targets import FINITE, INFINITE, ZERO, GrowthTarget
 
 STRATEGY_PAPER = "paper"
@@ -150,6 +149,27 @@ def _exponent(n, C, p, spent):
     return adaptive_floor(build)
 
 
+def _power_floor(n, gamma):
+    """floor(n**gamma) for a Fraction gamma = a/b in (0, 1), never forming n**a.
+
+    k <= n**gamma exactly when b*log k <= a*log n, which LogReal decides on
+    balls (a tie, k**b == n**a, by its exact test), so a float estimate is
+    corrected to the exact floor in a step or two.
+    """
+    a, b = gamma.numerator, gamma.denominator
+    log_power = LogReal(n, scale=a)
+
+    def at_most(k):  # k <= n**gamma
+        return not LogReal(k, scale=b) > log_power
+
+    k = max(1, min(n, int(n ** float(gamma))))
+    while not at_most(k):
+        k -= 1
+    while k < n and at_most(k + 1):
+        k += 1
+    return k
+
+
 def _checked_gamma(strategy, gamma):
     """gamma as a Fraction in (0, 1) for the subexponential strategy; None for the others."""
     if strategy != STRATEGY_SUBEXPONENTIAL:
@@ -193,7 +213,7 @@ def build_plan(target, strategy=None, n_max=1, gamma=None):
         elif strategy == STRATEGY_INFINITE:
             K = 1
         elif strategy == STRATEGY_SUBEXPONENTIAL:
-            K = floor_root(n**gamma.numerator, gamma.denominator)
+            K = _power_floor(n, gamma)
         elif strategy == STRATEGY_PAPER:
             K = _exponent(n, C, p, ())
         else:

@@ -324,12 +324,16 @@ class LogReal:
         return root**u == self.count and root**v == other.count
 
     def _cmp(self, other):
-        """-1, 0 or 1 as x <, == or > other (a LogReal or a rational).  Balls
-        that overlap at the first precision get the exact tie test, so a tie
-        is decided without refining; any other pair refines until it separates."""
+        """-1, 0 or 1 as x <, == or > other (a LogReal or a rational).  Two
+        rationals (count 1) compare as Fractions.  Balls that overlap at the
+        first precision get the exact tie test, so a tie is decided without
+        refining; any other pair refines until it separates."""
         if not isinstance(other, LogReal):
             q = Fraction(other)
             other = LogReal(1, offset=q.numerator, den=q.denominator)
+        if self.count == 1 and other.count == 1:
+            a, b = Fraction(self.offset, self.den), Fraction(other.offset, other.den)
+            return (a > b) - (a < b)
         bits = start = min(self._log[0], other._log[0])
         while True:
             (a_lo, a_hi), (b_lo, b_hi) = self.ball(bits), other.ball(bits)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from mpmath import mp
 
-from perigee import construction, orbits
+from perigee import cli, construction, numtheory, orbits, zeta
 from perigee.cli import main
 from perigee.construction import (
     build_plan,
@@ -19,8 +19,8 @@ from perigee.construction import (
     plan_to_json,
     save_plan,
 )
-from perigee.numtheory import FactoredNatural, least_prime_congruent_one
-from perigee.precision import digits_for_bits
+from perigee.numtheory import BudgetError, FactoredNatural, least_prime_congruent_one
+from perigee.precision import PrecisionError, digits_for_bits
 from perigee.targets import GrowthTarget
 
 
@@ -759,6 +759,82 @@ def test_memory_error_is_a_budget_exit(capsys, tmp_path, monkeypatch):
         code, out, err = run(capsys, *argv)
     assert (code, out, err) == (3, "", "budget exceeded: out of memory\n")
     assert list(tmp_path.iterdir()) == []
+
+
+def failing(error):
+    def step(*args, **kwargs):
+        raise error("failed before the first row")
+
+    return step
+
+
+@pytest.mark.parametrize("command, module, step, error", [
+    ("primes", numtheory, "least_primes_congruent_one", BudgetError),
+    ("analyze", orbits, "growth_diagnostics", PrecisionError),
+    ("lehmer", cli, "escalate", PrecisionError),  # the gap, lehmer's last decision
+    ("zeta", zeta, "rationality_probe", BudgetError),
+    ("oracle", construction, "count_table", BudgetError),
+])
+def test_a_failure_before_the_first_row_prints_nothing(
+    capsys, tmp_path, monkeypatch, command, module, step, error
+):
+    # every command decides all that can fail before _emit streams its
+    # first row, so a failing step leaves stdout empty, as for construct
+    seq, plan = tmp_path / "seq.csv", tmp_path / "plan.json"
+    seq.write_text("n,value\n" + "".join("%d,%d\n" % (n, 2**n + 1) for n in range(1, 13)))
+    save_plan(build_plan(GrowthTarget.finite(1), "compensated", n_max=4), plan)
+    argv = {
+        "primes": ["--max-n", "50"],
+        "analyze": ["--sequence", str(seq)],
+        "lehmer": ["--poly", "-1,-1,1", "--max-n", "12"],
+        "zeta": ["--sequence", str(seq)],
+        "oracle": ["--plan", str(plan), "--max-n", "12"],
+    }[command]
+    for fmt in ("csv", "json"):
+        code, out, _ = run(capsys, command, *argv, "--format", fmt)
+        assert code == 0 and out, (command, fmt)
+        with monkeypatch.context() as patched:
+            patched.setattr(module, step, failing(error))
+            code, out, err = run(capsys, command, *argv, "--format", fmt)
+        assert (code, out) == (3, ""), (command, fmt)
+        assert "failed before the first row" in err
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc/self/status"
+)
+def test_primes_peak_memory_is_its_sieve_and_primes():
+    # rows stream to stdout and the sieve holds only odd numbers, so the
+    # peak above the imported interpreter is the sieve of 64 * 200000 / 2
+    # bytes and the list of 200000 primes, about 14 MB; it was 48 MB when
+    # every formatted row was kept and the sieve held every integer
+    done = run_fresh(
+        "import os, sys\n"
+        "import perigee.cli\n"
+        "def status(key):\n"
+        "    with open('/proc/self/status', encoding='ascii') as fh:\n"
+        "        return next(int(line.split()[1]) for line in fh if line.startswith(key))\n"
+        "imported = status('VmRSS:')\n"
+        "with open(os.devnull, 'w') as sink:\n"
+        "    sys.stdout = sink\n"
+        "    code = perigee.cli.main(['primes', '--max-n', '200000'])\n"
+        "    sys.stdout = sys.__stdout__\n"
+        "print(code, status('VmHWM:') - imported)\n"
+    )
+    assert done.returncode == 0, done.stderr
+    code, growth_kb = map(int, done.stdout.split())
+    assert code == 0
+    assert growth_kb < 20 * 1024
+
+
+def test_tiny_paper_target_prints_its_rational_gap(capsys):
+    # every K_n is 0, so each rate is 0 and each gap the rational
+    # C * sigma(n) / n; two rationals compare exactly, where balls 10**-6000
+    # apart left the comparison undecided at MAX_DECISION_BITS (exit 3)
+    code, out, err = run(capsys, "construct", "--C", "1e-6000", "--max-n", "3")
+    assert code == 0, err
+    assert summary_lines(out)["sigma_rate_max_gap"] == "1.5e-6000"
+    assert [row["K"] for row in table_rows(out)] == ["0", "0", "0"]
 
 
 def test_count_too_large_to_form_fails_fast(tmp_path):

@@ -6,7 +6,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
@@ -14,6 +14,7 @@ from perigee import construction, precision
 from perigee.construction import (
     _exponent,
     _point_period,
+    _power_floor,
     build_plan,
     count_table,
     deficit_report,
@@ -24,7 +25,7 @@ from perigee.construction import (
     save_plan,
     sigma_rate_target,
 )
-from perigee.numtheory import BudgetError, divisors
+from perigee.numtheory import BudgetError, divisors, floor_root
 from perigee.orbits import (
     CountSequence,
     growth_diagnostics,
@@ -475,6 +476,28 @@ def test_subexponential_plan():
     for n in range(1, 41):
         k = math.isqrt(n)
         assert table.values[n - 1] >= (n + 1) ** k
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 5000),
+    gamma=st.fractions(min_value=Fraction(1, 12), max_value=Fraction(11, 12), max_denominator=12),
+)
+@example(n=8, gamma=Fraction(2, 3))  # 8**(2/3) = 4 exactly
+@example(n=27, gamma=Fraction(2, 3))
+@example(n=4096, gamma=Fraction(5, 6))  # 2**10
+@example(n=4095, gamma=Fraction(5, 6))
+@example(n=1, gamma=Fraction(1, 2))
+def test_power_floor_matches_the_integer_root(n, gamma):
+    assert _power_floor(n, gamma) == floor_root(n**gamma.numerator, gamma.denominator)
+
+
+def test_subexponential_gamma_with_a_long_numerator():
+    # n**9999999 was formed for the root; the logs decide floor(n**gamma)
+    gamma = "9999999/10000000"
+    plan = build_plan(GrowthTarget.finite(1), "subexponential", n_max=3, gamma=gamma)
+    assert [c.K for c in plan.components] == [1, 1, 2]
+    assert _power_floor(2**20, Fraction(1, 10**30)) == 1
 
 
 def test_infinite_plan_rate_certificate():

@@ -3,6 +3,8 @@ import random
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from perigee import numtheory
 from perigee.construction import _point_period
@@ -106,6 +108,32 @@ def test_sieved_least_primes_match_the_scan(monkeypatch):
     assert len(scanned) > 1000
     with pytest.raises(ValueError):
         least_primes_congruent_one(0)
+
+
+def test_sieved_least_primes_at_the_smallest_horizons():
+    # n = 1 (p = 2, the even prime), n = 2 and 4 (every candidate odd) and
+    # n = 3 (only even k give odd candidates) against the scan
+    for n_max in range(1, 5):
+        expected = [least_prime_congruent_one(n) for n in range(1, n_max + 1)]
+        assert least_primes_congruent_one(n_max) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 5000))
+@example(0)
+@example(1)
+@example(2)
+@example(3)
+@example(9)
+@example(25)
+@example(5000)
+def test_odd_sieve_marks_exactly_the_odd_primes(bound):
+    flags = sieve(max(bound, 1))
+    marks = numtheory._odd_prime_sieve(bound)
+    assert len(marks) == len(range(1, bound + 1, 2))
+    assert [2 * i + 1 for i, mark in enumerate(marks) if mark] == [
+        m for m in range(3, bound + 1, 2) if flags[m]
+    ]
 
 
 def test_least_prime_budget_error():

@@ -165,6 +165,16 @@ def test_log_real_ties_decide_exactly():
         assert (LogReal(2**210) / 210).decimal(38) == mp.nstr(mp.log(2), 38)
 
 
+def test_rational_log_reals_compare_as_fractions():
+    # both counts are 1, so both reals are rationals: 10**-6000 apart lies
+    # below any ball that MAX_DECISION_BITS allows, yet compares at once
+    tiny = Fraction(1, 10**6000)
+    gaps = [abs(LogReal(1) - tiny * k) for k in (Fraction(3, 2), Fraction(4, 3), 1)]
+    assert max(gaps).decimal(2) == "1.5e-6000"
+    assert gaps[1] < gaps[0] and gaps[2] < gaps[1] and not gaps[0] < gaps[0]
+    assert LogReal(1) - tiny < 0 and not LogReal(1) - tiny > 0
+
+
 PRIMES = (2, 3, 5, 7, 11, 13, 101, 7919, 2**61 - 1)
 factored_naturals = st.dictionaries(st.sampled_from(PRIMES), st.integers(1, 80), max_size=4).map(
     lambda exponents: FactoredNatural.from_pairs(exponents.items())

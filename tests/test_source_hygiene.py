@@ -330,3 +330,80 @@ def test_every_defaulted_parameter_is_passed_somewhere():
     }
     assert definitions and callers
     assert never_passed_parameters(definitions, callers) == []
+
+
+def tables_built_whole(source):
+    """(function, line) of each call of _emit in a cmd_* function whose rows
+    argument (the third, or rows=) is neither a generator expression nor a
+    name that the function binds only by assigning generator expressions."""
+    flagged = []
+    for func in ast.walk(ast.parse(source)):
+        if not (isinstance(func, ast.FunctionDef) and func.name.startswith("cmd_")):
+            continue
+        assigned = {
+            target: node.value
+            for node in ast.walk(func) if isinstance(node, ast.Assign)
+            for target in node.targets
+        }
+        bound = {}  # name -> the value of each of its bindings; None if not `name = value`
+        for node in ast.walk(func):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                bound.setdefault(node.id, []).append(assigned.get(node))
+            elif isinstance(node, ast.arg):
+                bound.setdefault(node.arg, []).append(None)
+        for call in ast.walk(func):
+            if not (isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_emit"):
+                continue
+            rows = call.args[2] if len(call.args) > 2 else next(
+                (kw.value for kw in call.keywords if kw.arg == "rows"), None
+            )
+            values = bound.get(rows.id, [None]) if isinstance(rows, ast.Name) else [rows]
+            if not all(isinstance(value, ast.GeneratorExp) for value in values):
+                flagged.append((func.name, call.lineno))
+    return flagged
+
+
+def test_tables_built_whole_detector():
+    source = (
+        "def cmd_streamed(args, out):\n"
+        "    rows = (r for r in range(3))\n"
+        "    _emit(args, [], rows, {}, out)\n"
+        "    _emit(args, [], (r for r in range(3)), {}, out)\n"
+        "\n"
+        "def cmd_listed(args, out):\n"
+        "    rows = [r for r in range(3)]\n"
+        "    _emit(args, [], rows, {}, out)\n"
+        "\n"
+        "def cmd_rebound(args, out):\n"
+        "    rows = (r for r in range(3))\n"
+        "    for rows in [[1]]:\n"
+        "        pass\n"
+        "    _emit(args, [], rows=rows, summary={}, out=out)\n"
+        "\n"
+        "def cmd_passed(args, rows, out):\n"
+        "    _emit(args, [], rows, {}, out)\n"
+        "\n"
+        "def cmd_inline(args, out):\n"
+        "    _emit(args, [], list(range(3)), {}, out)\n"
+        "\n"
+        "def helper(args, out):\n"
+        "    _emit(args, [], [1], {}, out)\n"
+    )
+    assert tables_built_whole(source) == [
+        ("cmd_listed", 8), ("cmd_rebound", 14), ("cmd_passed", 17), ("cmd_inline", 20),
+    ]
+
+
+def test_no_command_builds_its_whole_table():
+    # _emit writes each row as the generator yields it, so a command's peak
+    # memory is its inputs plus one formatted row
+    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    emitters = {
+        func.name
+        for func in ast.walk(ast.parse(source))
+        if isinstance(func, ast.FunctionDef) and func.name.startswith("cmd_")
+        for call in ast.walk(func)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_emit"
+    }
+    assert len(emitters) == 6
+    assert tables_built_whole(source) == []
