@@ -10,9 +10,9 @@ a decision, since every floor and comparison is exact.
 
 Logs, rates and lehmer's Mahler measure print from certified integer balls
 (precision.LogReal, toral.mahler_measure), correctly rounded, and so does
-lehmer's gap_at_max_n, from the ball of |rate - m(f)|.  No command imports
-mpmath, except lehmer when its polynomial needs the mp.polyroots fallback (a
-repeated root, or coefficients beyond float range).
+lehmer's gap_at_max_n, from the ball of |rate - m(f)|.  The Mahler measure
+starts its roots in complex floats, so lehmer exits 3 on a polynomial with a
+coefficient beyond float range.
 
 Exit codes: 0 ok, 1 oracle mismatch, 2 invalid configuration or parse error
 (including a missing or unreadable input file), 3 computation budget exceeded
@@ -377,12 +377,14 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "construct",
-        parents=[printing],
-        help="build a plan and tabulate its exact period counts",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
+    def command(func, parent, summary):
+        """The subcommand cmd_<name> runs, reading the flags of parent."""
+        p = sub.add_parser(func.__name__[4:], parents=[parent], help=summary,
+                           formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        p.set_defaults(func=func)
+        return p
+
+    p = command(cmd_construct, printing, "build a plan and tabulate its exact period counts")
     p.add_argument("--C", help="finite growth target, as a/b or an exact decimal")
     p.add_argument("--target", help="zero | infinite (or a rational, same as --C)")
     p.add_argument(
@@ -403,14 +405,8 @@ def build_parser():
         "--sequence-out",
         help="also write the period counts in the shared n,value CSV format",
     )
-    p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser(
-        "oracle",
-        parents=[common],
-        help="enumerate a truncated plan and compare with closed forms",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
+    p = command(cmd_oracle, common, "enumerate a truncated plan and compare with closed forms")
     p.add_argument("--plan", required=True, help="plan JSON file")
     p.add_argument("--components", type=int, default=None, help="truncation (default: all)")
     p.add_argument("--max-n", type=int, default=None, help="tally periods up to this n")
@@ -420,49 +416,26 @@ def build_parser():
         default=construction.DEFAULT_ENUMERATION_BUDGET,
         help="enumeration budget",
     )
-    p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser(
-        "lehmer",
-        parents=[printing],
-        help="delta_n table and Mahler measure for a monic integer polynomial",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
+    p = command(cmd_lehmer, printing,
+                "delta_n table and Mahler measure for a monic integer polynomial")
     # Let coefficient lists with a leading minus (e.g. --poly -2,1) parse as
     # values rather than option strings.
     p._negative_number_matcher = re.compile(r"^-\d")
     p.add_argument("--poly", required=True, help="coefficients c0,c1,...,cd with cd = 1")
     p.add_argument("--max-n", type=int, required=True)
-    p.set_defaults(func=cmd_lehmer)
 
-    p = sub.add_parser(
-        "zeta",
-        parents=[common],
-        help="truncated zeta coefficients and rationality probe for a sequence file",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
+    p = command(cmd_zeta, common,
+                "truncated zeta coefficients and rationality probe for a sequence file")
     p.add_argument("--sequence", required=True, help="CSV file with header n,value")
     p.add_argument("--max-m", type=int, default=None, help="truncation order (default: all)")
-    p.set_defaults(func=cmd_zeta)
 
-    p = sub.add_parser(
-        "analyze",
-        parents=[printing],
-        help="growth diagnostics and sandwich checks for a sequence file",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
+    p = command(cmd_analyze, printing, "growth diagnostics and sandwich checks for a sequence file")
     p.add_argument("--sequence", required=True, help="CSV file with header n,value")
     p.add_argument("--window", type=int, default=10, help="trailing rate window length")
-    p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser(
-        "primes",
-        parents=[printing],
-        help="least primes ≡ 1 (mod n) with the n**5.5 bound ratio",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
+    p = command(cmd_primes, printing, "least primes ≡ 1 (mod n) with the n**5.5 bound ratio")
     p.add_argument("--max-n", type=int, required=True)
-    p.set_defaults(func=cmd_primes)
 
     return parser
 

@@ -15,8 +15,8 @@ integer multiples and floors of quotients of balls are exact integer
 arithmetic, so a decision never touches a floating-point context.  The one
 transcendental input, log(n), is enclosed by log_enclosure from atanh series
 summed in fixed-point integers (R. P. Brent, J. ACM 23, 1976); log_ball caches
-it for the plan primes.  Neither touches mpmath or its process-global
-contexts, so both are safe to call from any thread.
+it for the plan primes.  Neither touches a process-global numeric context, so
+both are safe to call from any thread.
 
 LogReal carries a log, a rate or a rate's distance to a rational as such a
 ball, refined on demand, and prints it through decimal_from_floors, which
@@ -355,9 +355,8 @@ def unlimited_int_digits():
     """Lift Python's int<->str digit limit (3.10.7 and later) for the block.
 
     Counts, plan primes and Lehmer integers routinely pass the default 4300
-    digits.  The previous limit comes back on exit; like mpmath's contexts the
-    limit is process-global, so this is reentrant but not thread safe.  Also
-    usable as a decorator.
+    digits.  The previous limit comes back on exit; the limit is process-global,
+    so this is reentrant but not thread safe.  Also usable as a decorator.
     """
     if not hasattr(sys, "set_int_max_str_digits"):
         yield

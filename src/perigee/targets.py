@@ -4,14 +4,41 @@ A target is zero, an exact positive rational, or infinity.  Irrational rates
 cannot be represented; callers supply a rational approximation (for example
 6932/10000 for log 2) and the exactness of everything downstream is relative
 to that rational.
+
+A finite target's numerator and denominator, as written, are at most
+10**MAX_TARGET_DIGITS, decided from the text: Fraction('1e-10000000') alone
+forms 10**10000000, which takes seconds.
 """
 
+import re
 from collections import namedtuple
 from fractions import Fraction
 
 ZERO = "zero"
 FINITE = "finite"
 INFINITE = "infinite"
+MAX_TARGET_DIGITS = 10**5
+
+# every text Fraction reads, and more: a numerator, then a denominator or a
+# fraction part and an exponent
+_WRITTEN = re.compile(r"[-+]?([\d_]*)(?:\s*/\s*([\d_]+)|(?:\.([\d_]*))?(?:e([-+]?)([\d_]+))?)", re.I)
+
+
+def _check_size(text):
+    """Refuse text that Fraction would read as a numerator or a denominator
+    above 10**MAX_TARGET_DIGITS, before it forms either."""
+    written = _WRITTEN.fullmatch(text.strip())
+    if written is None:
+        return  # Fraction refuses it too
+    num, den, point, sign, exp = (part.replace("_", "") for part in written.groups(""))
+    # an exponent of 10**6 or more puts either end far past the limit
+    exp = int(sign + exp[-7:] or "0") if len(exp.lstrip("0")) < 7 else 2 * MAX_TARGET_DIGITS
+    for digits, shift in ((num + point, max(exp, 0)), (den or "1", len(point) - min(exp, 0))):
+        lead = digits.lstrip("0")
+        size = len(lead) + shift  # int(digits) * 10**shift < 10**size
+        if size > MAX_TARGET_DIGITS and (size > MAX_TARGET_DIGITS + 1 or lead.rstrip("0") != "1"):
+            raise ValueError("growth target too large: its numerator and denominator may be "
+                             "at most 10**%d" % MAX_TARGET_DIGITS)
 
 
 class GrowthTarget(namedtuple("GrowthTarget", "kind value")):
@@ -36,6 +63,8 @@ class GrowthTarget(namedtuple("GrowthTarget", "kind value")):
 
     @classmethod
     def finite(cls, value):
+        if isinstance(value, str):
+            _check_size(value)
         return cls(FINITE, Fraction(value))
 
     @classmethod
@@ -50,6 +79,7 @@ class GrowthTarget(namedtuple("GrowthTarget", "kind value")):
             return cls.zero()
         if t in (INFINITE, "inf", "infinity"):
             return cls.infinite()
+        _check_size(t)
         try:
             value = Fraction(t)
         except (ValueError, ZeroDivisionError) as exc:
@@ -74,7 +104,7 @@ class GrowthTarget(namedtuple("GrowthTarget", "kind value")):
         kind = obj.get("kind")
         if kind == FINITE and isinstance(obj.get("value"), str):
             try:
-                return cls.finite(Fraction(obj["value"]))
+                return cls.finite(obj["value"])
             except ZeroDivisionError as exc:
                 raise ValueError("bad growth-target value %r" % obj["value"]) from exc
         if kind == ZERO:

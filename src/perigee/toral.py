@@ -15,8 +15,8 @@ When f does not vanish at any root of unity, delta_n is the number of points
 of period n of the toral automorphism induced by M, and its logarithmic
 growth rate is the Mahler measure m(f) = sum of max(log |a_i|, 0).
 mahler_measure certifies it as an integer ball: roots from float
-Aberth-Ehrlich iteration (from mp.polyroots only when that fails), refined
-and enclosed in fixed-point Gaussian integers.
+Aberth-Ehrlich iteration (on the square-free parts when f has a repeated
+root), refined and enclosed in fixed-point Gaussian integers.
 """
 
 import cmath
@@ -344,19 +344,6 @@ def _square_free_parts(coeffs):
     return parts
 
 
-def _polyroots(coeffs, b):
-    """The fallback start for square-free f: mp.polyroots at b bits (and as many
-    extra), as Gaussian integers at scale b; None if it does not converge."""
-    from mpmath import mp
-
-    with mp.workprec(b):
-        try:
-            roots = mp.polyroots(coeffs[::-1], maxsteps=200, extraprec=b)
-        except mp.NoConvergence:
-            return None
-        return [tuple(int(mp.nint(mp.ldexp(t, b))) for t in (z.real, z.imag)) for z in roots]
-
-
 def _certify(coeffs, roots, b, precision_bits, isolated):
     """(lo, hi, enclosures), lo <= m(f) * 2**b <= hi, from approximations (x, y)
     = z * 2**b of the roots of monic f; None if two coincide, two disks meet
@@ -410,13 +397,14 @@ def _certify(coeffs, roots, b, precision_bits, isolated):
 @lru_cache(maxsize=16)
 def _enclose(f, bits, precision_bits):
     """_certify's ball and enclosures for f at scale bits, from the float start
-    refined by Newton if that isolates every root, else from mp.polyroots on the
-    square-free parts; a root at 0 is exact.  None if neither certifies."""
+    refined by Newton if that isolates every root, else from the same start on
+    each square-free part; a root at 0 is exact.  None if neither certifies, as
+    when a coefficient is beyond float range."""
     zeros = next(i for i, c in enumerate(f.coefficients) if c)
     coeffs = f.coefficients[zeros:]
     found = _certify(coeffs, _newton(coeffs, _float_start(coeffs), bits), bits, precision_bits, True)
     if found is None:
-        parts = [_certify(part, _polyroots(part, bits), bits, precision_bits, False)
+        parts = [_certify(part, _newton(part, _float_start(part), bits), bits, precision_bits, False)
                  for part in _square_free_parts(coeffs)]
         if None not in parts:
             found = (sum(part[0] for part in parts), sum(part[1] for part in parts),
@@ -429,7 +417,7 @@ def mahler_measure(f, precision_bits=DEFAULT_PRECISION_BITS):
     """Certified Mahler measure m(f), the sum of max(log |root|, 0), as an integer
     ball at b = precision_bits + guard bits, doubled until its ends print alike
     at precision_bits; roots within 2**-precision_bits of the unit circle are
-    flagged.  Only the polyroots fallback loads mpmath."""
+    flagged."""
     dps = digits_for_bits(precision_bits)
 
     def attempt(bits):

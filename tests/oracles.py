@@ -11,7 +11,10 @@ the one the command runs:
   orbits.least_from_fixed inverts;
 * realizability_check: whether F is the period-count sequence of some map;
 * sequence_from_series: F_1..F_M back from the zeta coefficients that
-  zeta.zeta_truncate forms.
+  zeta.zeta_truncate forms;
+* mahler_by_polyroots: m(f) from mp.polyroots' roots of each square-free
+  part, against mahler_measure's float Aberth-Ehrlich start (both are
+  certified by toral._certify, so this checks the roots, not the bound).
 
 dyadic turns the integer balls the package certifies into exact mpfs for
 the mpmath-based checks.
@@ -22,7 +25,9 @@ from collections import namedtuple
 from mpmath import mp
 from mpmath.libmp import from_man_exp
 
+from perigee import toral
 from perigee.orbits import KIND_FIXED, KIND_LEAST, CountSequence, least_from_fixed
+from perigee.precision import GUARD_BITS, escalate
 
 
 def dyadic(n, scale):
@@ -85,6 +90,35 @@ def delta_n(f, n):
         column[j] -= 1
     # the rows are the columns of M^n - I; transposing keeps the determinant
     return abs(det_bareiss(columns))
+
+
+# --- the mp.polyroots route to the Mahler measure ------------------------------
+
+
+def mahler_by_polyroots(f, precision_bits=128):
+    """(lo, hi, scale) with lo <= m(f) * 2**scale <= hi, from mp.polyroots' roots
+    of each square-free part of f at scale bits (and as many extra), certified
+    by toral._certify; a root at 0 adds nothing.  The scale doubles from
+    precision_bits + GUARD_BITS until every part certifies."""
+    coeffs = f.coefficients[next(i for i, c in enumerate(f.coefficients) if c):]
+
+    def attempt(bits):
+        lo = hi = 0
+        for part in toral._square_free_parts(coeffs):
+            with mp.workprec(bits):
+                try:
+                    roots = mp.polyroots(part[::-1], maxsteps=200, extraprec=bits)
+                except mp.NoConvergence:
+                    return None
+                roots = [tuple(int(mp.nint(mp.ldexp(t, bits))) for t in (z.real, z.imag))
+                         for z in roots]
+            found = toral._certify(part, roots, bits, precision_bits, False)
+            if found is None:
+                return None
+            lo, hi = lo + found[0], hi + found[1]
+        return lo, hi, bits
+
+    return escalate(attempt, precision_bits + GUARD_BITS)
 
 
 # --- orbit counts --------------------------------------------------------------

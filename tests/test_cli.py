@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from decimal import ROUND_HALF_UP, Context, Decimal
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from perigee.construction import (
 )
 from perigee.numtheory import BudgetError, FactoredNatural, least_prime_congruent_one
 from perigee.precision import PrecisionError, digits_for_bits
-from perigee.targets import GrowthTarget
+from perigee.targets import MAX_TARGET_DIGITS, GrowthTarget
 
 
 def run(capsys, *argv):
@@ -554,8 +555,9 @@ def test_primes_output_is_pinned(capsys):
 def test_exact_commands_never_import_mpmath(capsys, tmp_path):
     # primes, zeta and oracle print only exact integers and rationals, and
     # construct, analyze and lehmer print logs, rates and Mahler measures
-    # from integer balls, so a fresh interpreter running them never pays for
-    # importing mpmath
+    # from integer balls, so every command runs with mpmath unimportable:
+    # lehmer on (x^2 - x - 1)^2 starts each square-free part from floats, and
+    # a coefficient beyond float range exits 3
     plan, seq = tmp_path / "plan.json", tmp_path / "seq.csv"
     commands = [
         ["construct", "--C", "1", "--strategy", "compensated", "--max-n", "12",
@@ -572,29 +574,25 @@ def test_exact_commands_never_import_mpmath(capsys, tmp_path):
         ["lehmer", "--poly", LEHMER10, "--max-n", "50"],
         ["lehmer", "--poly", "-2,1", "--max-n", "300"],
         ["lehmer", "--poly", DEGREE30, "--max-n", "20"],
+        ["lehmer", "--poly", "1,2,-1,-2,1", "--max-n", "8"],
+        ["lehmer", "--poly", "%d,0,1" % (10**309 + 1), "--max-n", "3"],
+        ["lehmer", "--poly", "%d,0,0,1" % 10**350, "--max-n", "3"],
     ]
     done = run_fresh(
         "import sys\n"
+        "class BlockMpmath:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.partition('.')[0] == 'mpmath':\n"
+        "            raise ImportError('mpmath is blocked')\n"
+        "sys.meta_path.insert(0, BlockMpmath())\n"
         "from perigee.cli import main\n"
         "codes = [main(argv) for argv in %r]\n"
         "sys.stderr.write('%%s %%s' %% (codes, 'mpmath' in sys.modules))\n" % commands
     )
     assert done.returncode == 0, done.stderr
-    assert done.stderr == "%s False" % ([0] * len(commands))
-
-
-def test_lehmer_loads_mpmath_only_for_repeated_roots():
-    # (x^2 - x - 1)^2 takes the mp.polyroots fallback, so the guard above
-    # would see mpmath if a command loaded it
-    done = run_fresh(
-        "import sys\n"
-        "from perigee.cli import main\n"
-        "code = main(['lehmer', '--poly', '1,2,-1,-2,1', '--max-n', '8'])\n"
-        "sys.stderr.write('%s %s' % (code, 'mpmath' in sys.modules))\n"
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stderr == "0 True"
-    assert "# mahler=0.96242365011920689499551782684873684627" in done.stdout
+    budget = "precision budget exceeded: digit still undecided at 17920 bits\n"
+    assert done.stderr == 2 * budget + "%s False" % ([0] * 13 + [3, 3])
+    assert "# mahler=0.96242365011920689499551782684873684627\n" in done.stdout
 
 
 def test_cli_import_loads_every_layer_and_no_heavy_module():
@@ -835,6 +833,37 @@ def test_tiny_paper_target_prints_its_rational_gap(capsys):
     assert code == 0, err
     assert summary_lines(out)["sigma_rate_max_gap"] == "1.5e-6000"
     assert [row["K"] for row in table_rows(out)] == ["0", "0", "0"]
+
+
+def test_target_at_the_size_limit_runs(capsys):
+    # 1e-100000 writes the denominator 10**100000, the largest a target may
+    # have, and a plan file may hold it too
+    code, out, err = run(capsys, "construct", "--C", "1e-%d" % MAX_TARGET_DIGITS, "--max-n", "3")
+    assert code == 0, err
+    assert summary_lines(out)["sigma_rate_max_gap"] == "1.5e-100000"
+    limit = GrowthTarget.from_json({"kind": "finite", "value": "1e%d" % MAX_TARGET_DIGITS})
+    assert limit.value == 10**MAX_TARGET_DIGITS
+
+
+@pytest.mark.parametrize("text", [
+    "1e-100001", "1e-10000000", "2e100000", "1e-%s" % ("9" * 100),
+    pytest.param("0.%s1" % ("0" * 100000), id="0.(100000 zeros)1"),
+    pytest.param("1/1%s" % ("0" * 100001), id="1/1(100001 zeros)"),
+])
+def test_target_past_the_size_limit_fails_fast(capsys, tmp_path, text):
+    # Fraction('1e-10000000') forms 10**10000000, which took 11.7 s, and
+    # construct ran for minutes; the size is decided from the text first, and
+    # a plan file's target is held to the same limit
+    message = "error: growth target too large: its numerator and denominator may be " \
+        "at most 10**100000\n"
+    started = time.perf_counter()
+    assert run(capsys, "construct", "--C", text, "--max-n", "3") == (2, "", message)
+    assert time.perf_counter() - started < 0.5
+    obj = plan_to_json(build_plan(GrowthTarget.finite(1), "compensated", n_max=3))
+    obj["target"]["value"] = text
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(obj))
+    assert run(capsys, "oracle", "--plan", str(path)) == (2, "", message)
 
 
 def test_count_too_large_to_form_fails_fast(tmp_path):

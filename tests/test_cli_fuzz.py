@@ -4,11 +4,14 @@
 main runs in process on argv drawn from a small grammar: construct flags
 with zero, huge and malformed fractions and out-of-range integers; oracle
 on plans mutated from a valid plan; lehmer on monic polynomials of degree
-at most 3 with coefficients below 2**1000.  Whatever the input, main returns
-a documented exit code and raises nothing, a failure writes one line to
-stderr, exit 1 comes only from an oracle table with a MISMATCH row, and a
-failed construct leaves no file behind.  derandomize makes every run draw
-the same examples; the three tests take a few seconds together.
+at most 3 with coefficients below 2**1000; analyze and zeta on short
+sequence files with gaps, blank lines, bad headers and values that are
+zero, negative, huge or not integers; primes at horizons around 0, 1 and 2.
+Whatever the input, main returns a documented exit code and raises nothing,
+a failure writes one line to stderr, exit 1 comes only from an oracle table
+with a MISMATCH row, and a failed construct leaves no file behind.
+derandomize makes every run draw the same examples; the tests take a few
+seconds together.
 """
 
 import contextlib
@@ -147,3 +150,55 @@ def test_lehmer_keeps_the_exit_code_contract(low, max_n):
     poly = ",".join(str(c) for c in low + [1])
     with tempfile.TemporaryDirectory() as directory:
         call(["lehmer", "--poly=" + poly, "--max-n=%d" % max_n], directory)
+
+
+SEQUENCE_VALUES = st.one_of(st.integers(-3, 3), st.integers(0, 10**30)).map(str)
+BAD_VALUES = ["9" * 5000, "-1" + "0" * 400, "1E3", "1.5", "NaN", "inf", "", " 7 ", "x"]
+
+
+@st.composite
+def sequence_files(draw):
+    """The text of a sequence file: header n,value and rows n = 1, 2, ... of
+    integers, then up to two corruptions: a bad header, a dropped row, a blank
+    line, a row of one or three fields, or a value that is huge or not an
+    integer."""
+    values = draw(st.lists(SEQUENCE_VALUES, max_size=14))
+    lines = ["n,value"] + ["%d,%s" % (n, v) for n, v in enumerate(values, start=1)]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(1, len(lines)))
+        kind = draw(st.sampled_from(["header", "drop", "blank", "short", "long", "value"]))
+        if kind == "header":
+            lines[0] = draw(st.sampled_from(["n, value", "value,n", "n", ""]))
+        elif kind == "drop" and i < len(lines):
+            del lines[i]
+        elif kind == "value":
+            lines[i:i + 1] = ["%d,%s" % (i, draw(st.sampled_from(BAD_VALUES)))]
+        else:
+            lines.insert(i, {"blank": "", "short": "%d" % i, "long": "%d,1,1" % i}.get(kind, ""))
+    return "\n".join(lines) + "\n"
+
+
+@FUZZ
+@given(
+    st.sampled_from(["analyze", "zeta"]),
+    sequence_files(),
+    flag("--window", st.sampled_from([-1, 0, 1, 3])),
+    flag("--max-m", st.sampled_from([-1, 0, 1, 3, 50])),
+    flag("--precision-bits", st.sampled_from([7, 8, 64])),
+)
+@example("analyze", "n,value\n1,0\n2,-1\n\n3,1E3\n", [], [], [])
+@example("zeta", "n,value\n1,1\n3,1\n", [], [], [])
+def test_sequence_commands_keep_the_exit_code_contract(command, text, window, max_m, bits):
+    argv = [command] + (window + bits if command == "analyze" else max_m)
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "seq.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        call(argv + ["--sequence=" + path], directory, ["seq.csv"])
+
+
+@FUZZ
+@given(st.integers(-2, 4), flag("--precision-bits", st.sampled_from([7, 8, 64])))
+def test_primes_keeps_the_exit_code_contract(max_n, bits):
+    with tempfile.TemporaryDirectory() as directory:
+        call(["primes", "--max-n=%d" % max_n] + bits, directory)

@@ -1,7 +1,11 @@
 """Static checks on the package source, made with the standard library's ast."""
 
 import ast
+import re
+import sys
 from pathlib import Path
+
+import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "perigee"
 
@@ -182,39 +186,17 @@ def test_no_module_imports_dataclasses():
     assert importers == []
 
 
-def import_time_modules(source):
-    """Top-level names of the modules the source loads when it is imported:
-    its import statements outside any function body."""
-    names, pending = set(), list(ast.parse(source).body)
-    while pending:
-        node = pending.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        if isinstance(node, ast.Import):
-            names.update(alias.name.split(".")[0] for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and not node.level:
-            names.add(node.module.split(".")[0])
-        pending.extend(ast.iter_child_nodes(node))
-    return names
-
-
-def test_import_time_modules_detector():
-    source = (
-        "import os.path\nfrom . import cli\n\nif True:\n    import json\n\n"
-        "class A:\n    import csv\n\n    def f(self):\n        import mpmath\n\n"
-        "def g():\n    from mpmath import mp\n"
-    )
-    assert import_time_modules(source) == {"os", "json", "csv"}
-
-
-def test_no_module_imports_mpmath_at_import_time():
-    # mpmath costs every process that loads it; only the Mahler measure's
-    # mp.polyroots fallback imports it, inside the function that needs it
-    importers = [
-        path.name for path in sorted(PACKAGE.glob("*.py"))
-        if "mpmath" in import_time_modules(path.read_text(encoding="utf-8"))
-    ]
-    assert importers == []
+def test_runtime_dependencies_are_the_third_party_imports():
+    # pyproject.toml declares exactly the modules outside the standard library
+    # that the package imports in any scope, so no command can load a module
+    # that installing perigee does not bring
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((PACKAGE.parent.parent / "pyproject.toml").read_text(encoding="utf-8"))
+    declared = {re.match(r"[\w.-]+", req).group().lower()
+                for req in project["project"]["dependencies"]}
+    imported = set().union(*(imported_modules(path.read_text(encoding="utf-8"))
+                             for path in PACKAGE.glob("*.py")))
+    assert sorted(imported - set(sys.stdlib_module_names) - {"perigee"}) == sorted(declared)
 
 
 def test_unread_private_functions_detector():

@@ -1,5 +1,7 @@
+import importlib
 import math
 import random
+import sys
 from unittest import mock
 
 import pytest
@@ -11,6 +13,7 @@ from oracles import (
     delta_n,
     det_bareiss,
     dyadic,
+    mahler_by_polyroots,
     measure_and_radius,
     realizability_check,
     residues_by_steps,
@@ -328,17 +331,6 @@ def ball_of(result):
     return result.lo, result.hi, result.scale
 
 
-def through_fallback(poly, precision_bits=128):
-    """mahler_measure with the float start switched off, so every root comes
-    from mp.polyroots."""
-    toral._enclose.cache_clear()
-    try:
-        with mock.patch.object(toral, "_float_start", lambda coeffs: None):
-            return toral.mahler_measure(poly, precision_bits)
-    finally:
-        toral._enclose.cache_clear()
-
-
 def test_graeffe_enclosure_is_narrow_and_holds_closed_forms():
     # m(x - 2) = log 2 and m(x^2 - 3x + 1) = 2 log phi, inside widths that
     # shrink like 2**-k
@@ -360,23 +352,48 @@ def test_mahler_ball_lies_in_the_graeffe_enclosure(low):
     assume(cyclotomic_factor_index(poly) is None)
     certified = ball_of(mahler_measure(poly))
     assert inside(certified, graeffe_enclosure(low + [1], 10))
-    fallback = ball_of(through_fallback(poly))
-    assert overlap(certified, fallback)
+    assert overlap(certified, mahler_by_polyroots(poly))
 
 
 def test_repeated_roots_certify_through_the_fallback():
     # (x^2 - x - 1)^2: Newton from the float start loses its quadratic
-    # convergence at the double roots, so mp.polyroots supplies them
+    # convergence at the double roots, so each square-free part x^2 - x - 1
+    # is started on its own
     square = IntegerPolynomial((1, 2, -1, -2, 1))
     toral._enclose.cache_clear()
-    with mock.patch.object(toral, "_polyroots", wraps=toral._polyroots) as fallback:
+    with mock.patch.object(toral, "_square_free_parts", wraps=toral._square_free_parts) as parts:
         result = mahler_measure(square)
-    assert fallback.called
+    assert parts.called
     with mp.workprec(400):
         expected = 2 * mp.log((1 + mp.sqrt(5)) / 2)
         assert result.lo <= expected * 2**result.scale <= result.hi
     assert len(result.roots) == 4 and not result.flagged
     assert inside(ball_of(result), graeffe_enclosure([1, 2, -1, -2, 1], 10))
+
+
+class BlockMpmath:
+    """A sys.meta_path finder under which importing mpmath fails."""
+
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "mpmath":
+            raise ImportError("mpmath is blocked")
+
+
+def test_repeated_roots_certify_without_mpmath():
+    # with mpmath unimportable, (x^2 - x - 1)^2 and (x + 1)^3 still certify:
+    # 2 log phi, and 0 with all three roots flagged on the unit circle
+    toral._enclose.cache_clear()
+    with mock.patch.dict(sys.modules), \
+            mock.patch.object(sys, "meta_path", [BlockMpmath()] + sys.meta_path):
+        for name in [name for name in sys.modules if name.partition(".")[0] == "mpmath"]:
+            del sys.modules[name]
+        with pytest.raises(ImportError):
+            importlib.import_module("mpmath")
+        square = mahler_measure(IntegerPolynomial((1, 2, -1, -2, 1)))
+        cube = mahler_measure(IntegerPolynomial((1, 3, 3, 1)))
+    with mp.workprec(400):
+        assert square.lo <= 2 * mp.log((1 + mp.sqrt(5)) / 2) * 2**square.scale <= square.hi
+    assert (cube.lo, cube.hi) == (0, 0) and len(cube.flagged) == 3
 
 
 def test_mahler_of_roots_at_zero_and_on_the_circle_is_exact():
