@@ -11,8 +11,8 @@ a decision, since every floor and comparison is exact.
 Logs, rates and lehmer's Mahler measure print from certified integer balls
 (precision.LogReal, toral.mahler_measure), correctly rounded, and so does
 lehmer's gap_at_max_n, from the ball of |rate - m(f)|.  The Mahler measure
-starts its roots in complex floats, so lehmer exits 3 on a polynomial with a
-coefficient beyond float range.
+certifies each square-free part of f from roots started in complex floats, so
+lehmer exits 3 on a polynomial with a coefficient beyond float range.
 
 Exit codes: 0 ok, 1 oracle mismatch, 2 invalid configuration or parse error
 (including a missing or unreadable input file), 3 computation budget exceeded

@@ -175,11 +175,7 @@ def _strong_lucas_probable_prime(n):
     Q = (1 - D) // 4
 
     # Strong test on n + 1 = d * 2**s with d odd.
-    d = n + 1
-    s2 = 0
-    while d % 2 == 0:
-        d //= 2
-        s2 += 1
+    d, s2 = _decompose(n + 2)
 
     # Lucas sequences by binary ladder: U_1 = 1, V_1 = P.
     U, V = 1, P

@@ -134,7 +134,7 @@ def growth_diagnostics(S, window_len=10, precision_bits=DEFAULT_PRECISION_BITS):
 SandwichViolation = namedtuple("SandwichViolation", "r inequality least bound")
 
 
-class SandwichReport(namedtuple("SandwichReport", "checked_n violations")):
+class SandwichReport(namedtuple("SandwichReport", "violations")):
     __slots__ = ()
 
     @property
@@ -162,7 +162,7 @@ def lemma_sandwich_check(F, L):
             violations.append(SandwichViolation(r, "upper", l_r, f_r))
         if l_r < f_r - below:
             violations.append(SandwichViolation(r, "lower", l_r, f_r - below))
-    return SandwichReport(checked_n=F.N, violations=tuple(violations))
+    return SandwichReport(violations=tuple(violations))
 
 
 # --- shared sequence file format --------------------------------------------

@@ -14,9 +14,9 @@ the companion matrix M of f, and also |Res(f, x^n - 1)|.  Two routes:
 When f does not vanish at any root of unity, delta_n is the number of points
 of period n of the toral automorphism induced by M, and its logarithmic
 growth rate is the Mahler measure m(f) = sum of max(log |a_i|, 0).
-mahler_measure certifies it as an integer ball: roots from float
-Aberth-Ehrlich iteration (on the square-free parts when f has a repeated
-root), refined and enclosed in fixed-point Gaussian integers.
+mahler_measure certifies it as an integer ball over the square-free parts of
+f, split by gcds from that remainder sequence: roots from float Aberth-Ehrlich
+iteration, refined and enclosed in fixed-point Gaussian integers.
 """
 
 import cmath
@@ -85,7 +85,7 @@ def _trim(c):
 
 
 def _poly_divmod(a, b):
-    """Quotient and remainder over the rationals; b must be nonzero."""
+    """Quotient and remainder over the rationals, b nonzero: _resultant's step."""
     a = [Fraction(x) for x in a]
     b = [Fraction(x) for x in _trim(b)]
     db = len(b) - 1
@@ -177,14 +177,12 @@ def _residues(f):
         yield residue
 
 
-def _subresultant(a, b):
-    """Res(a, b) for integer coefficient lists (low to high), a nonzero and
-    deg a >= deg b: lead(a)^deg(b) times the product of b over the roots of a.
-
-    The subresultant remainder sequence (Collins 1967, Brown 1978; Cohen,
-    Alg. 3.3.7 without its optional content extraction): every division is
-    exact, so no Fraction is formed.
-    """
+def _remainders(a, b):
+    """The last pair (a, b), b zero or constant, of the subresultant remainder
+    sequence of integer lists (low to high) a != 0 and b, deg a >= deg b, with its
+    sign s and its h; if b is zero, a is a multiple of gcd(a, b).  Every division
+    is exact, so no Fraction is formed (Collins 1967, Brown 1978; Cohen, Alg. 3.3.7
+    without its optional content extraction)."""
     a, b = _trim(a), _trim(b)
     s = g = h = 1
     while len(b) > 1:
@@ -201,6 +199,14 @@ def _subresultant(a, b):
         a, b = b, [x // (g * h**delta) for x in _trim(r)]
         g = a[-1]
         h = h * g**delta // h**delta
+    return a, b, s, h
+
+
+def _subresultant(a, b):
+    """Res(a, b) for integer coefficient lists (low to high), a nonzero and
+    deg a >= deg b: lead(a)^deg(b) times the product of b over the roots of a,
+    read from the last pair of _remainders."""
+    a, b, s, h = _remainders(a, b)
     if not b:
         return 0
     da = len(a) - 1
@@ -332,27 +338,26 @@ def _newton(coeffs, start, b):
 
 def _square_free_parts(coeffs):
     """Monic P_1, P_2, ... with product f, P_i = g_(i-1) / g_i for g_0 = f and g_i =
-    gcd(g_(i-1), g_(i-1)'): the roots of multiplicity at least i, each once."""
+    gcd(g_(i-1), g_(i-1)'): the roots of multiplicity at least i, each once.  The gcd
+    is _remainders' last a over its lead, exact since g is monic, or 1."""
     parts, g = [], list(coeffs)
     while len(g) > 1:
-        a, r = g, [i * c for i, c in enumerate(g)][1:]
-        while r:
-            a, r = r, _poly_divmod(a, r)[1]
-        a = [Fraction(c) / a[-1] for c in a]
-        parts.append(tuple(int(c) for c in _poly_divmod(g, a)[0]))
+        a, b = _remainders(g, [i * c for i, c in enumerate(g)][1:])[:2]
+        a = [1] if b else [c // a[-1] for c in a]
+        parts.append(tuple(_poly_divmod_monic_int(g, a)[0]))
         g = a
     return parts
 
 
-def _certify(coeffs, roots, b, precision_bits, isolated):
+def _certify(coeffs, roots, b, precision_bits):
     """(lo, hi, enclosures), lo <= m(f) * 2**b <= hi, from approximations (x, y)
-    = z * 2**b of the roots of monic f; None if two coincide, two disks meet
-    while isolated is set, or a cluster straddles the unit circle wider than
-    2**-precision_bits.  Each root lies in a disk D(z_i, d |f(z_i)| / prod over
-    j != i of |z_i - z_j|), a component of k disks holding k roots (D. Braess
-    and K. P. Hadeler, Numer. Math. 21, 1973); its squared radius is an exact
-    rational, rounded up.  A cluster of k roots with moduli in [lo, hi] adds
-    [k log lo, k log hi] outside the circle and [0, k log hi] across it."""
+    = z * 2**b of the roots of monic f; None if two coincide or a cluster
+    straddles the unit circle wider than 2**-precision_bits.  Each root lies in
+    a disk D(z_i, d |f(z_i)| / prod over j != i of |z_i - z_j|), a component of
+    k disks holding k roots (D. Braess and K. P. Hadeler, Numer. Math. 21, 1973);
+    its squared radius is an exact rational, rounded up.  A cluster of k roots
+    with moduli in [lo, hi] adds [k log lo, k log hi] outside the circle and
+    [0, k log hi] across it."""
     if roots is None:
         return None
     d, one, g, band = len(roots), 1 << b, GUARD_BITS, 1 << b - precision_bits
@@ -367,8 +372,6 @@ def _certify(coeffs, roots, b, precision_bits, isolated):
         radii.append(math.isqrt(d * d * (re * re + im * im) // sep) + 1)
         for j, (u, v) in enumerate(roots[:i]):
             if (x - u) ** 2 + (y - v) ** 2 <= (radii[i] + radii[j]) ** 2:
-                if isolated:
-                    return None
                 cluster = [cluster[j] if c == cluster[i] else c for c in cluster]
     lo = hi = 0
     log2_lo, log2_hi = log_enclosure(2, b + g)
@@ -396,21 +399,18 @@ def _certify(coeffs, roots, b, precision_bits, isolated):
 
 @lru_cache(maxsize=16)
 def _enclose(f, bits, precision_bits):
-    """_certify's ball and enclosures for f at scale bits, from the float start
-    refined by Newton if that isolates every root, else from the same start on
-    each square-free part; a root at 0 is exact.  None if neither certifies, as
-    when a coefficient is beyond float range."""
+    """_certify's balls and enclosures for f at scale bits, summed over the
+    square-free parts of f, each from its own float start refined by Newton; a
+    root at 0 is exact.  None if a part does not certify, as when a coefficient
+    is beyond float range."""
     zeros = next(i for i, c in enumerate(f.coefficients) if c)
-    coeffs = f.coefficients[zeros:]
-    found = _certify(coeffs, _newton(coeffs, _float_start(coeffs), bits), bits, precision_bits, True)
-    if found is None:
-        parts = [_certify(part, _newton(part, _float_start(part), bits), bits, precision_bits, False)
-                 for part in _square_free_parts(coeffs)]
-        if None not in parts:
-            found = (sum(part[0] for part in parts), sum(part[1] for part in parts),
-                     sum((part[2] for part in parts), ()))
+    parts = [_certify(part, _newton(part, _float_start(part), bits), bits, precision_bits)
+             for part in _square_free_parts(f.coefficients[zeros:])]
+    if None in parts:
+        return None
     zero = RootEnclosure(0, 0, bits, 0, 0, 0, False)
-    return found and (*found[:2], (zero,) * zeros + found[2])
+    return (sum(part[0] for part in parts), sum(part[1] for part in parts),
+            sum((part[2] for part in parts), (zero,) * zeros))
 
 
 def mahler_measure(f, precision_bits=DEFAULT_PRECISION_BITS):

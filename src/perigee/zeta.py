@@ -31,16 +31,15 @@ VERDICT_NO_RECURRENCE = "no-low-order-recurrence"
 RANK_PRIME = 2**61 - 1
 
 
-class ZetaSeries(namedtuple("ZetaSeries", "coefficients source")):
-    """Exact rational coefficients c_0..c_M of a truncated zeta function,
-    and the CountSequence they were computed from, if any."""
+class ZetaSeries(namedtuple("ZetaSeries", "coefficients")):
+    """Exact rational coefficients c_0..c_M of a truncated zeta function."""
 
     __slots__ = ()
 
-    def __new__(cls, coefficients, source=None):
+    def __new__(cls, coefficients):
         if not coefficients or coefficients[0] != 1:
             raise ValueError("series must start with c_0 = 1")
-        return super().__new__(cls, coefficients, source)
+        return super().__new__(cls, coefficients)
 
     # _replace builds through _make, which would skip __new__'s checks
     _make = classmethod(lambda cls, fields: cls(*fields))
@@ -75,7 +74,7 @@ def zeta_truncate(F, order):
         scaled.append(acc)
         factorial *= m
         coeffs.append(Fraction(acc, factorial))
-    return ZetaSeries(coefficients=tuple(coeffs), source=F)
+    return ZetaSeries(coefficients=tuple(coeffs))
 
 
 def _mul_trunc(a, b, order):
@@ -115,7 +114,7 @@ def orbit_product_form(F, order):
         for j in range(order // n + 1):
             factor[n * j] = math.comb(orbits - 1 + j, j)
         series = _mul_trunc(series, factor, order)
-    return ZetaSeries(coefficients=tuple(series), source=F)
+    return ZetaSeries(coefficients=tuple(series))
 
 
 # --- rationality probe ----------------------------------------------------------

@@ -12,15 +12,19 @@ the one the command runs:
 * realizability_check: whether F is the period-count sequence of some map;
 * sequence_from_series: F_1..F_M back from the zeta coefficients that
   zeta.zeta_truncate forms;
-* mahler_by_polyroots: m(f) from mp.polyroots' roots of each square-free
-  part, against mahler_measure's float Aberth-Ehrlich start (both are
-  certified by toral._certify, so this checks the roots, not the bound).
+* square_free_parts_by_euclid: the square-free parts of f from gcds by a
+  Fraction Euclid, against toral._square_free_parts' integer subresultant
+  sequence;
+* mahler_by_polyroots: m(f) from mp.polyroots' roots of each of those parts,
+  against mahler_measure's float Aberth-Ehrlich start (both are certified by
+  toral._certify, so this checks the roots, not the bound).
 
-dyadic turns the integer balls the package certifies into exact mpfs for
-the mpmath-based checks.
+dyadic and mpf_of turn the integer balls the package certifies into exact
+mpfs for the mpmath-based checks.
 """
 
 from collections import namedtuple
+from fractions import Fraction
 
 from mpmath import mp
 from mpmath.libmp import from_man_exp
@@ -33,6 +37,13 @@ from perigee.precision import GUARD_BITS, escalate
 def dyadic(n, scale):
     """n / 2**scale as an exact mpf, whatever mpmath's working precision."""
     return mp.make_mpf(from_man_exp(n, -scale))
+
+
+def mpf_of(real, bits=256):
+    """The midpoint of a LogReal's ball at bits, as an mpf for the mpmath oracle."""
+    lo, hi = real.ball(bits)
+    with mp.workprec(bits + 8):
+        return mp.mpf(lo + hi) / 2 ** (bits + 1)
 
 
 def measure_and_radius(result):
@@ -95,6 +106,21 @@ def delta_n(f, n):
 # --- the mp.polyroots route to the Mahler measure ------------------------------
 
 
+def square_free_parts_by_euclid(coeffs):
+    """Monic P_1, P_2, ... with product f, P_i = g_(i-1) / g_i for g_0 = f and g_i
+    the monic gcd(g_(i-1), g_(i-1)') by Euclid over the rationals (toral's
+    Fraction division, which only the resultant oracle runs in the package)."""
+    parts, g = [], list(coeffs)
+    while len(g) > 1:
+        a, r = g, [i * c for i, c in enumerate(g)][1:]
+        while r:
+            a, r = r, toral._poly_divmod(a, r)[1]
+        a = [Fraction(c) / a[-1] for c in a]
+        parts.append(tuple(int(c) for c in toral._poly_divmod(g, a)[0]))
+        g = a
+    return parts
+
+
 def mahler_by_polyroots(f, precision_bits=128):
     """(lo, hi, scale) with lo <= m(f) * 2**scale <= hi, from mp.polyroots' roots
     of each square-free part of f at scale bits (and as many extra), certified
@@ -104,7 +130,7 @@ def mahler_by_polyroots(f, precision_bits=128):
 
     def attempt(bits):
         lo = hi = 0
-        for part in toral._square_free_parts(coeffs):
+        for part in square_free_parts_by_euclid(coeffs):
             with mp.workprec(bits):
                 try:
                     roots = mp.polyroots(part[::-1], maxsteps=200, extraprec=bits)
@@ -112,7 +138,7 @@ def mahler_by_polyroots(f, precision_bits=128):
                     return None
                 roots = [tuple(int(mp.nint(mp.ldexp(t, bits))) for t in (z.real, z.imag))
                          for z in roots]
-            found = toral._certify(part, roots, bits, precision_bits, False)
+            found = toral._certify(part, roots, bits, precision_bits)
             if found is None:
                 return None
             lo, hi = lo + found[0], hi + found[1]

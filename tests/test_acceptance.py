@@ -22,7 +22,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from oracles import delta_n, fixed_from_least, measure_and_radius
+from oracles import delta_n, fixed_from_least, measure_and_radius, mpf_of
 from perigee.construction import (
     build_plan,
     count_table,
@@ -46,13 +46,6 @@ C_STATED = Fraction(6931, 10000)  # the criterion constant; just below log 2
 C_INTENDED = Fraction(6932, 10000)  # smallest 4-decimal rational >= log 2
 
 SEED = 0x5EED
-
-
-def mpf_of(real, bits=256):
-    """The midpoint of a LogReal's ball at bits, as an mpf for the mpmath oracle."""
-    lo, hi = real.ball(bits)
-    with mp.workprec(bits + 8):
-        return mp.mpf(lo + hi) / 2 ** (bits + 1)
 
 
 def plan_rates(plan):

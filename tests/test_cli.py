@@ -6,11 +6,12 @@ import sys
 import time
 from decimal import ROUND_HALF_UP, Context, Decimal
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from mpmath import mp
 
-from perigee import cli, construction, numtheory, orbits, zeta
+from perigee import cli, construction, numtheory, orbits, toral, zeta
 from perigee.cli import main
 from perigee.construction import (
     build_plan,
@@ -408,6 +409,21 @@ def test_lehmer_degenerate_exit_code(capsys):
     assert code == 4 and "cyclotomic index 4" in err
     code, _, err = run(capsys, "lehmer", "--poly", "-1,1", "--max-n", "10")
     assert code == 4 and "cyclotomic index 1" in err
+
+
+def test_lehmer_forms_no_rational_polynomial(capsys):
+    # the square-free parts split on the integer remainder sequence, so
+    # lehmer on a double root, as on a square-free polynomial, never reaches
+    # the rational division that only the resultant oracle runs
+    toral._enclose.cache_clear()
+    with mock.patch.object(toral, "_poly_divmod", wraps=toral._poly_divmod) as divmod_, \
+            mock.patch.object(toral, "_square_free_parts", wraps=toral._square_free_parts) as parts:
+        for poly in ("1,2,-1,-2,1", LEHMER10):
+            code, _, _ = run(capsys, "lehmer", "--poly", poly, "--max-n", "8")
+            assert code == 0
+    assert {call.args[0] for call in parts.call_args_list} == {
+        (1, 2, -1, -2, 1), (1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)}
+    assert not divmod_.called
 
 
 def test_lehmer_rejects_nonpositive_max_n(capsys):

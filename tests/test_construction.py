@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from oracles import mpf_of
 from perigee import construction, precision
 from perigee.construction import (
     _exponent,
@@ -39,13 +40,6 @@ from perigee.targets import GrowthTarget
 # n = 1 exponent floors to 0), one a hair above (exponents 1,1,1,1,1,2).
 C_BELOW_LOG2 = Fraction(6931, 10000)
 C_ABOVE_LOG2 = Fraction(6932, 10000)
-
-
-def mpf_of(real, bits=256):
-    """The midpoint of a LogReal's ball at bits, as an mpf for the mpmath oracle."""
-    lo, hi = real.ball(bits)
-    with mp.workprec(bits + 8):
-        return mp.mpf(lo + hi) / 2 ** (bits + 1)
 
 
 SMALL_PLANS = (

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from oracles import fixed_from_least, realizability_check
+from oracles import fixed_from_least, mpf_of, realizability_check
 from perigee.numtheory import divisors, mobius
 from perigee.orbits import (
     CountSequence,
@@ -18,13 +18,6 @@ from perigee.orbits import (
     read_sequence_csv,
     write_sequence_csv,
 )
-
-
-def mpf_of(real, bits=256):
-    """The midpoint of a LogReal's ball at bits, as an mpf for the mpmath oracle."""
-    lo, hi = real.ball(bits)
-    with mp.workprec(bits + 8):
-        return mp.mpf(lo + hi) / 2 ** (bits + 1)
 
 
 def test_fixed_from_least_examples():

@@ -50,7 +50,7 @@ def test_valid_replace_keeps_the_type(record):
     (CountSequence.fixed([1]), "values"),
     (ComponentSpec(1, 2, 1, 1), "K"),
     (IntegerPolynomial((-1, 1)), "coefficients"),
-    (ZetaSeries((Fraction(1),)), "source"),
+    (ZetaSeries((Fraction(1),)), "coefficients"),
 ])
 def test_fields_cannot_be_assigned(record, field):
     with pytest.raises(AttributeError):

@@ -17,6 +17,7 @@ from oracles import (
     measure_and_radius,
     realizability_check,
     residues_by_steps,
+    square_free_parts_by_euclid,
 )
 from perigee import toral
 from perigee.precision import log_enclosure
@@ -355,10 +356,23 @@ def test_mahler_ball_lies_in_the_graeffe_enclosure(low):
     assert overlap(certified, mahler_by_polyroots(poly))
 
 
-def test_repeated_roots_certify_through_the_fallback():
-    # (x^2 - x - 1)^2: Newton from the float start loses its quadratic
-    # convergence at the double roots, so each square-free part x^2 - x - 1
-    # is started on its own
+monic_low = st.lists(st.integers(-3, 3), max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(monic_low, monic_low, monic_low)
+def test_square_free_parts_match_the_rational_euclid(a, b, c):
+    # a b^2 c^3 for small monic a, b, c, which may share factors: the integer
+    # remainder sequence splits it as a Fraction Euclid does
+    a, b, c = a + [1], b + [1], c + [1]
+    coeffs = tuple(poly_mul(poly_mul(a, poly_mul(b, b)), poly_mul(c, poly_mul(c, c))))
+    assert toral._square_free_parts(coeffs) == square_free_parts_by_euclid(coeffs)
+
+
+def test_repeated_roots_certify_through_the_square_free_parts():
+    # (x^2 - x - 1)^2: Newton from a float start loses its quadratic
+    # convergence at a double root, so each square-free part, x^2 - x - 1
+    # twice, is started and certified on its own
     square = IntegerPolynomial((1, 2, -1, -2, 1))
     toral._enclose.cache_clear()
     with mock.patch.object(toral, "_square_free_parts", wraps=toral._square_free_parts) as parts:
