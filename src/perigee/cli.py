@@ -62,7 +62,7 @@ def _emit(args, header, rows, summary, out):
     if args.format == "csv":
         out.write(",".join(header) + "\n")
         for row in rows:
-            out.write(",".join(str(v) for v in row) + "\n")
+            out.write(",".join(map(str, row)) + "\n")
         for key, value in summary.items():
             out.write("# %s=%s\n" % (key, value))
     else:
@@ -123,34 +123,23 @@ def _parse_target(args):
 
 def cmd_construct(args, out):
     target = _parse_target(args)
-    if args.window < 1:  # growth_diagnostics checks it too, but after the files are written
+    if args.window < 1:  # growth_diagnostics checks it too, but after the plan is built
         raise ValueError("window length must be positive")
     bits = args.precision_bits
     dps = digits_for_bits(bits)
-    plan = construction.build_plan(
-        target, strategy=args.strategy, n_max=args.max_n, gamma=args.gamma
-    )
+    plan = construction.build_plan(target, args.strategy, args.max_n, args.gamma)
     table = construction.count_table(plan)
-    if args.plan_out:
-        with _atomic_output(args.plan_out) as path:
-            construction.save_plan(plan, path)
-    if args.sequence_out:
-        with _atomic_output(args.sequence_out) as path:
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                orbits.write_sequence_csv(table, fh)  # its values are the F_n
-    diagnostics = orbits.growth_diagnostics(
-        table.factored, window_len=args.window, precision_bits=bits
-    )
+    diagnostics = orbits.growth_diagnostics(table.factored, args.window, bits)
 
     header = ["n", "p", "K", "F_factored", "F_log", "L_exact", "L_claimed", "rate"]
-    rows = (  # one at a time, so no L_claimed column is kept
-        [n, comp.p, comp.K, str(f_n), f_log.decimal(dps), exact,
+    rows = (  # one at a time, each rebuilt from F, the blocks and its log ball
+        [n, comp.p, comp.K, str(f_log.count), f_log.decimal(dps), exact,
          construction.EXACT_CONTEXT.subtract(block, 1), rate.decimal(dps)]
-        for comp, f_n, exact, block, (n, f_log, rate) in zip(
-            plan.components, table.factored, table.least, table.blocks, diagnostics.entries
+        for comp, exact, block, (n, f_log, rate) in zip(
+            plan.components, table.least, table.blocks, diagnostics.entries
         )
     )
-    max_n, _, max_rate = max(diagnostics.entries, key=lambda entry: entry[2])
+    max_n, _, max_rate = diagnostics.top
     # is_prime is a proof only below DETERMINISTIC_LIMIT; above it,
     # Baillie-PSW makes p_n a probable prime.
     probable = [c.n for c in plan.components if c.p >= numtheory.DETERMINISTIC_LIMIT]
@@ -166,19 +155,20 @@ def cmd_construct(args, out):
         "probable_primes": ";".join(str(n) for n in probable) or "none",
     }
     if plan.strategy == construction.STRATEGY_COMPENSATED:
-        deficits = construction.deficit_report(plan)
-        summary["deficit_unverified"] = (
-            ";".join(str(n) for n in deficits.unverified) or "none"
-        )
-        summary["deficit_negative_budget"] = (
-            ";".join(str(n) for n in deficits.negative_budget) or "none"
-        )
+        negative, unverified = construction.deficit_report(plan)[1:]  # its rows are let go
+        summary["deficit_unverified"] = ";".join(map(str, unverified)) or "none"
+        summary["deficit_negative_budget"] = ";".join(map(str, negative)) or "none"
     if plan.strategy == construction.STRATEGY_PAPER:
-        gaps = (
-            abs(rate - construction.sigma_rate_target(plan, n))
-            for n, _, rate in diagnostics.entries
-        )
+        gaps = (abs(rate - construction.sigma_rate_target(plan, n))
+                for n, _, rate in diagnostics.entries)
         summary["sigma_rate_max_gap"] = max(gaps).decimal(dps)
+    if args.plan_out:  # the files come last: no step that can fail leaves one behind
+        with _atomic_output(args.plan_out) as path:
+            construction.save_plan(plan, path)
+    if args.sequence_out:
+        with _atomic_output(args.sequence_out) as path:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                orbits.write_sequence_csv(table, fh)  # its values are the F_n
     _emit(args, header, rows, summary, out)
     return EXIT_OK
 

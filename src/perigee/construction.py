@@ -51,7 +51,7 @@ from .numtheory import (
     least_primes_congruent_one,
     mobius,
 )
-from .orbits import KIND_FIXED, KIND_LEAST, CountSequence
+from .orbits import KIND_FIXED, KIND_LEAST, CountSequence, Rows
 from .precision import LogReal, adaptive_decide, adaptive_floor, log_ball, unlimited_int_digits
 from .targets import FINITE, INFINITE, ZERO, GrowthTarget
 
@@ -243,12 +243,22 @@ def _check_index(plan, n, component_limit):
 CountTable = namedtuple("CountTable", "factored values least blocks discrepancy_count")
 
 
+def _least(fixed, n):
+    """L_n, the Moebius sum over d | n of the F_d in fixed, in EXACT_CONTEXT."""
+    total = 0
+    for d in divisors(n):
+        if sign := mobius(n // d):
+            total = (EXACT_CONTEXT.add if sign > 0 else EXACT_CONTEXT.subtract)(total, fixed[d - 1])
+    return total
+
+
 def count_table(plan, n_max=None, component_limit=None):
     """F_n (factored, and as Decimal values), L_n and the blocks p_n**K_n for
     n = 1..n_max (default N), in one pass in EXACT_CONTEXT (do any further
     arithmetic there too): each block is formed once, F_n is the product of
     the blocks over d | n, L_n its Moebius inversion, and no count is an int.
-    Too large a count raises BudgetError.
+    Too large a count raises BudgetError.  Only values and blocks are held;
+    factored and least are views that rebuild each n's on read.
 
     With component_limit = M the blocks past M are trivial, so F_n is the
     product over d | n with d <= M, the exact period count of the truncated
@@ -261,23 +271,23 @@ def count_table(plan, n_max=None, component_limit=None):
     discrepancy_count is the number of n with L_n != p_n**K_n - 1.
     """
     top = n_max if n_max is not None else plan.N
-    limit = _check_index(plan, top, component_limit)
-    # shared by the factored F_n; a block past the truncation is trivial
-    pairs = [(comp.p, comp.K) for comp in plan.components[:min(top, limit)]]
-    pairs += [(1, 0)] * (top - len(pairs))
-    factored, fixed, least, blocks = [], [], [], []
+    limit = min(top, _check_index(plan, top, component_limit))
+    # (p_n, K_n) at index n = 1..top after a trivial block at 0; past the truncation, trivial
+    pairs = [(1, 0)] + [(c.p, c.K) for c in plan.components[:limit]] + [(1, 0)] * (top - limit)
+    fixed, blocks, discrepancies = [], [], 0
     with decimal.localcontext(EXACT_CONTEXT):
-        for n, (p, K) in enumerate(pairs, start=1):
+        for n, (p, K) in enumerate(pairs[1:], start=1):
             try:
                 blocks.append(decimal.Decimal(p) ** K)
-                factored.append(FactoredNatural.from_pairs(pairs[d - 1] for d in divisors(n)))
                 fixed.append(math.prod(blocks[d - 1] for d in divisors(n)))
-                terms = (mobius(n // d) * fixed[d - 1] for d in divisors(n) if mobius(n // d))
-                least.append(sum(terms))
+                discrepancies += _least(fixed, n) != blocks[-1] - 1
             except (decimal.Overflow, MemoryError) as exc:
                 raise BudgetError("F_%d has too many digits to form" % n) from exc
-        discrepancies = sum(exact != block - 1 for exact, block in zip(least, blocks))
-    return CountTable(tuple(factored), tuple(fixed), tuple(least), tuple(blocks), discrepancies)
+    fixed = tuple(fixed)
+    return CountTable(
+        Rows(top, lambda i: FactoredNatural.from_pairs(map(pairs.__getitem__, divisors(i + 1)))),
+        fixed, Rows(top, lambda i: _least(fixed, i + 1)), tuple(blocks), discrepancies,
+    )
 
 
 def sigma_rate_target(plan, n):
@@ -388,9 +398,10 @@ def deficit_report(plan):
     for n in range(1, plan.N + 1):
         comp = plan.components[n - 1]
         spent = _spent(plan.components, n)
+        balls = {}  # bits -> the budget ball, which in_window takes p_n**K_n off
 
         def budget_positive(bits):
-            lo, hi = _budget_ball(n, C, spent, bits)
+            lo, hi = balls[bits] = _budget_ball(n, C, spent, bits)
             return True if lo > 0 else False if hi <= 0 else None
 
         if not adaptive_decide(budget_positive):
@@ -398,8 +409,9 @@ def deficit_report(plan):
             continue
 
         def in_window(bits):
-            lo, hi = _budget_ball(n, C, spent + [(comp.K, comp.p)], bits)
             log_lo, log_hi = log_ball(comp.p, bits)
+            lo, hi = balls[bits] if bits in balls else _budget_ball(n, C, spent, bits)
+            lo, hi = lo - comp.K * log_hi, hi - comp.K * log_lo
             if hi <= 0 or lo >= log_hi:
                 return False
             if lo > 0 and hi < log_lo:
@@ -418,20 +430,15 @@ def deficit_report(plan):
 
 
 @unlimited_int_digits()
-def plan_to_json(plan):
-    """Plan as a JSON-ready dict; every integer is a decimal string."""
+def plan_to_json(plan, components=None):
+    """Plan as a JSON-ready dict of decimal strings, listing the given components (default all)."""
     obj = {
         "target": plan.target.to_json(),
         "strategy": plan.strategy,
         "N": str(plan.N),
         "components": [
-            {
-                "n": str(c.n),
-                "p": str(c.p),
-                "K": str(c.K),
-                "multiplier": str(c.multiplier),
-            }
-            for c in plan.components
+            {"n": str(c.n), "p": str(c.p), "K": str(c.K), "multiplier": str(c.multiplier)}
+            for c in (plan.components if components is None else components)
         ],
     }
     if plan.gamma is not None:
@@ -481,9 +488,16 @@ def plan_from_json(obj):
 
 
 def save_plan(plan, path):
+    """The bytes of json.dump(plan_to_json(plan), indent=2, sort_keys=True), written 64
+    components at a time (a list set one level deeper, without its brackets), never all."""
+    encode = json.JSONEncoder(indent=2, sort_keys=True).encode
+    # sorted, "N" and its digit string come first, so the first [] is the component list
+    head, tail = encode(plan_to_json(plan, ())).split("[]", 1)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(plan_to_json(plan), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        for start in range(0, plan.N, 64):
+            batch = encode(plan_to_json(plan, plan.components[start:start + 64])["components"])
+            fh.write(("," if start else head + "[") + batch[1:-2].replace("\n", "\n  "))
+        fh.write(("\n  ]" if plan.components else head + "[]") + tail + "\n")
 
 
 def load_plan(path):

@@ -51,13 +51,12 @@ class FactoredNatural(namedtuple("FactoredNatural", "factors")):
     @classmethod
     def from_pairs(cls, pairs):
         merged = {}
-        for pair in pairs:
-            p, e = pair
+        for p, e in pairs:
             if e < 0:
                 raise ValueError("negative exponent")
             if e:
-                merged[p] = (p, merged[p][1] + e) if p in merged else tuple(pair)  # not copied
-        return cls(tuple(sorted(merged.values())))
+                merged[p] = merged.get(p, 0) + e
+        return cls(tuple(sorted(merged.items())))
 
     def value(self):
         out = 1
@@ -65,13 +64,10 @@ class FactoredNatural(namedtuple("FactoredNatural", "factors")):
             out *= p**e
         return out
 
-    def __int__(self):
-        return self.value()
-
     def __str__(self):
         if not self.factors:
             return "1"
-        return "*".join("%d^%d" % (p, e) for p, e in self.factors)
+        return "*".join(map("%d^%d".__mod__, self.factors))
 
 
 # --- primality -------------------------------------------------------------

@@ -110,8 +110,11 @@ def _count_log_ball(count, bits):
     """log_enclosure of an int; of a FactoredNatural, the sum of e*log_ball(p)."""
     if not isinstance(count, FactoredNatural):
         return log_enclosure(count, bits)
-    balls = [(e, log_ball(p, bits)) for p, e in count.factors]
-    return sum(e * lo for e, (lo, _) in balls), sum(e * hi for e, (_, hi) in balls)
+    lo = hi = 0
+    for p, e in count.factors:
+        p_lo, p_hi = log_ball(p, bits)
+        lo, hi = lo + e * p_lo, hi + e * p_hi
+    return lo, hi
 
 
 def _doubled(bits, what):

@@ -1,14 +1,19 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from decimal import ROUND_HALF_UP, Context, Decimal
 from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from perigee import cli, construction, numtheory, orbits, toral, zeta
@@ -720,6 +725,106 @@ def test_zeta_stdout_is_pinned(capsys, tmp_path):
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, (name, fmt)
 
 
+CONSTRUCT_TARGETS = {
+    "paper": (["--C", "6932/10000", "--strategy", "paper"], "6932/10000", "paper", None),
+    "compensated": (["--C", "1", "--strategy", "compensated"], "1", "compensated", None),
+    "subexponential": (
+        ["--C", "21/20", "--strategy", "subexponential", "--gamma", "1/2"],
+        "21/20", "subexponential", "1/2",
+    ),
+    "infinite": (["--target", "infinite"], "infinite", None, None),
+    "zero": (["--target", "zero"], "zero", None, None),
+}
+
+
+def reference_construct(name, N, window, bits, fmt):
+    """construct's stdout rebuilt from ints: F_n as FactoredNatural.value of
+    exponents summed over the divisors, L_n by orbits.least_from_fixed, logs
+    and rates by growth_diagnostics on the ints, the maximum by max()."""
+    _, text, strategy, gamma = CONSTRUCT_TARGETS[name]
+    target = GrowthTarget.parse(text)
+    plan = build_plan(target, strategy, n_max=N, gamma=gamma)
+    factored = []
+    for n in range(1, N + 1):
+        exponents = Counter()
+        for d in numtheory.divisors(n):
+            exponents[plan.components[d - 1].p] += plan.components[d - 1].K
+        factored.append(FactoredNatural.from_pairs(exponents.items()))
+    fixed = orbits.CountSequence.fixed(f.value() for f in factored)
+    least = orbits.least_from_fixed(fixed).values
+    diagnostics = orbits.growth_diagnostics(fixed, window_len=window, precision_bits=bits)
+    entries = list(diagnostics.entries)
+    dps = digits_for_bits(bits)
+    claimed = [c.p**c.K - 1 for c in plan.components]
+    header = ["n", "p", "K", "F_factored", "F_log", "L_exact", "L_claimed", "rate"]
+    rows = [
+        [n, c.p, c.K, str(f), lg.decimal(dps), exact, bound, rate.decimal(dps)]
+        for c, f, exact, bound, (n, lg, rate) in zip(
+            plan.components, factored, least, claimed, entries
+        )
+    ]
+    max_n, _, max_rate = max(entries, key=lambda entry: entry[2])
+    probable = [c.n for c in plan.components if c.p >= numtheory.DETERMINISTIC_LIMIT]
+    summary = {
+        "target": target.describe(),
+        "strategy": plan.strategy,
+        "window_len": diagnostics.window_len,
+        "window_inf": diagnostics.window_inf.decimal(dps),
+        "window_sup": diagnostics.window_sup.decimal(dps),
+        "max_rate": max_rate.decimal(dps),
+        "max_rate_n": max_n,
+        "claimed_vs_exact_discrepancies": sum(a != b for a, b in zip(least, claimed)),
+        "probable_primes": ";".join(map(str, probable)) or "none",
+    }
+    if plan.strategy == "compensated":
+        deficits = construction.deficit_report(plan)
+        summary["deficit_unverified"] = ";".join(map(str, deficits.unverified)) or "none"
+        summary["deficit_negative_budget"] = (
+            ";".join(map(str, deficits.negative_budget)) or "none"
+        )
+    if plan.strategy == "paper":
+        gaps = (abs(rate - construction.sigma_rate_target(plan, n)) for n, _, rate in entries)
+        summary["sigma_rate_max_gap"] = max(gaps).decimal(dps)
+    if fmt == "json":
+        payload = {
+            "command": "construct",
+            "rows": [dict(zip(header, row)) for row in rows],
+            "summary": summary,
+        }
+        return json.dumps(payload, indent=2) + "\n"
+    return "".join(
+        [",".join(header) + "\n"]
+        + [",".join(map(str, row)) + "\n" for row in rows]
+        + ["# %s=%s\n" % item for item in summary.items()]
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    name=st.sampled_from(sorted(CONSTRUCT_TARGETS)),
+    N=st.integers(1, 40),
+    window=st.integers(1, 50),
+    bits=st.sampled_from([8, 64, 128]),
+)
+@example(name="compensated", N=40, window=3, bits=128)  # a window below N
+@example(name="paper", N=12, window=50, bits=8)  # a window above N
+@example(name="zero", N=5, window=2, bits=128)  # every rate an exact tie
+def test_streamed_construct_prints_the_reference_from_ints(name, N, window, bits):
+    # construct rebuilds each row's factors, L_n and logs from F, the blocks
+    # and one ball per n; it must print what ints formed outside its table
+    # print, in both formats.  An infinite plan's primes lie above n**n, so
+    # its horizon is kept short.
+    if name == "infinite":
+        N = min(N, 12)
+    argv = ["construct", *CONSTRUCT_TARGETS[name][0], "--max-n", str(N),
+            "--window", str(window), "--precision-bits", str(bits)]
+    for fmt in ("csv", "json"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv + ["--format", fmt]) == 0
+        assert out.getvalue() == reference_construct(name, N, window, bits, fmt), fmt
+
+
 def refuse(*args, **kwargs):
     raise AssertionError("an int count was formed")
 
@@ -839,6 +944,40 @@ def test_primes_peak_memory_is_its_sieve_and_primes():
     code, growth_kb = map(int, done.stdout.split())
     assert code == 0
     assert growth_kb < 20 * 1024
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc/self/status"
+)
+def test_construct_peak_memory_is_its_values_blocks_and_balls(tmp_path):
+    # the table holds F_n, the blocks and one log ball per n, and rebuilds
+    # F_n's factors, L_n and its logs per row; the plan file is written a
+    # batch of components at a time.  The peak above the imported
+    # interpreter was about 8 MB when every per-n table was held, and the
+    # plan file's dict was built whole; it is about 5.3 MB now
+    done = run_fresh(
+        "import os, sys\n"
+        "import perigee.cli\n"
+        "def status(key):\n"
+        "    with open('/proc/self/status', encoding='ascii') as fh:\n"
+        "        return next(int(line.split()[1]) for line in fh if line.startswith(key))\n"
+        "imported = status('VmRSS:')\n"
+        "with open(os.devnull, 'w') as sink:\n"
+        "    sys.stdout = sink\n"
+        "    code = perigee.cli.main(['construct', '--C', '1', '--strategy', 'compensated',\n"
+        "                             '--max-n', '3000', '--plan-out', %r,\n"
+        "                             '--sequence-out', %r])\n"
+        "    sys.stdout = sys.__stdout__\n"
+        "print(code, status('VmHWM:') - imported)\n"
+        % (str(tmp_path / "plan.json"), str(tmp_path / "counts.csv"))
+    )
+    assert done.returncode == 0, done.stderr
+    code, growth_kb = map(int, done.stdout.split())
+    assert code == 0
+    assert growth_kb < 6.5 * 1024
+    assert sha256_of(tmp_path / "plan.json") == (
+        "3aa6d111d95680af3dfda7921fe12fde090f5e86a7b6bb4338e35acadcada4db"
+    )
 
 
 def test_tiny_paper_target_prints_its_rational_gap(capsys):

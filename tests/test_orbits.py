@@ -178,10 +178,12 @@ def test_equal_rates_tie_exactly_and_the_first_n_wins():
     # maximum and the window's top are exact ties, decided without escalating
     F = CountSequence.fixed([2, 4, 3, 16, 32, 7, 128])
     diag = growth_diagnostics(F, window_len=3)
-    # construct's max_rate_n is this max: a tie keeps the first n
-    assert max(diag.entries, key=lambda entry: entry[2]) is diag.entries[0]
-    assert diag.window_inf is diag.entries[-2][2]  # log 7 / 6 < log 2
-    assert diag.window_sup is diag.entries[-3][2]  # n = 5 comes before n = 7
+    # construct's max_rate_n is top's n: a tie keeps the first n, as max does;
+    # a rate's count and denominator name the entry it came from
+    assert diag.top[0] == max(diag.entries, key=lambda entry: entry[2])[0] == 1
+    assert (diag.top[2].count, diag.top[2].den) == (2, 1)
+    assert (diag.window_inf.count, diag.window_inf.den) == (7, 6)  # log 7 / 6 < log 2
+    assert (diag.window_sup.count, diag.window_sup.den) == (32, 5)  # n = 5 comes before n = 7
     assert diag.window_sup.decimal(38) == diag.entries[-1][2].decimal(38)
 
 
