@@ -62,7 +62,7 @@ def _emit(args, header, rows, summary, out):
     if args.format == "csv":
         out.write(",".join(header) + "\n")
         for row in rows:
-            out.write(",".join(map(str, row)) + "\n")
+            out.write(",".join(str(v) for v in row) + "\n")
         for key, value in summary.items():
             out.write("# %s=%s\n" % (key, value))
     else:
@@ -127,9 +127,13 @@ def cmd_construct(args, out):
         raise ValueError("window length must be positive")
     bits = args.precision_bits
     dps = digits_for_bits(bits)
-    plan = construction.build_plan(target, args.strategy, args.max_n, args.gamma)
+    plan = construction.build_plan(
+        target, strategy=args.strategy, n_max=args.max_n, gamma=args.gamma
+    )
     table = construction.count_table(plan)
-    diagnostics = orbits.growth_diagnostics(table.factored, args.window, bits)
+    diagnostics = orbits.growth_diagnostics(
+        table.factored, window_len=args.window, precision_bits=bits
+    )
 
     header = ["n", "p", "K", "F_factored", "F_log", "L_exact", "L_claimed", "rate"]
     rows = (  # one at a time, each rebuilt from F, the blocks and its log ball
@@ -139,7 +143,7 @@ def cmd_construct(args, out):
             plan.components, table.least, table.blocks, diagnostics.entries
         )
     )
-    max_n, _, max_rate = diagnostics.top
+    max_n, _, max_rate = max(diagnostics.peaks, key=lambda entry: entry[2])
     # is_prime is a proof only below DETERMINISTIC_LIMIT; above it,
     # Baillie-PSW makes p_n a probable prime.
     probable = [c.n for c in plan.components if c.p >= numtheory.DETERMINISTIC_LIMIT]
@@ -155,12 +159,18 @@ def cmd_construct(args, out):
         "probable_primes": ";".join(str(n) for n in probable) or "none",
     }
     if plan.strategy == construction.STRATEGY_COMPENSATED:
-        negative, unverified = construction.deficit_report(plan)[1:]  # its rows are let go
-        summary["deficit_unverified"] = ";".join(map(str, unverified)) or "none"
-        summary["deficit_negative_budget"] = ";".join(map(str, negative)) or "none"
+        deficits = construction.deficit_report(plan)
+        summary["deficit_unverified"] = (
+            ";".join(str(n) for n in deficits.unverified) or "none"
+        )
+        summary["deficit_negative_budget"] = (
+            ";".join(str(n) for n in deficits.negative_budget) or "none"
+        )
     if plan.strategy == construction.STRATEGY_PAPER:
-        gaps = (abs(rate - construction.sigma_rate_target(plan, n))
-                for n, _, rate in diagnostics.entries)
+        gaps = (
+            abs(rate - construction.sigma_rate_target(plan, n))
+            for n, _, rate in diagnostics.entries
+        )
         summary["sigma_rate_max_gap"] = max(gaps).decimal(dps)
     if args.plan_out:  # the files come last: no step that can fail leaves one behind
         with _atomic_output(args.plan_out) as path:

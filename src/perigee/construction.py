@@ -437,7 +437,12 @@ def plan_to_json(plan, components=None):
         "strategy": plan.strategy,
         "N": str(plan.N),
         "components": [
-            {"n": str(c.n), "p": str(c.p), "K": str(c.K), "multiplier": str(c.multiplier)}
+            {
+                "n": str(c.n),
+                "p": str(c.p),
+                "K": str(c.K),
+                "multiplier": str(c.multiplier),
+            }
             for c in (plan.components if components is None else components)
         ],
     }

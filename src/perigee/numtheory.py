@@ -51,12 +51,13 @@ class FactoredNatural(namedtuple("FactoredNatural", "factors")):
     @classmethod
     def from_pairs(cls, pairs):
         merged = {}
-        for p, e in pairs:
+        for pair in pairs:
+            p, e = pair
             if e < 0:
                 raise ValueError("negative exponent")
             if e:
-                merged[p] = merged.get(p, 0) + e
-        return cls(tuple(sorted(merged.items())))
+                merged[p] = (p, merged[p][1] + e) if p in merged else tuple(pair)  # not copied
+        return cls(tuple(sorted(merged.values())))
 
     def value(self):
         out = 1
@@ -64,10 +65,13 @@ class FactoredNatural(namedtuple("FactoredNatural", "factors")):
             out *= p**e
         return out
 
+    def __int__(self):
+        return self.value()
+
     def __str__(self):
         if not self.factors:
             return "1"
-        return "*".join(map("%d^%d".__mod__, self.factors))
+        return "*".join("%d^%d" % (p, e) for p, e in self.factors)
 
 
 # --- primality -------------------------------------------------------------

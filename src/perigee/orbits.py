@@ -14,6 +14,7 @@ oracles, in tests/oracles.py.
 
 import csv
 from collections import namedtuple
+from collections.abc import Sequence
 
 from .precision import DEFAULT_PRECISION_BITS, LogReal, unlimited_int_digits
 
@@ -79,72 +80,98 @@ def least_from_fixed(F):
     return CountSequence(KIND_LEAST, tuple(out))
 
 
-class Rows:
-    """A read-only sequence whose item i is row(i), rebuilt on every read."""
+class Rows(Sequence):
+    """A read-only sequence whose item i is row(i), rebuilt on every read; a
+    slice is a tuple, and Rows compare equal to the tuple of their items."""
 
     def __init__(self, size, row):
         self.size, self.row = size, row
+
+    def __len__(self):
+        return self.size
 
     def __iter__(self):
         return map(self.row, range(self.size))
 
     def __getitem__(self, i):
-        return self.row(i if 0 <= i < self.size else range(self.size)[i])
+        picked = range(self.size)[i]  # an index, or a range for a slice
+        return self.row(picked) if isinstance(picked, int) else tuple(map(self.row, picked))
+
+    def __eq__(self, other):
+        return isinstance(other, (tuple, Rows)) and tuple(self) == tuple(other)
+
+    def __hash__(self):
+        return hash(tuple(self))
 
 
 class GrowthDiagnostics(
-    namedtuple("GrowthDiagnostics", "entries skipped window_len window_inf window_sup top")
+    namedtuple("GrowthDiagnostics", "entries skipped window_len window_inf window_sup peaks")
 ):
     """Per-n logarithmic rates of a count sequence, with a trailing window.
 
     entries holds (n, log value, log value / n), rebuilt on read, for every
     n with a positive count, each real a precision.LogReal; indices with
-    value <= 0 are in skipped (log undefined).  window_inf and window_sup
-    bound the rate over the last window_len computed entries; window_len is
-    at most the number of entries.  top is the first entry of the top rate.
+    value <= 0 are listed in skipped (log undefined).  window_inf and
+    window_sup bound the rate over the last window_len computed entries;
+    window_len is at most the number of entries.  peaks holds, in the same
+    form and order, the entries whose rate may be the greatest, so max over
+    peaks is max over entries, ties to the first.
     """
 
     __slots__ = ()
 
 
 def growth_diagnostics(S, window_len=10, precision_bits=DEFAULT_PRECISION_BITS):
-    """Rates (1/n) log S_n with a trailing inf/sup window and the top rate.
+    """Rates (1/n) log S_n with a trailing inf/sup window.
 
     This is the one place the package turns exact counts (a CountSequence,
     or construct's FactoredNaturals) into logs and rates.  Each log is a
     certified ball of the exact count S_n at precision_bits plus guard bits,
     refined on demand, so precision_bits is purely an output resolution.
-    One pass holds a ball per entry; entries rebuild each LogReal from S_n
-    and its ball when read.  The window's ends and top are compared exactly
-    before that: equal rates tie, and the first is kept.  Entries with
-    S_n <= 0 are skipped and flagged; an all-zero sequence has no growth
-    rate and raises ValueError, as does a window_len below 1.  A window
-    longer than the entries is shortened to all of them.
+    One pass holds the first ball of each entry; entries rebuild each
+    LogReal from S_n and that ball when read.  The window's ends are
+    compared exactly: equal rates tie, and min and max keep the first.
+    peaks leaves out, by integer comparisons of the first balls, each entry
+    whose rate ball lies below another's, and refines nothing.
+    Entries with S_n <= 0 are skipped and flagged; an all-zero sequence has
+    no growth rate and raises ValueError, as does a window_len below 1.  A
+    window longer than the entries is shortened to all of them.
     """
     if window_len < 1:
         raise ValueError("window length must be positive")
     counts = S.values if isinstance(S, CountSequence) else S
-    kept, skipped, top = [], [], None
+    kept = []  # (n, bits, lo, hi): n, then its log ball as first taken
+    skipped = []
     for n, v in enumerate(counts, start=1):
         if isinstance(v, int) and v <= 0:  # a FactoredNatural is positive
             skipped.append(n)
             continue
-        lg = LogReal(v, precision_bits)
-        kept.append((n, *lg._log))  # n, then the ball [bits, lo, hi] as first taken
-        rate = lg / n
-        if top is None or rate > top[2]:
-            top = (n, lg, rate)
+        kept.append((n, *LogReal(v, precision_bits)._log))
     if not kept:
         raise ValueError("sequence has no positive entries; growth rate undefined")
+    # the greatest lower end top_lo / top_n of a rate's first ball (one bits for all)
+    top_n, top_lo = kept[0][0], kept[0][2]
+    for n, _, lo, _ in kept:
+        if lo * top_n > top_lo * n:
+            top_n, top_lo = n, lo
+    peaks = [i for i, (n, _, _, hi) in enumerate(kept) if hi * top_n >= top_lo * n]
 
     def entry(i):
         n, *ball = kept[i]
         lg = LogReal(counts[n - 1], log=ball)
         return n, lg, lg / n
 
-    window = [entry(i)[2] for i in range(max(0, len(kept) - window_len), len(kept))]
-    return GrowthDiagnostics(Rows(len(kept), entry), tuple(skipped), len(window), min(window),
-                             max(window), top)
+    entries = Rows(len(kept), entry)
+    window_len = min(window_len, len(entries))
+    window = [r for (_, _, r) in entries[-window_len:]]
+    return GrowthDiagnostics(
+        entries=entries,
+        skipped=tuple(skipped),
+        window_len=window_len,
+        window_inf=min(window),
+        window_sup=max(window),
+        peaks=Rows(len(peaks), lambda j: entry(peaks[j])),
+    )
 
 
 # inequality is "upper" (L_r <= F_r) or "lower" (L_r >= F_r - sum of proper F_d)

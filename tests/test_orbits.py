@@ -3,14 +3,16 @@ from decimal import Decimal
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
 from oracles import fixed_from_least, mpf_of, realizability_check
+from perigee import precision
 from perigee.numtheory import divisors, mobius
 from perigee.orbits import (
     CountSequence,
+    Rows,
     SandwichViolation,
     growth_diagnostics,
     least_from_fixed,
@@ -178,13 +180,71 @@ def test_equal_rates_tie_exactly_and_the_first_n_wins():
     # maximum and the window's top are exact ties, decided without escalating
     F = CountSequence.fixed([2, 4, 3, 16, 32, 7, 128])
     diag = growth_diagnostics(F, window_len=3)
-    # construct's max_rate_n is top's n: a tie keeps the first n, as max does;
-    # a rate's count and denominator name the entry it came from
-    assert diag.top[0] == max(diag.entries, key=lambda entry: entry[2])[0] == 1
-    assert (diag.top[2].count, diag.top[2].den) == (2, 1)
+    # a tie keeps the first n, over the entries and over construct's peaks.
+    # Entries are rebuilt on read, so a rate's count and denominator name it
+    for top in (max(diag.entries, key=lambda e: e[2]), max(diag.peaks, key=lambda e: e[2])):
+        assert top[0] == 1 and (top[2].count, top[2].den) == (2, 1)
+    assert [n for n, _, _ in diag.peaks] == [1, 2, 4, 5, 7]  # log 3 / 3 < log 2 is left out
     assert (diag.window_inf.count, diag.window_inf.den) == (7, 6)  # log 7 / 6 < log 2
     assert (diag.window_sup.count, diag.window_sup.den) == (32, 5)  # n = 5 comes before n = 7
     assert diag.window_sup.decimal(38) == diag.entries[-1][2].decimal(38)
+
+
+def test_rates_rising_by_tiny_steps_refine_only_the_window(monkeypatch):
+    # log(2**n - 1) / n rises toward log 2 by about 2**-n / n, so telling two
+    # such rates apart takes about n bits: only the window's ends are
+    # compared, so no log outside the window is refined past its first ball
+    refined = set()
+    first_ball = precision._count_log_ball
+
+    def spy(count, bits):
+        if bits > precision.DEFAULT_PRECISION_BITS + precision.GUARD_BITS:
+            refined.add(count.bit_length())
+        return first_ball(count, bits)
+
+    monkeypatch.setattr(precision, "_count_log_ball", spy)
+    diag = growth_diagnostics(CountSequence.fixed([2**n - 1 for n in range(1, 401)]), 4)
+    assert (diag.window_inf.count, diag.window_sup.count) == (2**397 - 1, 2**400 - 1)
+    assert refined and refined <= {397, 398, 399, 400}
+    # construct's argmax over the peaks refines them on read, as a max over
+    # every entry would
+    assert max(diag.peaks, key=lambda entry: entry[2])[0] == 400
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(0, 2**70), min_size=1, max_size=30).filter(any),
+    st.sampled_from([8, 64, 128]),
+)
+@example([1, 0, 1], 128)  # every rate 0, each ball exactly [0, 0]
+@example([2, 4, 3, 16, 32, 7, 128], 8)  # exact ties at log 2
+def test_peaks_hold_the_first_top_rate(values, bits):
+    # max over the peaks is the exact max over every entry, ties to the first
+    # n, and every entry left out has a smaller rate
+    diag = growth_diagnostics(CountSequence.fixed(values), precision_bits=bits)
+    top_n, _, top_rate = max(diag.entries, key=lambda entry: entry[2])
+    peak_n, _, peak_rate = max(diag.peaks, key=lambda entry: entry[2])
+    assert peak_n == top_n and not peak_rate < top_rate and not peak_rate > top_rate
+    peak_ns = [n for n, _, _ in diag.peaks]
+    assert peak_ns == sorted(peak_ns)
+    assert all(rate < top_rate for n, _, rate in diag.entries if n not in peak_ns)
+
+
+def test_rows_is_a_sequence_rebuilt_on_read():
+    reads = []
+    rows = Rows(4, lambda i: reads.append(i) or [i * i])
+    assert len(rows) == 4 and list(rows) == [[0], [1], [4], [9]]
+    assert rows[-1] == [9] and rows[1:3] == ([1], [4]) and [4] in rows
+    assert rows[2] is not rows[2]  # rebuilt, not held
+    with pytest.raises(IndexError):
+        rows[4]
+    # equal to the tuple of its items, either way round, and to equal Rows
+    assert rows == ([0], [1], [4], [9]) == rows and rows == Rows(4, lambda i: [i * i])
+    assert rows != [[0], [1], [4], [9]] and rows != ([0], [1], [4])
+    assert hash(Rows(2, str)) == hash(("0", "1"))
+    reads.clear()
+    rows[1:3]
+    assert reads == [1, 2]  # a slice reads only its items
 
 
 def test_sequence_csv_round_trip():
