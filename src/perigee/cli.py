@@ -25,7 +25,7 @@ import math
 import os
 import re
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from decimal import Decimal
 
 from . import construction, numtheory, orbits, toral, zeta
@@ -125,15 +125,57 @@ def cmd_construct(args, out):
     target = _parse_target(args)
     if args.window < 1:  # growth_diagnostics checks it too, but after the plan is built
         raise ValueError("window length must be positive")
+    if args.plan_out and args.sequence_out and (  # one temporary file would hold both
+        os.path.realpath(args.plan_out) == os.path.realpath(args.sequence_out)
+    ):
+        raise ValueError("--plan-out and --sequence-out must name different files")
     bits = args.precision_bits
     dps = digits_for_bits(bits)
     plan = construction.build_plan(
         target, strategy=args.strategy, n_max=args.max_n, gamma=args.gamma
     )
-    table = construction.count_table(plan)
-    diagnostics = orbits.growth_diagnostics(
-        table.factored, window_len=args.window, precision_bits=bits
-    )
+    # each file is written once its content exists (the plan's before the table,
+    # so its dict is gone first) and moved into place after the last decision
+    with ExitStack() as outputs:
+        if args.plan_out:
+            construction.save_plan(plan, outputs.enter_context(_atomic_output(args.plan_out)))
+        table = construction.count_table(plan)
+        if args.sequence_out:
+            path = outputs.enter_context(_atomic_output(args.sequence_out))
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                orbits.write_sequence_csv(table, fh)  # its values are the F_n
+        diagnostics = orbits.growth_diagnostics(
+            table.factored, window_len=args.window, precision_bits=bits
+        )
+        max_n, _, max_rate = max(diagnostics.peaks, key=lambda entry: entry[2])
+        # is_prime is a proof only below DETERMINISTIC_LIMIT; above it,
+        # Baillie-PSW makes p_n a probable prime.
+        probable = [c.n for c in plan.components if c.p >= numtheory.DETERMINISTIC_LIMIT]
+        summary = {
+            "target": target.describe(),
+            "strategy": plan.strategy,
+            "window_len": diagnostics.window_len,
+            "window_inf": diagnostics.window_inf.decimal(dps),
+            "window_sup": diagnostics.window_sup.decimal(dps),
+            "max_rate": max_rate.decimal(dps),
+            "max_rate_n": max_n,
+            "claimed_vs_exact_discrepancies": table.discrepancy_count,
+            "probable_primes": ";".join(str(n) for n in probable) or "none",
+        }
+        if plan.strategy == construction.STRATEGY_COMPENSATED:
+            deficits = construction.deficit_report(plan)
+            summary["deficit_unverified"] = (
+                ";".join(str(n) for n in deficits.unverified) or "none"
+            )
+            summary["deficit_negative_budget"] = (
+                ";".join(str(n) for n in deficits.negative_budget) or "none"
+            )
+        if plan.strategy == construction.STRATEGY_PAPER:
+            gaps = (
+                abs(rate - construction.sigma_rate_target(plan, n))
+                for n, _, rate in diagnostics.entries
+            )
+            summary["sigma_rate_max_gap"] = max(gaps).decimal(dps)
 
     header = ["n", "p", "K", "F_factored", "F_log", "L_exact", "L_claimed", "rate"]
     rows = (  # one at a time, each rebuilt from F, the blocks and its log ball
@@ -143,42 +185,6 @@ def cmd_construct(args, out):
             plan.components, table.least, table.blocks, diagnostics.entries
         )
     )
-    max_n, _, max_rate = max(diagnostics.peaks, key=lambda entry: entry[2])
-    # is_prime is a proof only below DETERMINISTIC_LIMIT; above it,
-    # Baillie-PSW makes p_n a probable prime.
-    probable = [c.n for c in plan.components if c.p >= numtheory.DETERMINISTIC_LIMIT]
-    summary = {
-        "target": target.describe(),
-        "strategy": plan.strategy,
-        "window_len": diagnostics.window_len,
-        "window_inf": diagnostics.window_inf.decimal(dps),
-        "window_sup": diagnostics.window_sup.decimal(dps),
-        "max_rate": max_rate.decimal(dps),
-        "max_rate_n": max_n,
-        "claimed_vs_exact_discrepancies": table.discrepancy_count,
-        "probable_primes": ";".join(str(n) for n in probable) or "none",
-    }
-    if plan.strategy == construction.STRATEGY_COMPENSATED:
-        deficits = construction.deficit_report(plan)
-        summary["deficit_unverified"] = (
-            ";".join(str(n) for n in deficits.unverified) or "none"
-        )
-        summary["deficit_negative_budget"] = (
-            ";".join(str(n) for n in deficits.negative_budget) or "none"
-        )
-    if plan.strategy == construction.STRATEGY_PAPER:
-        gaps = (
-            abs(rate - construction.sigma_rate_target(plan, n))
-            for n, _, rate in diagnostics.entries
-        )
-        summary["sigma_rate_max_gap"] = max(gaps).decimal(dps)
-    if args.plan_out:  # the files come last: no step that can fail leaves one behind
-        with _atomic_output(args.plan_out) as path:
-            construction.save_plan(plan, path)
-    if args.sequence_out:
-        with _atomic_output(args.sequence_out) as path:
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                orbits.write_sequence_csv(table, fh)  # its values are the F_n
     _emit(args, header, rows, summary, out)
     return EXIT_OK
 

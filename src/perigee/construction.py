@@ -265,9 +265,11 @@ def count_table(plan, n_max=None, component_limit=None):
     product group, and n_max may exceed N.
 
     The blocks bound the least-period counts: L_n >= p_n**K_n - 1, since
-    block n alone holds that many points of least period n, and for n >= 2
-    equality holds exactly when every proper divisor d of n has K_d = 0.  At
-    n = 1 the zero point makes L_1 exceed the bound by one.
+    block n alone holds that many points of least period n.  For n >= 2,
+    call a proper divisor d of n active when K_d > 0; equality holds exactly
+    when K_n > 0 and no proper divisor is active, or K_n = 0 and the lcm of
+    the active proper divisors is not n (a point's least period is the lcm of
+    its blocks').  At n = 1 the zero point makes L_1 exceed the bound by one.
     discrepancy_count is the number of n with L_n != p_n**K_n - 1.
     """
     top = n_max if n_max is not None else plan.N
@@ -367,15 +369,7 @@ def enumerate_oracle(plan, component_limit, n_max, max_points=DEFAULT_ENUMERATIO
 # --- compensated-strategy deficit certification --------------------------------
 
 
-DeficitRow = namedtuple("DeficitRow", "n budget_nonnegative verified")
-
-
-class DeficitReport(namedtuple("DeficitReport", "rows negative_budget unverified")):
-    __slots__ = ()
-
-    @property
-    def ok(self):
-        return not self.unverified
+DeficitReport = namedtuple("DeficitReport", "negative_budget unverified")
 
 
 def deficit_report(plan):
@@ -389,12 +383,13 @@ def deficit_report(plan):
     balls build_plan floors, the final one taking p_n**K_n as one more spent
     term, at escalating precision (they are strict in exact arithmetic: n*C
     never equals the log of an integer, so no precision is a setting here).
-    Rows with a negative running budget are reported, not checked.
+    The report lists the n with a negative running budget, which are not
+    checked, and the n whose deficit is certified outside the window.
     """
     if plan.strategy != STRATEGY_COMPENSATED:
         raise ValueError("deficit certification applies to the compensated strategy")
     C = plan.target.value
-    rows = []
+    negative_budget, unverified = [], []
     for n in range(1, plan.N + 1):
         comp = plan.components[n - 1]
         spent = _spent(plan.components, n)
@@ -403,10 +398,6 @@ def deficit_report(plan):
         def budget_positive(bits):
             lo, hi = balls[bits] = _budget_ball(n, C, spent, bits)
             return True if lo > 0 else False if hi <= 0 else None
-
-        if not adaptive_decide(budget_positive):
-            rows.append(DeficitRow(n, False, False))
-            continue
 
         def in_window(bits):
             log_lo, log_hi = log_ball(comp.p, bits)
@@ -418,20 +409,19 @@ def deficit_report(plan):
                 return True
             return None
 
-        rows.append(DeficitRow(n, True, adaptive_decide(in_window)))
-    return DeficitReport(
-        rows=tuple(rows),
-        negative_budget=tuple(r.n for r in rows if not r.budget_nonnegative),
-        unverified=tuple(r.n for r in rows if r.budget_nonnegative and not r.verified),
-    )
+        if not adaptive_decide(budget_positive):
+            negative_budget.append(n)
+        elif not adaptive_decide(in_window):
+            unverified.append(n)
+    return DeficitReport(tuple(negative_budget), tuple(unverified))
 
 
 # --- plan files ----------------------------------------------------------------
 
 
 @unlimited_int_digits()
-def plan_to_json(plan, components=None):
-    """Plan as a JSON-ready dict of decimal strings, listing the given components (default all)."""
+def plan_to_json(plan):
+    """Plan as a JSON-ready dict of decimal strings."""
     obj = {
         "target": plan.target.to_json(),
         "strategy": plan.strategy,
@@ -443,7 +433,7 @@ def plan_to_json(plan, components=None):
                 "K": str(c.K),
                 "multiplier": str(c.multiplier),
             }
-            for c in (plan.components if components is None else components)
+            for c in plan.components
         ],
     }
     if plan.gamma is not None:
@@ -493,16 +483,10 @@ def plan_from_json(obj):
 
 
 def save_plan(plan, path):
-    """The bytes of json.dump(plan_to_json(plan), indent=2, sort_keys=True), written 64
-    components at a time (a list set one level deeper, without its brackets), never all."""
-    encode = json.JSONEncoder(indent=2, sort_keys=True).encode
-    # sorted, "N" and its digit string come first, so the first [] is the component list
-    head, tail = encode(plan_to_json(plan, ())).split("[]", 1)
+    """Write plan_to_json(plan) to path as JSON, indented, keys sorted."""
     with open(path, "w", encoding="utf-8") as fh:
-        for start in range(0, plan.N, 64):
-            batch = encode(plan_to_json(plan, plan.components[start:start + 64])["components"])
-            fh.write(("," if start else head + "[") + batch[1:-2].replace("\n", "\n  "))
-        fh.write(("\n  ]" if plan.components else head + "[]") + tail + "\n")
+        json.dump(plan_to_json(plan), fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def load_plan(path):

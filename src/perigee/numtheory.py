@@ -59,14 +59,8 @@ class FactoredNatural(namedtuple("FactoredNatural", "factors")):
                 merged[p] = (p, merged[p][1] + e) if p in merged else tuple(pair)  # not copied
         return cls(tuple(sorted(merged.values())))
 
-    def value(self):
-        out = 1
-        for p, e in self.factors:
-            out *= p**e
-        return out
-
     def __int__(self):
-        return self.value()
+        return math.prod(p**e for p, e in self.factors)
 
     def __str__(self):
         if not self.factors:

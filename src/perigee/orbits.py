@@ -55,10 +55,6 @@ class CountSequence(namedtuple("CountSequence", "kind values")):
     def fixed(cls, values):
         return cls(KIND_FIXED, tuple(int(v) for v in values))
 
-    @classmethod
-    def least(cls, values):
-        return cls(KIND_LEAST, tuple(int(v) for v in values))
-
     @property
     def N(self):
         return len(self.values)

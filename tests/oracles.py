@@ -20,7 +20,8 @@ the one the command runs:
   toral._certify, so this checks the roots, not the bound).
 
 dyadic and mpf_of turn the integer balls the package certifies into exact
-mpfs for the mpmath-based checks.
+mpfs for the mpmath-based checks, and least_sequence builds the least-period
+sequences the orbit-count oracles take.
 """
 
 from collections import namedtuple
@@ -148,6 +149,11 @@ def mahler_by_polyroots(f, precision_bits=128):
 
 
 # --- orbit counts --------------------------------------------------------------
+
+
+def least_sequence(values):
+    """The least-period CountSequence of the given integers."""
+    return CountSequence(KIND_LEAST, tuple(int(v) for v in values))
 
 
 def fixed_from_least(L):

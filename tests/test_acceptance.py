@@ -22,7 +22,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from oracles import delta_n, fixed_from_least, measure_and_radius, mpf_of
+from oracles import delta_n, fixed_from_least, least_sequence, measure_and_radius, mpf_of
 from perigee.construction import (
     build_plan,
     count_table,
@@ -70,7 +70,7 @@ def test_criterion_01_mobius_round_trips():
     rng = random.Random(SEED)
     for _ in range(1000):
         values = [rng.randrange(2**32) for _ in range(64)]
-        L = CountSequence.least(values)
+        L = least_sequence(values)
         assert least_from_fixed(fixed_from_least(L)).values == L.values
     for _ in range(1000):
         values = [rng.randrange(2**32) for _ in range(64)]
@@ -177,14 +177,13 @@ def test_criterion_04_compensated_convergence_envelope():
     started = time.perf_counter()
     plan = build_plan(GrowthTarget.finite(1), "compensated", n_max=5000)
     rep = deficit_report(plan)
-    assert rep.ok, "unverified deficits at n = %s" % (rep.unverified,)
+    assert not rep.unverified, "unverified deficits at n = %s" % (rep.unverified,)
     exceptions = rep.negative_budget
     rates = plan_rates(plan)
     with mp.workprec(140):
-        for row in rep.rows:
-            if not row.budget_nonnegative:
+        for n in range(1, plan.N + 1):
+            if n in exceptions:
                 continue
-            n = row.n
             p = plan.components[n - 1].p
             rate_gap = abs(mpf_of(rates[n]) - 1)
             assert rate_gap < mp.log(p) / n
@@ -248,7 +247,7 @@ def test_criterion_06_infinite_target():
             n = comp.n
             assert comp.p > n**n
             assert mp.log(comp.p) / n >= mp.log(n)
-            value = table.factored[n - 1].value()
+            value = int(table.factored[n - 1])
             assert isinstance(value, int) and value >= comp.p
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0
@@ -351,7 +350,7 @@ def test_criterion_10_zeta():
 
     rng = random.Random(SEED)
     for _ in range(100):
-        least = CountSequence.least(
+        least = least_sequence(
             [n * rng.randint(0, 10) for n in range(1, 33)]
         )
         fixed = fixed_from_least(least)

@@ -235,6 +235,54 @@ def test_failed_plan_write_keeps_previous_file(capsys, tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == [plan_path]
 
 
+def test_plan_and_sequence_out_must_differ(capsys, tmp_path, monkeypatch):
+    # both files are open at once, and one path would give them one temporary
+    # file, so the same path twice is refused before anything is built
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(
+        capsys, "construct", "--C", "1", "--max-n", "6",
+        "--plan-out", "out.json", "--sequence-out", str(tmp_path / "out.json"),
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: --plan-out and --sequence-out must name different files\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_late_failure_keeps_both_previous_files(capsys, tmp_path, monkeypatch):
+    # the plan and the counts are written to their temporary files before the
+    # deficits are certified; a failure there moves neither into place
+    plan_path, seq_path = tmp_path / "plan.json", tmp_path / "counts.csv"
+    plan_path.write_bytes(b"previous plan\n")
+    seq_path.write_bytes(b"previous counts\n")
+    written = []
+    real_save, real_write = construction.save_plan, orbits.write_sequence_csv
+
+    def save_plan_recorded(plan, path):
+        written.append(path)
+        real_save(plan, path)
+
+    def write_sequence_recorded(S, fh):
+        written.append(fh.name)
+        real_write(S, fh)
+
+    monkeypatch.setattr(construction, "save_plan", save_plan_recorded)
+    monkeypatch.setattr(orbits, "write_sequence_csv", write_sequence_recorded)
+    monkeypatch.setattr(construction, "deficit_report", failing(PrecisionError))
+    code, out, err = run(
+        capsys,
+        "construct", "--C", "1", "--strategy", "compensated", "--max-n", "12",
+        "--plan-out", str(plan_path), "--sequence-out", str(seq_path),
+    )
+    assert (code, out) == (3, "")
+    assert "failed before the first row" in err
+    assert [os.path.basename(path) for path in written] == [
+        ".plan.json.%d.tmp" % os.getpid(), ".counts.csv.%d.tmp" % os.getpid(),
+    ]
+    assert plan_path.read_bytes() == b"previous plan\n"
+    assert seq_path.read_bytes() == b"previous counts\n"
+    assert sorted(tmp_path.iterdir()) == [seq_path, plan_path]
+
+
 def test_oracle_mismatch_exit_code(capsys, tmp_path, monkeypatch):
     plan = build_plan(GrowthTarget.finite("6932/10000"), "paper", n_max=3)
     obj = plan_to_json(plan)
@@ -738,7 +786,7 @@ CONSTRUCT_TARGETS = {
 
 
 def reference_construct(name, N, window, bits, fmt):
-    """construct's stdout rebuilt from ints: F_n as FactoredNatural.value of
+    """construct's stdout rebuilt from ints: F_n as the int of the FactoredNatural of
     exponents summed over the divisors, L_n by orbits.least_from_fixed, logs
     and rates by growth_diagnostics on the ints, the maximum by max()."""
     _, text, strategy, gamma = CONSTRUCT_TARGETS[name]
@@ -750,7 +798,7 @@ def reference_construct(name, N, window, bits, fmt):
         for d in numtheory.divisors(n):
             exponents[plan.components[d - 1].p] += plan.components[d - 1].K
         factored.append(FactoredNatural.from_pairs(exponents.items()))
-    fixed = orbits.CountSequence.fixed(f.value() for f in factored)
+    fixed = orbits.CountSequence.fixed(int(f) for f in factored)
     least = orbits.least_from_fixed(fixed).values
     diagnostics = orbits.growth_diagnostics(fixed, window_len=window, precision_bits=bits)
     entries = list(diagnostics.entries)
@@ -834,8 +882,8 @@ def out_of_memory(*args, **kwargs):
 
 
 def test_construct_never_forms_an_int_count(capsys, tmp_path, monkeypatch):
-    # construct prints from the decimal table: FactoredNatural.value, the int
-    # route's product, is never called, in either format
+    # construct prints from the decimal table: int() of a FactoredNatural, the
+    # int route's product, is never taken, in either format
     seq_path = tmp_path / "counts.csv"
     expected = {}
     for fmt in ("csv", "json"):
@@ -843,7 +891,7 @@ def test_construct_never_forms_an_int_count(capsys, tmp_path, monkeypatch):
                 "--format", fmt, "--sequence-out", str(seq_path)]
         expected[fmt] = run(capsys, *argv)[1]
         with monkeypatch.context() as patched:
-            patched.setattr(FactoredNatural, "value", refuse)
+            patched.setattr(FactoredNatural, "__int__", refuse)
             code, out, err = run(capsys, *argv)
         assert code == 0, err
         assert out == expected[fmt]
@@ -851,7 +899,7 @@ def test_construct_never_forms_an_int_count(capsys, tmp_path, monkeypatch):
     # and its Moebius inversion by orbits
     rows = json.loads(expected["json"])["rows"]
     plan = build_plan(GrowthTarget.finite(1), "compensated", n_max=40)
-    fixed = orbits.CountSequence.fixed(f.value() for f in count_table(plan).factored)
+    fixed = orbits.CountSequence.fixed(int(f) for f in count_table(plan).factored)
     assert [row["L_exact"] for row in rows] == list(orbits.least_from_fixed(fixed).values)
     assert seq_path.read_text() == "n,value\n" + "".join(
         "%d,%d\n" % (n, value) for n, value in enumerate(fixed.values, start=1)
@@ -950,11 +998,12 @@ def test_primes_peak_memory_is_its_sieve_and_primes():
     not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc/self/status"
 )
 def test_construct_peak_memory_is_its_values_blocks_and_balls(tmp_path):
-    # the table holds F_n, the blocks and one log ball per n, and rebuilds
-    # F_n's factors, L_n and its logs per row; the plan file is written a
-    # batch of components at a time.  The peak above the imported
-    # interpreter was about 8 MB when every per-n table was held, and the
-    # plan file's dict was built whole; it is about 5.3 MB now
+    # the plan file is written with one json.dump before the table exists,
+    # so its dict is freed first; the table holds F_n, the blocks and one log
+    # ball per n, and rebuilds F_n's factors, L_n and its logs per row.  The
+    # peak above the imported interpreter was about 8 MB when every per-n
+    # table was held and the plan's dict was built after it; it is about
+    # 5.0 MB now
     done = run_fresh(
         "import os, sys\n"
         "import perigee.cli\n"
@@ -1060,7 +1109,7 @@ def test_construct_rate_is_correctly_rounded_at_low_precision(capsys):
     assert code == 0
     plan = build_plan(GrowthTarget.finite(1), "compensated", n_max=1059)
     with mp.workprec(500):
-        reference = mp.log(count_table(plan).factored[1058].value()) / 1059
+        reference = mp.log(int(count_table(plan).factored[1058])) / 1059
         expected = mp.nstr(reference, digits_for_bits(32))
     assert expected == "0.993844068"
     assert table_rows(out)[1058]["rate"] == expected

@@ -52,19 +52,21 @@ SMALL_PLANS = (
 
 
 def claimed_vs_exact(plan, table):
-    """(n, p_n**K_n - 1, L_n, every proper divisor block trivial) per n of the
-    table, with the bound formed from the plan's ints and checked against the
-    table's block.  Asserts the lemma: L_n >= p_n**K_n - 1, equal for n >= 2
-    exactly when every proper divisor block is trivial, and one above it at
-    n = 1 (the zero point)."""
+    """(n, p_n**K_n - 1, L_n, whether the lemma says they are equal) per n of
+    the table, with the bound formed from the plan's ints and checked against
+    the table's block.  Asserts the lemma: L_n >= p_n**K_n - 1, one above it
+    at n = 1 (the zero point), and for n >= 2 equal exactly when K_n > 0 and
+    no proper divisor d of n is active (K_d > 0), or K_n = 0 and the lcm of
+    the active proper divisors is not n."""
     rows = []
     for n, (comp, block, exact) in enumerate(zip(plan.components, table.blocks, table.least), 1):
         claimed = comp.p**comp.K - 1
         assert int(block) - 1 == claimed
-        trivial = all(plan.components[d - 1].K == 0 for d in divisors(n) if d != n)
-        rows.append((n, claimed, int(exact), trivial))
+        active = [d for d in divisors(n) if d != n and plan.components[d - 1].K > 0]
+        equal = not active if comp.K > 0 else math.lcm(*active) != n
+        rows.append((n, claimed, int(exact), equal))
     assert all(exact >= max(claimed, 0) for _, claimed, exact, _ in rows)
-    assert all((exact == claimed) == trivial for n, claimed, exact, trivial in rows if n >= 2)
+    assert all((exact == claimed) == equal for n, claimed, exact, equal in rows if n >= 2)
     assert rows[0][2] - rows[0][1] == 1
     assert table.discrepancy_count == sum(exact != claimed for _, claimed, exact, _ in rows)
     return rows
@@ -77,7 +79,7 @@ def test_count_table_matches_the_int_route(target, strategy, gamma, n_max):
     # inversion of those ints, and p**K - 1 (in claimed_vs_exact)
     plan = build_plan(target, strategy, n_max=n_max, gamma=gamma)
     table = count_table(plan)
-    fixed = CountSequence.fixed(f.value() for f in table.factored)
+    fixed = CountSequence.fixed(int(f) for f in table.factored)
     least = least_from_fixed(fixed)
     for n in range(1, n_max + 1):
         exponents = Counter()
@@ -163,7 +165,7 @@ def test_fixed_count_examples():
     plan = build_plan(GrowthTarget.finite(C_ABOVE_LOG2), "paper", n_max=6)
     table = count_table(plan)
     assert str(table.factored[5]) == "2^1*3^1*7^3"
-    assert table.factored[5].value() == 2058
+    assert int(table.factored[5]) == 2058
     assert table.values[5] == 2058
     assert table.values[4] == 22
     assert table.values[1] == 6
@@ -214,7 +216,7 @@ def test_claimed_vs_exact_report_reads_inverted_counts():
     plan = build_plan(GrowthTarget.finite(Fraction(3, 2)), "compensated", n_max=24)
     table = count_table(plan)
     claimed_vs_exact(plan, table)
-    fixed = CountSequence.fixed(f.value() for f in table.factored)
+    fixed = CountSequence.fixed(int(f) for f in table.factored)
     assert table.least == least_from_fixed(fixed).values
 
 
@@ -223,6 +225,17 @@ def test_zero_plan_claimed_vs_exact():
     rows = claimed_vs_exact(plan, count_table(plan, 4))
     assert rows[0][1] == 0 and rows[0][2] == 1
     assert all(claimed == 0 and exact == 0 for _, claimed, exact, _ in rows[1:])
+
+
+def test_claimed_vs_exact_reads_the_lcm_of_the_active_divisors():
+    # K_2 = K_3 = 1 on the zero plan: L_4 = 0 equals its bound although 2 is
+    # active, and L_6 = (3 - 1)(7 - 1) exceeds its bound 0 although K_6 = 0
+    plan = _with_exponent(_with_exponent(build_plan(GrowthTarget.zero(), n_max=6), 2, 1), 3, 1)
+    table = count_table(plan)
+    rows = claimed_vs_exact(plan, table)
+    assert [exact for _, _, exact, _ in rows] == [1, 2, 6, 0, 0, 12]
+    assert [n for n, claimed, exact, _ in rows if exact != claimed] == [1, 6]
+    assert table.discrepancy_count == 2
 
 
 def test_oracle_matches_closed_forms():
@@ -339,17 +352,10 @@ def test_oracle_sees_composite_modulus():
 
 def test_deficit_report_compensated():
     plan = build_plan(GrowthTarget.finite(1), "compensated", n_max=64)
-    report = deficit_report(plan)
-    assert report.ok
-    assert not report.negative_budget
+    assert deficit_report(plan) == ((), ())  # every n certified, no negative budget
     # envelope: |(1/n) log F_n - C| < log(p_n)/n at certified n
-    rates = {n: rate for n, _, rate in growth_diagnostics(count_table(plan).factored).entries}
-    for row in report.rows:
-        if row.budget_nonnegative:
-            n = row.n
-            rate = mpf_of(rates[n])
-            bound = mp.log(plan.components[n - 1].p) / n
-            assert abs(rate - 1) < bound
+    for n, _, rate in growth_diagnostics(count_table(plan).factored).entries:
+        assert abs(mpf_of(rate) - 1) < mp.log(plan.components[n - 1].p) / n
 
 
 def _mp_exponent(n, C, p, spent):
@@ -403,11 +409,11 @@ def test_low_start_precision_escalates_to_the_same_plan(monkeypatch):
     report = deficit_report(low)
     # the safety net ran: some decisions at 8 bits were ambiguous
     assert len(bits_tried) > 3 * 1000 and max(bits_tried) > 8
-    assert report.ok and not report.negative_budget
+    assert report == ((), ())
     monkeypatch.undo()
     high = build_plan(target, "compensated", n_max=1000)
     assert [c.K for c in low.components] == [c.K for c in high.components]
-    assert report.rows == deficit_report(high).rows
+    assert report == deficit_report(high)
 
 
 def test_negative_budget_floors_to_zero(monkeypatch):
@@ -426,7 +432,7 @@ def _with_exponent(plan, n, K):
 
 def test_deficit_report_catches_shifted_exponents():
     plan = build_plan(GrowthTarget.finite(1), "compensated", n_max=64)
-    assert deficit_report(plan).ok
+    assert deficit_report(plan) == ((), ())
     for n in (1, 4, 5, 37):
         K = plan.components[n - 1].K
         assert K >= 1
@@ -450,8 +456,8 @@ def test_loaded_plan_certifies_with_identical_rows(tmp_path):
     loaded = load_plan(path)
     assert loaded == plan
     report = deficit_report(loaded)
-    assert report.ok
-    assert report.rows == deficit_report(plan).rows
+    assert not report.unverified
+    assert report == deficit_report(plan)
 
 
 def test_deficit_report_requires_compensated():
@@ -500,7 +506,7 @@ def test_infinite_plan_rate_certificate():
         assert c.p > c.n**c.n
     table = count_table(plan)
     for n in range(1, 7):
-        value = table.factored[n - 1].value()
+        value = int(table.factored[n - 1])
         assert value == table.values[n - 1]
         assert value >= plan.components[n - 1].p
         assert value < math.inf
@@ -528,7 +534,7 @@ def test_orbit_size_divides_least_counts():
 def test_fixed_sequence_and_sigma_target():
     plan = build_plan(GrowthTarget.finite(C_ABOVE_LOG2), "paper", n_max=6)
     table = count_table(plan)
-    assert table.values == tuple(f.value() for f in table.factored)
+    assert table.values == tuple(int(f) for f in table.factored)
     assert sigma_rate_target(plan, 6) == C_ABOVE_LOG2 * sum(divisors(6)) / 6
 
 
@@ -558,15 +564,15 @@ def test_plan_json_round_trip(tmp_path):
 
 @pytest.mark.parametrize("target, strategy, gamma, n_max", [
     (GrowthTarget.finite(1), "compensated", None, 1),
-    (GrowthTarget.finite(1), "compensated", None, 64),  # one whole batch
-    (GrowthTarget.finite(1), "compensated", None, 130),  # two batches and a part
+    (GrowthTarget.finite(1), "compensated", None, 64),
+    (GrowthTarget.finite(1), "compensated", None, 130),
     (GrowthTarget.finite(1), "subexponential", Fraction(1, 2), 65),
     (GrowthTarget.zero(), None, None, 3),
     (GrowthTarget.infinite(), None, None, 4),
 ])
 def test_save_plan_writes_json_dump_bytes(tmp_path, target, strategy, gamma, n_max):
-    # the file is written a batch of components at a time, in the layout
-    # json.dump(plan_to_json(plan), indent=2, sort_keys=True) gives the whole
+    # the file holds json.dump(plan_to_json(plan), indent=2, sort_keys=True)
+    # and a newline, byte for byte
     plan = build_plan(target, strategy, n_max=n_max, gamma=gamma)
     path = tmp_path / "plan.json"
     save_plan(plan, path)

@@ -227,7 +227,7 @@ def test_euler_phi():
 def test_factored_natural():
     f = FactoredNatural.from_pairs([(7, 2), (2, 1), (3, 1), (7, 1)])
     assert f.factors == ((2, 1), (3, 1), (7, 3))
-    assert f.value() == 2058
+    assert int(f) == 2058
     assert str(f) == "2^1*3^1*7^3"
     assert str(FactoredNatural.from_pairs([])) == "1"
     assert int(FactoredNatural.from_pairs([(5, 0)])) == 1

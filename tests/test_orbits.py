@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from oracles import fixed_from_least, mpf_of, realizability_check
+from oracles import fixed_from_least, least_sequence, mpf_of, realizability_check
 from perigee import precision
 from perigee.numtheory import divisors, mobius
 from perigee.orbits import (
@@ -23,9 +23,9 @@ from perigee.orbits import (
 
 
 def test_fixed_from_least_examples():
-    assert fixed_from_least(CountSequence.least([1, 2])).values == (1, 3)
-    assert fixed_from_least(CountSequence.least([1, 2, 6, 12])).values == (1, 3, 7, 15)
-    assert fixed_from_least(CountSequence.least([0, 0, 0])).values == (0, 0, 0)
+    assert fixed_from_least(least_sequence([1, 2])).values == (1, 3)
+    assert fixed_from_least(least_sequence([1, 2, 6, 12])).values == (1, 3, 7, 15)
+    assert fixed_from_least(least_sequence([0, 0, 0])).values == (0, 0, 0)
 
 
 def test_least_from_fixed_examples():
@@ -40,7 +40,7 @@ def test_kind_checks():
     with pytest.raises(ValueError):
         fixed_from_least(CountSequence.fixed([1]))
     with pytest.raises(ValueError):
-        least_from_fixed(CountSequence.least([1]))
+        least_from_fixed(least_sequence([1]))
 
 
 @given(
@@ -48,7 +48,7 @@ def test_kind_checks():
 )
 @settings(max_examples=200, deadline=None)
 def test_round_trip_from_least(values):
-    L = CountSequence.least(values)
+    L = least_sequence(values)
     assert least_from_fixed(fixed_from_least(L)).values == L.values
 
 
@@ -83,7 +83,7 @@ def test_sandwich_examples():
 @settings(max_examples=200, deadline=None)
 def test_sandwich_holds_for_derived_pairs(values):
     # any nonnegative least-count sequence induces a pair satisfying both bounds
-    F = fixed_from_least(CountSequence.least(values))
+    F = fixed_from_least(least_sequence(values))
     assert lemma_sandwich_check(F, least_from_fixed(F)).ok
 
 
@@ -95,7 +95,7 @@ def test_sandwich_holds_for_derived_pairs(values):
 def test_sieves_match_the_divisor_sums(values, other):
     # the sieves over multiples against the divisor and Moebius sums they replaced
     N = len(values)
-    F, L = CountSequence.fixed(values), CountSequence.least(other[:N])
+    F, L = CountSequence.fixed(values), least_sequence(other[:N])
     assert least_from_fixed(F).values == tuple(
         sum(mobius(n // d) * values[d - 1] for d in divisors(n)) for n in range(1, N + 1)
     )
@@ -115,7 +115,7 @@ def test_sieves_match_the_divisor_sums(values, other):
 
 def test_sandwich_flags_violations():
     F = CountSequence.fixed([1, 5])
-    bad = CountSequence.least((1, 7))  # exceeds F_2
+    bad = least_sequence((1, 7))  # exceeds F_2
     report = lemma_sandwich_check(F, bad)
     assert not report.ok
     assert any(v.inequality == "upper" and v.r == 2 for v in report.violations)

@@ -190,7 +190,7 @@ def power(f, k):
 @example(FactoredNatural(()), 3, 38)  # the count 1: log 0, printed "0.0"
 def test_log_real_of_factored_prints_as_its_value(f, n, dps):
     # the ball summed from the primes' balls gives the digits of the int's own ball
-    log_f, log_value = LogReal(f), LogReal(f.value())
+    log_f, log_value = LogReal(f), LogReal(int(f))
     assert log_f.decimal(dps) == log_value.decimal(dps)
     assert (log_f / n).decimal(dps) == (log_value / n).decimal(dps)
 
@@ -206,7 +206,7 @@ def test_log_real_of_factored_compares_as_its_value(f, g, a, b, tie):
     if tie:
         g, b = power(f, tie), a * tie
     x, y = LogReal(f) / a, LogReal(g) / b
-    u, v = LogReal(f.value()) / a, LogReal(g.value()) / b
+    u, v = LogReal(int(f)) / a, LogReal(int(g)) / b
     assert (x < y, x > y) == (u < v, u > v)
     assert (x - Fraction(1, 3) < y, y > x) == (u - Fraction(1, 3) < v, v > u)
     if tie:

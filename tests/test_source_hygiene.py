@@ -49,12 +49,26 @@ def unread_members(definitions, readers):
     """(file, line, name) of each method, property or `name = property(...)`
     in a class body of `definitions` that no source of `readers` reads as an
     attribute.  A member is reached through its instance or class, so a bare
-    name of the same spelling does not read it; dunders are exempt."""
+    name of the same spelling does not read it; dunders are exempt.  A method
+    named like a field of a namedtuple of `definitions` is read only where an
+    attribute of its name is called, since `table.least` reads the field."""
+    trees = [ast.parse(source) for source in readers.values()]
     read = {
-        node.attr
-        for source in readers.values()
+        node.attr for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+    }
+    called = {
+        node.func.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+    }
+    fields = {
+        field
+        for source in definitions.values()
         for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Attribute)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "namedtuple"
+        and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
+        for field in node.args[1].value.replace(",", " ").split()
     }
     flagged = []
     for file, source in definitions.items():
@@ -62,8 +76,13 @@ def unread_members(definitions, readers):
             if not isinstance(cls, ast.ClassDef):
                 continue
             for node in cls.body:
+                seen = read
                 if isinstance(node, ast.FunctionDef):
                     names = [node.name]
+                    if node.name in fields and not any(
+                        getattr(d, "id", None) == "property" for d in node.decorator_list
+                    ):
+                        seen = called
                 elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call) and (
                     getattr(node.value.func, "id", None) == "property"
                 ):
@@ -72,7 +91,7 @@ def unread_members(definitions, readers):
                     continue
                 flagged.extend(
                     (file, node.lineno, name) for name in names
-                    if not (name.startswith("__") and name.endswith("__")) and name not in read
+                    if not (name.startswith("__") and name.endswith("__")) and name not in seen
                 )
     return sorted(flagged)
 
@@ -255,13 +274,23 @@ def test_unread_members_detector():
         "    @property\n    def unread_property(self):\n        return 3\n\n"
         "    shown = property(lambda a: 4)\n    hidden = property(lambda a: 5)\n"
         "    plain = 6\n\n"
-        "def by_name_only():\n    return A().read() + A().shown\n",
+        "def by_name_only():\n    return A().read() + A().shown\n\n"
+        "Row = namedtuple('Row', 'least fixed, size')\n\n"
+        "class Sequence:\n    @classmethod\n    def least(cls, values):\n        pass\n\n"
+        "    @classmethod\n    def fixed(cls, values):\n        pass\n\n"
+        "    @property\n    def size(self):\n        return 7\n",
     }
-    readers = dict(definitions, **{"use.py": "from m import by_name_only\n\nby_name_only()\n"})
+    readers = dict(definitions, **{
+        "use.py": "from m import by_name_only\n\nby_name_only()\n",
+        # Row's fields are read as attributes; only fixed is also called
+        "table.py": "row = Row(1, 2, 3)\nprint(row.least, row.fixed, row.size)\n"
+        "Sequence.fixed([1])\n",
+    })
     assert unread_members(definitions, readers) == [
         ("m.py", 8, "by_name_only"),
         ("m.py", 12, "unread_property"),
         ("m.py", 16, "hidden"),
+        ("m.py", 26, "least"),
     ]
 
 

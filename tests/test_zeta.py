@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fixed_from_least, sequence_from_series
+from oracles import fixed_from_least, least_sequence, sequence_from_series
 from perigee.orbits import CountSequence, RealizabilityError
 from perigee.toral import IntegerPolynomial, toral_fix_sequence
 from perigee import zeta
@@ -49,7 +49,7 @@ def test_truncate_matches_rational_recurrence(values):
 
 def test_truncate_validation():
     with pytest.raises(ValueError):
-        zeta_truncate(CountSequence.least([1, 2]), 2)
+        zeta_truncate(least_sequence([1, 2]), 2)
     with pytest.raises(ValueError):
         zeta_truncate(doubling_sequence(4), 9)
     for truncate in (zeta_truncate, orbit_product_form):
@@ -92,7 +92,7 @@ def test_round_trip_recovers_counts():
 @given(st.lists(st.integers(min_value=0, max_value=9), min_size=8, max_size=24))
 @settings(max_examples=100, deadline=None)
 def test_realizable_series_are_integral(orbit_counts):
-    least = CountSequence.least([n * o for n, o in enumerate(orbit_counts, start=1)])
+    least = least_sequence([n * o for n, o in enumerate(orbit_counts, start=1)])
     F = fixed_from_least(least)
     series = zeta_truncate(F, F.N)
     assert all(c.denominator == 1 and c >= 0 for c in series.coefficients)
@@ -273,7 +273,7 @@ def test_probe_certifies_without_berlekamp_massey(monkeypatch):
     monkeypatch.setattr(zeta, "berlekamp_massey", refuse)
     runs = count_core_runs(monkeypatch)
     rng = random.Random(5)
-    least = CountSequence.least([n * rng.randint(0, 9) for n in range(1, 65)])
+    least = least_sequence([n * rng.randint(0, 9) for n in range(1, 65)])
     verdict = rationality_probe(zeta_truncate(fixed_from_least(least), 64))
     assert verdict.verdict == VERDICT_NO_RECURRENCE
     assert verdict.recurrence_length == 32
