@@ -10,9 +10,11 @@ a decision, since every floor and comparison is exact.
 
 Logs, rates and lehmer's Mahler measure print from certified integer balls
 (precision.LogReal, toral.mahler_measure), correctly rounded, and so does
-lehmer's gap_at_max_n, from the ball of |rate - m(f)|.  The Mahler measure
-certifies each square-free part of f from roots started in complex floats, so
-lehmer exits 3 on a polynomial with a coefficient beyond float range.
+lehmer's gap_at_max_n, from the ball of |rate - m(f)|.  lehmer's delta_n is
+the one integer in a certified ball of the product of a^n - 1 over the roots
+a of f (toral.toral_fix_sequence).  Both certify each square-free part of f
+from roots started in complex floats, so lehmer exits 3 on a polynomial with
+a coefficient beyond float range, or 4 if it vanishes at a root of unity.
 
 Exit codes: 0 ok, 1 oracle mismatch, 2 invalid configuration or parse error
 (including a missing or unreadable input file), 3 computation budget exceeded

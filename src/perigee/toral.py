@@ -4,9 +4,10 @@ For a monic integer polynomial f with roots a_1..a_d, the quantity
 delta_n = product of |a_i^n - 1| is an integer: it equals |det(M^n - I)| for
 the companion matrix M of f, and also |Res(f, x^n - 1)|.  Two routes:
 
-* toral_fix_sequence, the sequence `lehmer` prints, steps r_n = x^n mod f by
-  one monic division per n and takes Res(f, r_n - 1) = Res(f, x^n - 1) (f is
-  monic) by the integer subresultant remainder sequence, O(d^2) per n.
+* toral_fix_sequence, the sequence `lehmer` prints, steps each root's power
+  a^n as a fixed-point Gaussian ball from its certified disk and reads delta_n
+  as the one integer in the ball of the product of a^n - 1, at one scale sized
+  from N and the Mahler measure (J. van der Hoeven, "Ball arithmetic", 2009).
 * delta_n_resultant, the resultant oracle: a rational remainder chain on
   x^n - 1 that shares no code with the first.  The determinant oracle, a
   Bareiss determinant of M^n - I, is in tests/oracles.py.
@@ -15,8 +16,10 @@ When f does not vanish at any root of unity, delta_n is the number of points
 of period n of the toral automorphism induced by M, and its logarithmic
 growth rate is the Mahler measure m(f) = sum of max(log |a_i|, 0).
 mahler_measure certifies it as an integer ball over the square-free parts of
-f, split by gcds from that remainder sequence: roots from float Aberth-Ehrlich
-iteration, refined and enclosed in fixed-point Gaussian integers.
+f, split by gcds from the integer subresultant remainder sequence: roots from
+float Aberth-Ehrlich iteration, refined and enclosed in fixed-point Gaussian
+integers.  Those enclosures are the disks toral_fix_sequence starts from, so
+both raise PrecisionError where the roots do not certify.
 """
 
 import cmath
@@ -24,12 +27,11 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
 
 from .numtheory import euler_phi
 from .orbits import KIND_FIXED, CountSequence
-from .precision import (DEFAULT_PRECISION_BITS, GUARD_BITS, ball_digits, digits_for_bits,
-                        escalate, log_enclosure)
+from .precision import (DEFAULT_PRECISION_BITS, GUARD_BITS, PrecisionError, ball_digits,
+                        digits_for_bits, escalate, log_enclosure)
 
 
 class DegeneracyError(ValueError):
@@ -169,14 +171,6 @@ def cyclotomic_factor_index(f):
 # --- exact delta_n --------------------------------------------------------------
 
 
-def _residues(f):
-    """Yield x^n mod f for n = 1, 2, ..., one multiplication by x at a time."""
-    residue = [1]
-    while True:
-        _, residue = _poly_divmod_monic_int([0] + residue, f.coefficients)
-        yield residue
-
-
 def _remainders(a, b):
     """The last pair (a, b), b zero or constant, of the subresultant remainder
     sequence of integer lists (low to high) a != 0 and b, deg a >= deg b, with its
@@ -226,21 +220,73 @@ def delta_n_resultant(f, n):
     return abs(res.numerator)
 
 
+def _working_bits(n_max, degree, measure):
+    """Scale of toral_fix_sequence's balls: delta_n <= 2**d M(f)**n, and a root's
+    power and its factor widen by about n ulps each, so N m(f) / log 2 + 2d +
+    2 log2 N and 16 bits of slack; at least the measure's scale."""
+    bits = n_max * measure.hi * 14427 // (10000 << measure.scale)  # 1/log 2 < 1.4427
+    return max(bits + 2 * degree + 2 * n_max.bit_length() + 16, measure.scale)
+
+
+def _ball_products(f, n_max, bits):
+    """(delta_1, ..., delta_N) from the roots' disks at scale bits, each the one
+    integer in a ball of the product of a^n - 1; None if a disk does not certify
+    or a ball holds more than one integer.  A disk above the real axis stands for
+    its root a and the conjugate, by |a^n - 1|**2, and a disk below it is skipped,
+    once no disk across the axis meets the mirror image of one off it."""
+    found = _enclose(f, bits, DEFAULT_PRECISION_BITS)
+    across = found and [r for r in found[2] if abs(r.y) <= r.bound]
+    if not found or any((r.x - c.x) ** 2 + (r.y + c.y) ** 2 <= (r.bound + c.bound) ** 2
+                        for r in found[2] if abs(r.y) > r.bound for c in across):
+        return None
+    one, values = 1 << bits, []
+    # x, y and radius of a disk, a bound on |a|, whether it is a pair, and a^n's ball
+    roots = [[r.x, r.y, r.bound, math.isqrt(r.x**2 + r.y**2) + 1 + r.bound, r.y > r.bound,
+              one, 0, 0] for r in found[2] if r.y >= -r.bound]
+    for n in range(1, n_max + 1):
+        re, im, rad = one, 0, 0
+        for root in roots:
+            x, y, r, size, pair, px, py, pr = root
+            # each part of a product rounds down, by less than 2 ulps in all
+            root[5:] = px, py, pr = (px * x - py * y >> bits, px * y + py * x >> bits,
+                                     ((abs(px) + abs(py)) * r + pr * size >> bits) + 3)
+            px -= one
+            if pair:
+                px, py, pr = (px * px + py * py >> bits, 0,
+                              (pr * (2 * abs(px) + 2 * abs(py) + pr) >> bits) + 2)
+            re, im, rad = (re * px - im * py >> bits, re * py + im * px >> bits,
+                           ((abs(re) + abs(im)) * pr + rad * (abs(px) + abs(py) + pr) >> bits) + 3)
+        lo, hi = -(-(re - rad) >> bits), re + rad >> bits
+        assert lo <= hi and abs(im) <= rad, "an empty ball at n = %d" % n
+        if lo < hi:
+            return None
+        values.append(abs(lo))
+    return tuple(values)
+
+
 def toral_fix_sequence(f, n_max):
-    """(delta_1, ..., delta_N) as a fixed-count sequence.
+    """(delta_1, ..., delta_N) as a fixed-count sequence, from _ball_products at
+    _working_bits, doubled at most three times.
 
     Rejects polynomials vanishing at a root of unity: those hit delta_n = 0,
     and the induced toral map no longer has finite period counts at every n.
+    The exact scan for them runs only when a root's disk meets the unit circle
+    or the roots do not certify; then mahler_measure raises PrecisionError.
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
-    k = cyclotomic_factor_index(f)
-    if k is not None:
-        raise DegeneracyError(k, "polynomial shares a factor with cyclotomic index %d" % k)
-    coeffs = list(f.coefficients)
-    residues = islice(_residues(f), n_max)  # x^n mod f is [] when f is a power of x
-    values = (abs(_subresultant(coeffs, [(r or [0])[0] - 1] + r[1:])) for r in residues)
-    return CountSequence(KIND_FIXED, tuple(values))
+    start = _enclose(f, DEFAULT_PRECISION_BITS + GUARD_BITS, DEFAULT_PRECISION_BITS)
+    if not start or any(r.near_unit for r in start[2]):
+        k = cyclotomic_factor_index(f)
+        if k is not None:
+            raise DegeneracyError(k, "polynomial shares a factor with cyclotomic index %d" % k)
+    bits = _working_bits(n_max, f.degree, mahler_measure(f))
+    for _ in range(4):
+        values = _ball_products(f, n_max, bits)
+        if values:
+            return CountSequence(KIND_FIXED, values)
+        bits *= 2
+    raise PrecisionError("delta_n still undecided at %d bits" % (bits // 2))
 
 
 # --- Mahler measure --------------------------------------------------------------
@@ -355,7 +401,9 @@ def _certify(coeffs, roots, b, precision_bits):
     straddles the unit circle wider than 2**-precision_bits.  Each root lies in
     a disk D(z_i, d |f(z_i)| / prod over j != i of |z_i - z_j|), a component of
     k disks holding k roots (D. Braess and K. P. Hadeler, Numer. Math. 21, 1973);
-    its squared radius is an exact rational, rounded up.  A cluster of k roots
+    its squared radius is an exact rational, rounded up; each enclosure's bound
+    reaches over its component, so the k roots of a component can be matched to
+    its k enclosures one to one.  A cluster of k roots
     with moduli in [lo, hi] adds [k log lo, k log hi] outside the circle and
     [0, k log hi] across it."""
     if roots is None:
@@ -366,7 +414,10 @@ def _certify(coeffs, roots, b, precision_bits):
         re, im = 1, 0
         for k, c in enumerate(reversed(coeffs[:-1]), start=1):
             re, im = re * x - im * y + (c << b * k), re * y + im * x
-        sep = math.prod((x - u) ** 2 + (y - v) ** 2 for j, (u, v) in enumerate(roots) if j != i)
+        sep = [(x - u) ** 2 + (y - v) ** 2 for j, (u, v) in enumerate(roots) if j != i]
+        while len(sep) > 1:  # in pairs, so that Karatsuba multiplies balanced halves
+            sep = [math.prod(sep[k:k + 2]) for k in range(0, len(sep), 2)]
+        sep = math.prod(sep)
         if not sep:
             return None
         radii.append(math.isqrt(d * d * (re * re + im * im) // sep) + 1)
@@ -387,8 +438,11 @@ def _certify(coeffs, roots, b, precision_bits):
             hi += len(group) * (log_enclosure(high << g, b + g)[1] - (b + g) * log2_lo)
         if low > one:
             lo += len(group) * max(log_enclosure(low << g, b + g)[0] - (b + g) * log2_hi, 0)
-        for i in group:
-            enclosures[i] = RootEnclosure(*roots[i], b, radii[i], low, high, near)
+        for i in group:  # a disk about z_i over the whole component holds a root
+            x, y = roots[i]
+            reach = max(math.isqrt((x - roots[j][0]) ** 2 + (y - roots[j][1]) ** 2) + 1 + radii[j]
+                        for j in group)
+            enclosures[i] = RootEnclosure(x, y, b, reach, low, high, near)
     lo, hi = lo >> g, -(-hi >> g)
     # m(f) > 0 forces m(f) > 1/(104 d log 6d) (A. Blanksby and H. L. Montgomery,
     # Acta Arith. 18, 1971: M(a) > 1 + 1/(52 d log 6d) unless a is a root of unity)

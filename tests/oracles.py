@@ -5,8 +5,8 @@ the one the command runs:
 
 * delta_n: |det(M^n - I)| for the companion matrix M of a monic f, from
   x^n mod f stepped one multiplication by x at a time (residues_by_steps)
-  and a fraction-free determinant, against toral_fix_sequence's
-  subresultants;
+  and a fraction-free determinant, against toral_fix_sequence's ball
+  products of the roots' powers;
 * fixed_from_least: F_n = sum of L_d over d | n, the sum that
   orbits.least_from_fixed inverts;
 * realizability_check: whether F is the period-count sequence of some map;

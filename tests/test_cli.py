@@ -462,6 +462,11 @@ def test_lehmer_degenerate_exit_code(capsys):
     assert code == 4 and "cyclotomic index 4" in err
     code, _, err = run(capsys, "lehmer", "--poly", "-1,1", "--max-n", "10")
     assert code == 4 and "cyclotomic index 1" in err
+    # (x - 1)(x + 10^400): its roots do not certify in floats, so the exact
+    # scan runs before the precision error
+    poly = "%d,%d,1" % (-10**400, 10**400 - 1)
+    code, out, err = run(capsys, "lehmer", "--poly", poly, "--max-n", "3")
+    assert (code, out) == (4, "") and "cyclotomic index 1" in err
 
 
 def test_lehmer_forms_no_rational_polynomial(capsys):

@@ -19,8 +19,8 @@ from oracles import (
     residues_by_steps,
     square_free_parts_by_euclid,
 )
-from perigee import toral
-from perigee.precision import log_enclosure
+from perigee import precision, toral
+from perigee.precision import PrecisionError, log_enclosure
 from perigee.toral import (
     DegeneracyError,
     IntegerPolynomial,
@@ -183,6 +183,67 @@ def test_subresultant_non_normal_step():
     assert subresultant_and_determinant(f, 4) == (-27, -27)
     assert delta_n_resultant(IntegerPolynomial(tuple(f)), 4) == 27
     assert toral_fix_sequence(IntegerPolynomial(tuple(f)), 4).values[3] == 27
+
+
+factor = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(lambda low: low + [1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(
+    st.lists(st.integers(-9, 9), min_size=1, max_size=12).map(lambda low: low + [1]),
+    # g^2 h x^k: a repeated factor and roots at 0
+    st.tuples(factor, factor, st.integers(0, 3)).map(
+        lambda t: [0] * t[2] + poly_mul(poly_mul(t[0], t[0]), t[1])),
+))
+def test_fix_sequence_matches_both_oracles(coeffs):
+    # random monic f of degree <= 12 with no cyclotomic factor: every ball
+    # product equals the Bareiss determinant and the rational resultant
+    poly = IntegerPolynomial(tuple(coeffs))
+    assume(cyclotomic_factor_index(poly) is None)
+    expected = tuple(delta_n(poly, n) for n in range(1, 61))
+    assert toral_fix_sequence(poly, 60).values == expected
+    assert expected == tuple(delta_n_resultant(poly, n) for n in range(1, 61))
+
+
+def test_too_few_bits_double_and_never_misread(monkeypatch):
+    # with the working scale halved, x - 2 at N = 400 and x^2 - 2x + 5 (roots
+    # 1 +- 2i) at N = 200 outgrow their balls: the first pass gives up on a
+    # ball that holds two integers, and the doubled pass certifies every value
+    sized = toral._working_bits
+    monkeypatch.setattr(toral, "_working_bits", lambda *args: sized(*args) // 2)
+    for poly, n_max in ((SHIFT, 400), (IntegerPolynomial((5, -2, 1)), 200)):
+        with mock.patch.object(toral, "_ball_products", wraps=toral._ball_products) as passes:
+            values = toral_fix_sequence(poly, n_max).values
+        assert values == tuple(delta_n(poly, n) for n in range(1, n_max + 1))
+        bits = [call.args[2] for call in passes.call_args_list]
+        assert len(bits) == 2 and bits[1] == 2 * bits[0], poly
+
+
+def test_working_scale_follows_the_output_not_the_decision_cap(monkeypatch):
+    # delta_1000 of x - 2 has 1000 bits, far above a 256-bit decision cap
+    monkeypatch.setattr(precision, "MAX_DECISION_BITS", 256)
+    toral._enclose.cache_clear()
+    values = toral_fix_sequence(SHIFT, 1000).values
+    assert values == tuple(2**n - 1 for n in range(1, 1001))
+
+
+def test_cyclotomic_scan_runs_only_where_a_disk_meets_the_circle():
+    # Lehmer's polynomial has eight roots on the unit circle, x^2 - 3x + 1
+    # none; a polynomial whose roots do not certify is scanned first, so
+    # (x - 1)(x + 10^400) is still degenerate and x^2 + 10^309 + 1 fails on
+    # its precision
+    scan = mock.patch.object(toral, "cyclotomic_factor_index", wraps=cyclotomic_factor_index)
+    with scan as scanned:
+        toral_fix_sequence(LEHMER10, 20)
+        assert scanned.call_count == 1
+        toral_fix_sequence(IntegerPolynomial((1, -3, 1)), 20)
+        assert scanned.call_count == 1
+        with pytest.raises(DegeneracyError) as info:
+            toral_fix_sequence(IntegerPolynomial((-10**400, 10**400 - 1, 1)), 3)
+        assert info.value.cyclotomic_index == 1 and scanned.call_count == 2
+        with pytest.raises(PrecisionError):
+            toral_fix_sequence(IntegerPolynomial((10**309 + 1, 0, 1)), 3)
+        assert scanned.call_count == 3
 
 
 def test_delta_multiplicative_under_products():
