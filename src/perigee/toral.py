@@ -8,9 +8,11 @@ the companion matrix M of f, and also |Res(f, x^n - 1)|.  Two routes:
   a^n as a fixed-point Gaussian ball from its certified disk and reads delta_n
   as the one integer in the ball of the product of a^n - 1, at one scale sized
   from N and the Mahler measure (J. van der Hoeven, "Ball arithmetic", 2009).
-* delta_n_resultant, the resultant oracle: a rational remainder chain on
-  x^n - 1 that shares no code with the first.  The determinant oracle, a
-  Bareiss determinant of M^n - I, is in tests/oracles.py.
+* delta_n_resultant, the resultant oracle: the integer subresultant of f and
+  (x^n - 1) mod f.  It shares _remainders with the square-free split that the
+  roots' disks come from, but not the ball products.  The determinant oracle,
+  a Bareiss determinant of M^n - I in tests/oracles.py, shares no code with
+  either.
 
 When f does not vanish at any root of unity, delta_n is the number of points
 of period n of the toral automorphism induced by M, and its logarithmic
@@ -86,22 +88,6 @@ def _trim(c):
     return c[:i]
 
 
-def _poly_divmod(a, b):
-    """Quotient and remainder over the rationals, b nonzero: _resultant's step."""
-    a = [Fraction(x) for x in a]
-    b = [Fraction(x) for x in _trim(b)]
-    db = len(b) - 1
-    lead = b[db]
-    q = [Fraction(0)] * max(0, len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        coef = a[i] / lead
-        if coef:
-            q[i - db] = coef
-            for j in range(db + 1):
-                a[i - db + j] -= coef * b[j]
-    return q, _trim(a)
-
-
 def _poly_divmod_monic_int(a, b):
     """Exact integer divmod when b is monic with integer coefficients."""
     a = list(a)
@@ -116,29 +102,6 @@ def _poly_divmod_monic_int(a, b):
     return q, _trim(a)
 
 
-def _resultant(a, b):
-    """Resultant of dense rational coefficient lists, by remainder chains."""
-    a = [Fraction(x) for x in _trim(a)]
-    b = [Fraction(x) for x in _trim(b)]
-    if not a or not b:
-        return Fraction(0)
-    da, db = len(a) - 1, len(b) - 1
-    if da == 0:
-        return a[0] ** db
-    if db == 0:
-        return b[0] ** da
-    if da < db:
-        sign = -1 if (da * db) % 2 else 1
-        return sign * _resultant(b, a)
-    _, r = _poly_divmod(a, b)
-    r = _trim(r)
-    if not r:
-        return Fraction(0)
-    dr = len(r) - 1
-    sign = -1 if (da * db) % 2 else 1
-    return sign * b[-1] ** (da - dr) * _resultant(b, r)
-
-
 # --- cyclotomic degeneracy -----------------------------------------------------
 
 
@@ -150,20 +113,21 @@ def cyclotomic(k):
     poly = [-1] + [0] * (k - 1) + [1]  # x**k - 1
     for d in range(1, k):
         if k % d == 0:
-            poly, rem = _poly_divmod_monic_int(poly, list(cyclotomic(d)))
+            poly, rem = _poly_divmod_monic_int(poly, cyclotomic(d))
             assert not rem
     return tuple(poly)
 
 
 def cyclotomic_factor_index(f):
-    """Smallest k with gcd(f, Phi_k) nontrivial, that is Res(f, Phi_k) = 0, or None.
+    """Smallest k with gcd(f, Phi_k) nontrivial, or None.  Phi_k is irreducible,
+    so that is Phi_k | f, a zero remainder of the exact division by monic Phi_k.
 
     Only k with phi(k) <= deg f can contribute; since phi(k) >= sqrt(k/2),
     scanning k <= 2*deg**2 + 6 is exhaustive.
     """
     d = f.degree
     for k in range(1, 2 * d * d + 7):
-        if euler_phi(k) <= d and _subresultant(list(f.coefficients), list(cyclotomic(k))) == 0:
+        if euler_phi(k) <= d and not _poly_divmod_monic_int(f.coefficients, cyclotomic(k))[1]:
             return k
     return None
 
@@ -208,16 +172,14 @@ def _subresultant(a, b):
 
 
 def delta_n_resultant(f, n):
-    """|Res(f, x^n - 1)| by exact remainder-chain resultants.
+    """|Res(f, x^n - 1)| = |Res(f, (x^n - 1) mod f)|, f monic, by _subresultant.
 
-    Independent of the determinant route; the two must agree.
+    Independent of the ball products and of the determinant route; all must agree.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    g = [-1] + [0] * (n - 1) + [1]
-    res = _resultant(list(f.coefficients), g)
-    assert res.denominator == 1
-    return abs(res.numerator)
+    r = _poly_divmod_monic_int([-1] + [0] * (n - 1) + [1], f.coefficients)[1]
+    return abs(_subresultant(list(f.coefficients), r))
 
 
 def _working_bits(n_max, degree, measure):

@@ -13,8 +13,8 @@ the one the command runs:
 * sequence_from_series: F_1..F_M back from the zeta coefficients that
   zeta.zeta_truncate forms;
 * square_free_parts_by_euclid: the square-free parts of f from gcds by a
-  Fraction Euclid, against toral._square_free_parts' integer subresultant
-  sequence;
+  Euclid over the rationals, with its own Fraction division (divmod_over_q),
+  against toral._square_free_parts' integer subresultant sequence;
 * mahler_by_polyroots: m(f) from mp.polyroots' roots of each of those parts,
   against mahler_measure's float Aberth-Ehrlich start (both are certified by
   toral._certify, so this checks the roots, not the bound).
@@ -107,17 +107,31 @@ def delta_n(f, n):
 # --- the mp.polyroots route to the Mahler measure ------------------------------
 
 
+def divmod_over_q(a, b):
+    """Quotient and remainder of coefficient lists (low to high) over the
+    rationals, b with a nonzero lead; the remainder has no leading zeros."""
+    a, b = [Fraction(x) for x in a], [Fraction(x) for x in b]
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    for i in range(len(q) - 1, -1, -1):
+        q[i] = a[i + len(b) - 1] / b[-1]
+        for j, c in enumerate(b):
+            a[i + j] -= q[i] * c
+    r = a[:len(b) - 1]
+    while r and not r[-1]:
+        r.pop()
+    return q, r
+
+
 def square_free_parts_by_euclid(coeffs):
     """Monic P_1, P_2, ... with product f, P_i = g_(i-1) / g_i for g_0 = f and g_i
-    the monic gcd(g_(i-1), g_(i-1)') by Euclid over the rationals (toral's
-    Fraction division, which only the resultant oracle runs in the package)."""
+    the monic gcd(g_(i-1), g_(i-1)') by Euclid over the rationals."""
     parts, g = [], list(coeffs)
     while len(g) > 1:
         a, r = g, [i * c for i, c in enumerate(g)][1:]
         while r:
-            a, r = r, toral._poly_divmod(a, r)[1]
+            a, r = r, divmod_over_q(a, r)[1]
         a = [Fraction(c) / a[-1] for c in a]
-        parts.append(tuple(int(c) for c in toral._poly_divmod(g, a)[0]))
+        parts.append(tuple(int(c) for c in divmod_over_q(g, a)[0]))
         g = a
     return parts
 

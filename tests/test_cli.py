@@ -471,17 +471,17 @@ def test_lehmer_degenerate_exit_code(capsys):
 
 def test_lehmer_forms_no_rational_polynomial(capsys):
     # the square-free parts split on the integer remainder sequence, so
-    # lehmer on a double root, as on a square-free polynomial, never reaches
-    # the rational division that only the resultant oracle runs
+    # lehmer on a double root, as on a square-free polynomial, forms a
+    # Fraction only to read a float start exactly, never a coefficient
     toral._enclose.cache_clear()
-    with mock.patch.object(toral, "_poly_divmod", wraps=toral._poly_divmod) as divmod_, \
+    with mock.patch.object(toral, "Fraction", wraps=toral.Fraction) as fraction, \
             mock.patch.object(toral, "_square_free_parts", wraps=toral._square_free_parts) as parts:
         for poly in ("1,2,-1,-2,1", LEHMER10):
             code, _, _ = run(capsys, "lehmer", "--poly", poly, "--max-n", "8")
             assert code == 0
     assert {call.args[0] for call in parts.call_args_list} == {
         (1, 2, -1, -2, 1), (1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)}
-    assert not divmod_.called
+    assert fraction.called and all(type(call.args[0]) is float for call in fraction.call_args_list)
 
 
 def test_lehmer_rejects_nonpositive_max_n(capsys):

@@ -5,7 +5,7 @@ import sys
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
@@ -20,12 +20,12 @@ from oracles import (
     square_free_parts_by_euclid,
 )
 from perigee import precision, toral
+from perigee.numtheory import euler_phi
 from perigee.precision import PrecisionError, log_enclosure
 from perigee.toral import (
     DegeneracyError,
     IntegerPolynomial,
-    _poly_divmod,
-    _resultant,
+    _poly_divmod_monic_int,
     _subresultant,
     cyclotomic,
     cyclotomic_factor_index,
@@ -79,7 +79,7 @@ def test_cyclotomic_polynomials():
     assert cyclotomic(12) == (1, 0, -1, 0, 1)
     # degree phi(k), and x**k - 1 = product of cyclotomics over d | k
     for k in (8, 9, 10, 15, 105):
-        from perigee.numtheory import divisors, euler_phi
+        from perigee.numtheory import divisors
 
         assert len(cyclotomic(k)) - 1 == euler_phi(k)
         prod = [1]
@@ -155,12 +155,18 @@ def test_subresultant_matches_bareiss(low, n):
     st.integers(-6, 6).filter(bool),
     st.lists(st.integers(-6, 6), min_size=1, max_size=8),
 )
-def test_subresultant_matches_the_rational_chain(low, lead, b):
+def test_subresultant_matches_the_sylvester_determinant(low, lead, b):
     # integer polynomials with deg a >= deg b: leading coefficients other
-    # than 1, common factors, constants and a zero b
+    # than 1, common factors, constants and a zero b; Res(a, b) is the
+    # determinant of deg b shifted rows of a over deg a shifted rows of b
     a = low + [lead]
     b = b[: len(a)]
-    assert _subresultant(a, b) == _resultant(a, b)
+    while b and not b[-1]:
+        b.pop()
+    m, n = len(a) - 1, len(b) - 1
+    rows = ([[0] * i + a[::-1] + [0] * (n - 1 - i) for i in range(n)]
+            + [[0] * i + b[::-1] + [0] * (m - 1 - i) for i in range(m)])
+    assert _subresultant(a, b) == (det_bareiss(rows) if b else 0)
 
 
 def test_subresultant_vanishes_on_cyclotomic_factors():
@@ -179,10 +185,65 @@ def test_subresultant_non_normal_step():
     # drops two degrees in one step
     f = [1, -1, -1, -1, 1]
     assert residues_by_steps(f, 5)[4] == [-1, 1, 1, 1]
-    assert _poly_divmod(f, [-2, 1, 1, 1])[1] == [-3, 3]
+    assert _poly_divmod_monic_int(f, [-2, 1, 1, 1])[1] == [-3, 3]
     assert subresultant_and_determinant(f, 4) == (-27, -27)
     assert delta_n_resultant(IntegerPolynomial(tuple(f)), 4) == 27
     assert toral_fix_sequence(IntegerPolynomial(tuple(f)), 4).values[3] == 27
+
+
+def test_resultant_oracle_on_short_zero_and_degenerate_inputs():
+    # n < deg f leaves x^n - 1 as its own remainder mod f; Phi_k (x^2 - x - 1)
+    # has delta_n = 0 exactly at the multiples of k; x^2 (x - 2) has two roots
+    # at 0, so delta_n = 2^n - 1
+    rng = random.Random(2601)
+    for _ in range(20):
+        poly = IntegerPolynomial(tuple(rng.randint(-9, 9) for _ in range(rng.randint(2, 12))) + (1,))
+        for n in range(1, poly.degree):
+            assert delta_n_resultant(poly, n) == delta_n(poly, n), (poly, n)
+    for k in (1, 2, 3, 4, 6, 7, 12):
+        poly = IntegerPolynomial(tuple(poly_mul(list(cyclotomic(k)), list(GOLDEN.coefficients))))
+        values = [delta_n_resultant(poly, n) for n in range(1, 37)]
+        assert values == [delta_n(poly, n) for n in range(1, 37)]
+        assert [n for n in range(1, 37) if not values[n - 1]] == list(range(k, 37, k))
+    cubic = IntegerPolynomial((0, 0, -2, 1))
+    expected = [2**n - 1 for n in range(1, 41)]
+    assert [delta_n_resultant(cubic, n) for n in range(1, 41)] == expected
+    assert [delta_n(cubic, n) for n in range(1, 41)] == expected
+
+
+def least_vanishing_subresultant(coeffs):
+    """The least k with phi(k) <= deg f and Res(f, Phi_k) = 0, or None."""
+    d = len(coeffs) - 1
+    return next((k for k in range(1, 2 * d * d + 7)
+                 if euler_phi(k) <= d and _subresultant(coeffs, list(cyclotomic(k))) == 0), None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-5, 5), min_size=1, max_size=6), st.lists(st.integers(1, 30), max_size=2))
+@example([-1, -1], [3, 3])  # Phi_3^2 (x^2 - x - 1)
+@example([0], [12, 12])  # x Phi_12^2
+@example([2], [2, 1])  # (x + 2)(x + 1)(x - 1)
+def test_cyclotomic_scan_by_division_matches_the_subresultant(low, ks):
+    # random monic f times up to two cyclotomic factors, a repeat included:
+    # Phi_k | f exactly when Res(f, Phi_k) = 0, since Phi_k is irreducible
+    coeffs = low + [1]
+    for k in ks:
+        coeffs = poly_mul(coeffs, list(cyclotomic(k)))
+    found = cyclotomic_factor_index(IntegerPolynomial(tuple(coeffs)))
+    assert found == least_vanishing_subresultant(coeffs)
+    assert not ks or found <= min(ks)
+
+
+def test_cyclotomic_scan_forms_no_subresultant():
+    # the scan divides by each Phi_k; no remainder sequence is formed
+    degree30 = IntegerPolynomial((3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3, 2, 3, 8, 4,
+                                  6, 2, 6, 4, 3, 3, 8, 3, 2, 7, 1))
+    phi12_golden = IntegerPolynomial(tuple(poly_mul(list(cyclotomic(12)), [-1, -1, 1])))
+    with mock.patch.object(toral, "_subresultant", wraps=_subresultant) as sub, \
+            mock.patch.object(toral, "_remainders", wraps=toral._remainders) as rem:
+        found = [cyclotomic_factor_index(f) for f in (LEHMER10, degree30, phi12_golden, GOLDEN)]
+    assert found == [None, None, 12, None]
+    assert not sub.called and not rem.called
 
 
 factor = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(lambda low: low + [1])
@@ -197,7 +258,7 @@ factor = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(lambda low: lo
 ))
 def test_fix_sequence_matches_both_oracles(coeffs):
     # random monic f of degree <= 12 with no cyclotomic factor: every ball
-    # product equals the Bareiss determinant and the rational resultant
+    # product equals the Bareiss determinant and the integer resultant
     poly = IntegerPolynomial(tuple(coeffs))
     assume(cyclotomic_factor_index(poly) is None)
     expected = tuple(delta_n(poly, n) for n in range(1, 61))
