@@ -10,7 +10,10 @@ a decision, since every floor and comparison is exact.
 
 Logs, rates and lehmer's Mahler measure print from certified integer balls
 (precision.LogReal, toral.mahler_measure), correctly rounded, and so does
-lehmer's gap_at_max_n, from the ball of |rate - m(f)|.  lehmer's delta_n is
+lehmer's gap_at_max_n, from the ball of |rate - m(f)|.  The window's ends and
+construct's sigma_rate_max_gap print from the min or max of the rates' exact
+decimal floors (precision.extreme_decimal), so no two rates are compared to
+print them; only construct's max_rate_n is an argmax.  lehmer's delta_n is
 the one integer in a certified ball of the product of a^n - 1 over the roots
 a of f (toral.toral_fix_sequence).  Both certify each square-free part of f
 from roots started in complex floats, so lehmer exits 3 on a polynomial with
@@ -41,6 +44,7 @@ from .precision import (
     decimal_up,
     digits_for_bits,
     escalate,
+    extreme_decimal,
     unlimited_int_digits,
 )
 from .targets import FINITE, GrowthTarget
@@ -125,8 +129,6 @@ def _parse_target(args):
 
 def cmd_construct(args, out):
     target = _parse_target(args)
-    if args.window < 1:  # growth_diagnostics checks it too, but after the plan is built
-        raise ValueError("window length must be positive")
     if args.plan_out and args.sequence_out and (  # one temporary file would hold both
         os.path.realpath(args.plan_out) == os.path.realpath(args.sequence_out)
     ):
@@ -156,9 +158,9 @@ def cmd_construct(args, out):
         summary = {
             "target": target.describe(),
             "strategy": plan.strategy,
-            "window_len": diagnostics.window_len,
-            "window_inf": diagnostics.window_inf.decimal(dps),
-            "window_sup": diagnostics.window_sup.decimal(dps),
+            "window_len": len(diagnostics.window),
+            "window_inf": extreme_decimal(min, diagnostics.window, dps),
+            "window_sup": extreme_decimal(max, diagnostics.window, dps),
             "max_rate": max_rate.decimal(dps),
             "max_rate_n": max_n,
             "claimed_vs_exact_discrepancies": table.discrepancy_count,
@@ -173,11 +175,10 @@ def cmd_construct(args, out):
                 ";".join(str(n) for n in deficits.negative_budget) or "none"
             )
         if plan.strategy == construction.STRATEGY_PAPER:
-            gaps = (
-                abs(rate - construction.sigma_rate_target(plan, n))
-                for n, _, rate in diagnostics.entries
-            )
-            summary["sigma_rate_max_gap"] = max(gaps).decimal(dps)
+            gaps = (rate - construction.sigma_rate_target(plan, n)
+                    for n, _, rate in diagnostics.entries)
+            summary["sigma_rate_max_gap"] = extreme_decimal(  # |gap| = max(gap, -gap)
+                max, (x for gap in gaps for x in (gap, -gap)), dps)
 
     header = ["n", "p", "K", "F_factored", "F_log", "L_exact", "L_claimed", "rate"]
     rows = (  # one at a time, each rebuilt from F, the blocks and its log ball
@@ -297,9 +298,9 @@ def cmd_analyze(args, out):
         for (n, lg, rate) in diagnostics.entries
     )
     summary = {
-        "window_len": diagnostics.window_len,
-        "window_inf": diagnostics.window_inf.decimal(dps),
-        "window_sup": diagnostics.window_sup.decimal(dps),
+        "window_len": len(diagnostics.window),
+        "window_inf": extreme_decimal(min, diagnostics.window, dps),
+        "window_sup": extreme_decimal(max, diagnostics.window, dps),
         "skipped": ";".join(str(n) for n in diagnostics.skipped) or "none",
         "sandwich_ok": sandwich.ok,
         "sandwich_violations": (
@@ -458,6 +459,8 @@ def main(argv=None):
             )
         if (getattr(args, "max_n", None) or 0) > sys.maxsize:
             raise ValueError("--max-n must be at most %d" % sys.maxsize)
+        if getattr(args, "window", 1) < 1:  # before construct's plan or analyze's file
+            raise ValueError("window length must be positive")
         with unlimited_int_digits():
             return args.func(args, sys.stdout)
     except (BudgetError, MemoryError) as exc:

@@ -375,13 +375,3 @@ def mobius(n):
     if any(e > 1 for _, e in fact):
         return 0
     return -1 if len(fact) % 2 else 1
-
-
-def euler_phi(n):
-    """Euler's totient."""
-    if n < 1:
-        raise ValueError("euler_phi needs a positive integer")
-    out = n
-    for q, _ in factorize(n):
-        out -= out // q
-    return out

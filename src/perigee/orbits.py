@@ -5,11 +5,12 @@ points of least period n determine each other:
 
     F_n = sum of L_d over d | n,      L_n = sum of mu(n/d) * F_d over d | n.
 
-This module inverts F to L exactly, computes logarithmic growth diagnostics,
-and checks the two sandwich inequalities that pin the least-period growth
-rate to the period growth rate at finite horizon.  The forward sum and the
-realizability check (every L_n nonnegative and divisible by n) are test
-oracles, in tests/oracles.py.
+This module inverts F to L exactly, computes logarithmic growth diagnostics
+(the rates, and a trailing window whose ends are printed with no rate
+compared to another), and checks the two sandwich inequalities that pin the
+least-period growth rate to the period growth rate at finite horizon.  The
+forward sum and the realizability check (every L_n nonnegative and
+divisible by n) are test oracles, in tests/oracles.py.
 """
 
 import csv
@@ -100,18 +101,16 @@ class Rows(Sequence):
         return hash(tuple(self))
 
 
-class GrowthDiagnostics(
-    namedtuple("GrowthDiagnostics", "entries skipped window_len window_inf window_sup peaks")
-):
+class GrowthDiagnostics(namedtuple("GrowthDiagnostics", "entries skipped window peaks")):
     """Per-n logarithmic rates of a count sequence, with a trailing window.
 
     entries holds (n, log value, log value / n), rebuilt on read, for every
     n with a positive count, each real a precision.LogReal; indices with
-    value <= 0 are listed in skipped (log undefined).  window_inf and
-    window_sup bound the rate over the last window_len computed entries;
-    window_len is at most the number of entries.  peaks holds, in the same
-    form and order, the entries whose rate may be the greatest, so max over
-    peaks is max over entries, ties to the first.
+    value <= 0 are listed in skipped (log undefined).  window holds the rates
+    of the last entries, at most as many as there are entries, rebuilt on
+    read; precision.extreme_decimal prints its inf and sup.  peaks holds, in
+    the form and order of entries, the entries whose rate may be the
+    greatest, so max over peaks is max over entries, ties to the first.
     """
 
     __slots__ = ()
@@ -124,14 +123,13 @@ def growth_diagnostics(S, window_len=10, precision_bits=DEFAULT_PRECISION_BITS):
     or construct's FactoredNaturals) into logs and rates.  Each log is a
     certified ball of the exact count S_n at precision_bits plus guard bits,
     refined on demand, so precision_bits is purely an output resolution.
-    One pass holds the first ball of each entry; entries rebuild each
-    LogReal from S_n and that ball when read.  The window's ends are
-    compared exactly: equal rates tie, and min and max keep the first.
-    peaks leaves out, by integer comparisons of the first balls, each entry
-    whose rate ball lies below another's, and refines nothing.
-    Entries with S_n <= 0 are skipped and flagged; an all-zero sequence has
-    no growth rate and raises ValueError, as does a window_len below 1.  A
-    window longer than the entries is shortened to all of them.
+    One pass holds the first ball of each entry; entries and the window
+    rebuild each LogReal from S_n and that ball when read, and nothing here
+    compares two rates: peaks leaves out, by integer comparisons of the first
+    balls, each entry whose rate ball lies below another's, and refines
+    nothing.  Entries with S_n <= 0 are skipped and flagged; an all-zero
+    sequence has no growth rate and raises ValueError, as does a window_len
+    below 1.  A window longer than the entries is shortened to all of them.
     """
     if window_len < 1:
         raise ValueError("window length must be positive")
@@ -157,15 +155,11 @@ def growth_diagnostics(S, window_len=10, precision_bits=DEFAULT_PRECISION_BITS):
         lg = LogReal(counts[n - 1], log=ball)
         return n, lg, lg / n
 
-    entries = Rows(len(kept), entry)
-    window_len = min(window_len, len(entries))
-    window = [r for (_, _, r) in entries[-window_len:]]
+    start = max(0, len(kept) - window_len)
     return GrowthDiagnostics(
-        entries=entries,
+        entries=Rows(len(kept), entry),
         skipped=tuple(skipped),
-        window_len=window_len,
-        window_inf=min(window),
-        window_sup=max(window),
+        window=Rows(len(kept) - start, lambda j: entry(start + j)[2]),
         peaks=Rows(len(peaks), lambda j: entry(peaks[j])),
     )
 

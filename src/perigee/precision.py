@@ -21,10 +21,11 @@ both are safe to call from any thread.
 LogReal carries a log, a rate or a rate's distance to a rational as such a
 ball, refined on demand, and prints it through decimal_from_floors, which
 writes a positive real from its exact decimal floors, correctly rounded, in
-the layout of mp.nstr (decimal_from_scaled); ball_digits prints any ball
-whose two ends round alike, escalate doubles a ball's precision until they
-do, and decimal_up prints a ball's radius rounded up; unlimited_int_digits
-lifts Python's int<->str digit limit around conversions of long counts.
+the layout of mp.nstr (decimal_from_scaled), and extreme_decimal prints a
+min or max of LogReals from those of their floors, ordering none of them.
+ball_digits prints a ball whose ends round alike, escalate doubles its
+precision until they do, decimal_up prints a radius rounded up, and
+unlimited_int_digits lifts Python's int<->str digit limit.
 """
 
 import math
@@ -212,6 +213,19 @@ def decimal_from_floors(floor_at, dps):
     return decimal_from_scaled(*_head(floor_at, dps), dps)
 
 
+def extreme_decimal(pick, reals, dps):
+    """LogReal.decimal's string for x = pick(reals), pick min or max, with no
+    real compared to another: floor is monotone, so floor(x * 10**j) is pick
+    of the reals' floors, and decimal_from_floors prints from those (the
+    lattice operations of R. E. Moore, Interval Analysis, 1966).  The reals
+    must be >= 0, or come with their negatives under max (|y| = max(y, -y));
+    then x is zero, printed 0.0, exactly when pick of their nonzero flags is."""
+    reals = tuple(reals)
+    if not pick(r.count != 1 or r.offset != 0 for r in reals):
+        return "0.0"
+    return decimal_from_floors(lambda j: pick(r.floor_at(j) for r in reals), dps)
+
+
 def _dyadic_floor(n, bits, j):
     """floor(n / 2**bits * 10**j) for an integer n >= 0."""
     return n * 10**j >> bits if j >= 0 else (n >> bits) // 10**-j
@@ -247,9 +261,9 @@ class LogReal:
     FactoredNatural over primes), scale != 0, offset and den >= 1, known through integer balls.
 
     The ball of log(count) is taken at precision_bits plus guard bits and
-    refined only when a digit or a comparison needs it; the reals derived by
-    / and - share it, so a log and its rate cost one evaluation.  Digits are
-    floors of both ends of a ball, refined until they agree (Ziv's strategy).
+    refined only when a digit or a comparison needs it; -x and the reals
+    derived by / and - share it, so a log and its rate cost one evaluation.
+    Digits are floors of both ends of a ball, refined until they agree (Ziv).
     """
 
     __slots__ = ("count", "scale", "offset", "den", "_log")
@@ -274,8 +288,8 @@ class LogReal:
         d = q.denominator
         return self._derive(self.scale * d, self.offset * d - q.numerator * self.den, self.den * d)
 
-    def __abs__(self):
-        return self._derive(-self.scale, -self.offset, self.den) if self < 0 else self
+    def __neg__(self):
+        return self._derive(-self.scale, -self.offset, self.den)
 
     def ball(self, bits):
         """Integers (lo, hi) with lo <= x * 2**bits <= hi."""
@@ -327,16 +341,9 @@ class LogReal:
         return root**u == self.count and root**v == other.count
 
     def _cmp(self, other):
-        """-1, 0 or 1 as x <, == or > other (a LogReal or a rational).  Two
-        rationals (count 1) compare as Fractions.  Balls that overlap at the
-        first precision get the exact tie test, so a tie is decided without
-        refining; any other pair refines until it separates."""
-        if not isinstance(other, LogReal):
-            q = Fraction(other)
-            other = LogReal(1, offset=q.numerator, den=q.denominator)
-        if self.count == 1 and other.count == 1:
-            a, b = Fraction(self.offset, self.den), Fraction(other.offset, other.den)
-            return (a > b) - (a < b)
+        """-1, 0 or 1 as x <, == or > the LogReal other.  Balls that overlap
+        at the first precision get the exact tie test, so a tie is decided
+        without refining; any other pair refines until it separates."""
         bits = start = min(self._log[0], other._log[0])
         while True:
             (a_lo, a_hi), (b_lo, b_hi) = self.ball(bits), other.ball(bits)

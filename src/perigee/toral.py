@@ -30,7 +30,6 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .numtheory import euler_phi
 from .orbits import KIND_FIXED, CountSequence
 from .precision import (DEFAULT_PRECISION_BITS, GUARD_BITS, PrecisionError, ball_digits,
                         digits_for_bits, escalate, log_enclosure)
@@ -125,9 +124,14 @@ def cyclotomic_factor_index(f):
     Only k with phi(k) <= deg f can contribute; since phi(k) >= sqrt(k/2),
     scanning k <= 2*deg**2 + 6 is exhaustive.
     """
-    d = f.degree
-    for k in range(1, 2 * d * d + 7):
-        if euler_phi(k) <= d and not _poly_divmod_monic_int(f.coefficients, cyclotomic(k))[1]:
+    d, bound = f.degree, 2 * f.degree**2 + 7
+    phi = list(range(bound))  # Euler's totient by a sieve over the primes q
+    for q in range(2, bound):
+        if phi[q] == q:
+            for m in range(q, bound, q):
+                phi[m] -= phi[m] // q
+    for k in range(1, bound):
+        if phi[k] <= d and not _poly_divmod_monic_int(f.coefficients, cyclotomic(k))[1]:
             return k
     return None
 

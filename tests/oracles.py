@@ -15,6 +15,8 @@ the one the command runs:
 * square_free_parts_by_euclid: the square-free parts of f from gcds by a
   Euclid over the rationals, with its own Fraction division (divmod_over_q),
   against toral._square_free_parts' integer subresultant sequence;
+* euler_phi: Euler's totient from the factorisation of n, against the
+  totient sieve in toral.cyclotomic_factor_index;
 * mahler_by_polyroots: m(f) from mp.polyroots' roots of each of those parts,
   against mahler_measure's float Aberth-Ehrlich start (both are certified by
   toral._certify, so this checks the roots, not the bound).
@@ -31,6 +33,7 @@ from mpmath import mp
 from mpmath.libmp import from_man_exp
 
 from perigee import toral
+from perigee.numtheory import factorize
 from perigee.orbits import KIND_FIXED, KIND_LEAST, CountSequence, least_from_fixed
 from perigee.precision import GUARD_BITS, escalate
 
@@ -134,6 +137,16 @@ def square_free_parts_by_euclid(coeffs):
         parts.append(tuple(int(c) for c in divmod_over_q(g, a)[0]))
         g = a
     return parts
+
+
+def euler_phi(n):
+    """Euler's totient."""
+    if n < 1:
+        raise ValueError("euler_phi needs a positive integer")
+    out = n
+    for q, _ in factorize(n):
+        out -= out // q
+    return out
 
 
 def mahler_by_polyroots(f, precision_bits=128):

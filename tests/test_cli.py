@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from perigee import cli, construction, numtheory, orbits, toral, zeta
+from perigee import cli, construction, numtheory, orbits, precision, toral, zeta
 from perigee.cli import main
 from perigee.construction import (
     build_plan,
@@ -147,7 +147,7 @@ def test_construct_plan_out_and_oracle(capsys, tmp_path):
     assert "# mismatches=0" in lines
 
 
-def test_construct_rejects_nonpositive_window(capsys, tmp_path):
+def test_construct_rejects_nonpositive_window(capsys, tmp_path, monkeypatch):
     seq_path = tmp_path / "counts.csv"
     for window in ("0", "-1"):
         code, out, err = run(
@@ -157,6 +157,16 @@ def test_construct_rejects_nonpositive_window(capsys, tmp_path):
         )
         assert code == 2 and out == "" and "window length must be positive" in err
     assert list(tmp_path.iterdir()) == []
+    # analyze refuses it before it reads, or sandwich-checks, the file
+    seq_path.write_text("n,value\n1,1\n2,3\n")
+
+    def read_refused(fh):
+        raise AssertionError("analyze read the sequence file")
+
+    monkeypatch.setattr(orbits, "read_sequence_csv", read_refused)
+    for window in ("0", "-1"):
+        code, out, err = run(capsys, "analyze", "--sequence", str(seq_path), "--window", window)
+        assert (code, out, err) == (2, "", "error: window length must be positive\n")
 
 
 def test_construct_and_analyze_print_the_same_logs(capsys, tmp_path):
@@ -793,7 +803,8 @@ CONSTRUCT_TARGETS = {
 def reference_construct(name, N, window, bits, fmt):
     """construct's stdout rebuilt from ints: F_n as the int of the FactoredNatural of
     exponents summed over the divisors, L_n by orbits.least_from_fixed, logs
-    and rates by growth_diagnostics on the ints, the maximum by max()."""
+    and rates by growth_diagnostics on the ints; the maximum, the window's
+    ends and the largest |gap| decided by min() and max()."""
     _, text, strategy, gamma = CONSTRUCT_TARGETS[name]
     target = GrowthTarget.parse(text)
     plan = build_plan(target, strategy, n_max=N, gamma=gamma)
@@ -807,6 +818,7 @@ def reference_construct(name, N, window, bits, fmt):
     least = orbits.least_from_fixed(fixed).values
     diagnostics = orbits.growth_diagnostics(fixed, window_len=window, precision_bits=bits)
     entries = list(diagnostics.entries)
+    last_rates = [rate for _, _, rate in entries[-window:]]
     dps = digits_for_bits(bits)
     claimed = [c.p**c.K - 1 for c in plan.components]
     header = ["n", "p", "K", "F_factored", "F_log", "L_exact", "L_claimed", "rate"]
@@ -821,9 +833,9 @@ def reference_construct(name, N, window, bits, fmt):
     summary = {
         "target": target.describe(),
         "strategy": plan.strategy,
-        "window_len": diagnostics.window_len,
-        "window_inf": diagnostics.window_inf.decimal(dps),
-        "window_sup": diagnostics.window_sup.decimal(dps),
+        "window_len": len(last_rates),
+        "window_inf": min(last_rates).decimal(dps),
+        "window_sup": max(last_rates).decimal(dps),
         "max_rate": max_rate.decimal(dps),
         "max_rate_n": max_n,
         "claimed_vs_exact_discrepancies": sum(a != b for a, b in zip(least, claimed)),
@@ -836,8 +848,8 @@ def reference_construct(name, N, window, bits, fmt):
             ";".join(map(str, deficits.negative_budget)) or "none"
         )
     if plan.strategy == "paper":
-        gaps = (abs(rate - construction.sigma_rate_target(plan, n)) for n, _, rate in entries)
-        summary["sigma_rate_max_gap"] = max(gaps).decimal(dps)
+        gaps = (rate - construction.sigma_rate_target(plan, n) for n, _, rate in entries)
+        summary["sigma_rate_max_gap"] = max(max(gap, -gap) for gap in gaps).decimal(dps)
     if fmt == "json":
         payload = {
             "command": "construct",
@@ -1121,8 +1133,8 @@ def test_construct_rate_is_correctly_rounded_at_low_precision(capsys):
 
 
 def test_analyze_equal_rates_print_without_escalating(capsys, tmp_path):
-    # F_n = 2**n: every rate is exactly log 2, so the window's ends tie; the
-    # tie is decided exactly instead of escalating to MAX_DECISION_BITS
+    # F_n = 2**n: every rate is exactly log 2, so the window's ends tie; they
+    # print from the rates' floors, so no tie needs deciding at all
     seq = tmp_path / "pow2.csv"
     seq.write_text("n,value\n" + "".join("%d,%d\n" % (n, 2**n) for n in range(1, 201)))
     code, out, err = run(capsys, "analyze", "--sequence", str(seq))
@@ -1132,6 +1144,57 @@ def test_analyze_equal_rates_print_without_escalating(capsys, tmp_path):
     summary = summary_lines(out)
     assert summary["window_inf"] == summary["window_sup"] == log2
     assert {row["rate"] for row in table_rows(out)} == {log2}
+
+
+def test_analyze_prints_a_window_no_comparison_could_order(capsys, tmp_path, monkeypatch):
+    # F_n = 2**n - 1, the doubling map on the circle: the rates at n = 2991..
+    # 3000 differ by about 2**-n / n, so ordering two of them takes about n
+    # bits.  A decided min and max exited 3 at a MAX_DECISION_BITS of 1024
+    # ("comparison still undecided at 1120 bits"); the ends need only the
+    # digits they print
+    monkeypatch.setattr(precision, "MAX_DECISION_BITS", 1024)
+    seq = tmp_path / "doubling.csv"
+    seq.write_text("n,value\n" + "".join("%d,%d\n" % (n, 2**n - 1) for n in range(1, 3001)))
+    code, out, err = run(capsys, "analyze", "--sequence", str(seq))
+    assert code == 0, err
+    summary = summary_lines(out)
+    assert summary["window_len"] == "10"
+    log2 = "0.69314718055994530941723212145817656808"
+    assert summary["window_inf"] == summary["window_sup"] == log2
+
+
+def test_only_constructs_argmax_and_power_floor_compare_log_reals(capsys, tmp_path, monkeypatch):
+    # every printed extreme comes from floors: two LogReals are compared only
+    # by construct's argmax over the peaks (max_rate_n, ties to the first n)
+    # and by the subexponential strategy's floor(n**gamma)
+    callers = []
+    compare = precision.LogReal._cmp
+
+    def spy(self, other):
+        frame = sys._getframe(1)
+        while frame.f_code.co_filename == precision.__file__:  # __lt__ and __gt__
+            frame = frame.f_back
+        callers.append(frame.f_code.co_name)
+        return compare(self, other)
+
+    monkeypatch.setattr(precision.LogReal, "_cmp", spy)
+    seq = tmp_path / "seq.csv"
+    seq.write_text("n,value\n1,1\n2,4\n3,8\n4,0\n5,31\n6,64\n")
+    for argv in (
+        ["analyze", "--sequence", str(seq), "--window", "4"],
+        ["lehmer", "--poly", "-2,1", "--max-n", "300"],
+        ["lehmer", "--poly", "1,1,0,-1,-1,-1,-1,-1,0,1,1", "--max-n", "100"],
+    ):
+        assert run(capsys, *argv)[0] == 0
+    assert callers == []
+    by_target = {}
+    for name in sorted(CONSTRUCT_TARGETS):
+        assert run(capsys, "construct", *CONSTRUCT_TARGETS[name][0], "--max-n", "12")[0] == 0
+        by_target[name] = set(callers)
+        callers.clear()
+    assert by_target["zero"] == {"cmd_construct"}  # every rate is 0, so the peaks tie
+    assert "at_most" in by_target["subexponential"]
+    assert set().union(*by_target.values()) == {"cmd_construct", "at_most"}
 
 
 def test_unknown_flag_is_error(capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import euler_phi
 from perigee import numtheory
 from perigee.construction import _point_period
 from perigee.numtheory import (
@@ -15,7 +16,6 @@ from perigee.numtheory import (
     TRIAL_BOUND,
     divisors,
     element_of_order,
-    euler_phi,
     factorize,
     floor_root,
     is_prime,

@@ -20,6 +20,7 @@ from perigee.orbits import (
     read_sequence_csv,
     write_sequence_csv,
 )
+from perigee.precision import LogReal, digits_for_bits, extreme_decimal
 
 
 def test_fixed_from_least_examples():
@@ -126,7 +127,11 @@ def test_growth_diagnostics_doubling():
     diag = growth_diagnostics(F, window_len=10)
     n, _, rate = diag.entries[-1]
     assert n == 200 and abs(mpf_of(rate) - mp.log(2)) < 1e-2
-    assert not diag.window_inf > diag.window_sup
+    # the rates at n = 191..200 lie within 2**-190 of log 2, below and rising
+    with mp.workprec(200):
+        log2 = mp.nstr(mp.log(2), 38)
+    assert len(diag.window) == 10
+    assert extreme_decimal(min, diag.window, 38) == extreme_decimal(max, diag.window, 38) == log2
 
 
 def test_growth_diagnostics_rate_bound():
@@ -141,7 +146,9 @@ def test_growth_diagnostics_rate_bound():
 def test_growth_diagnostics_constant_sequence():
     F = CountSequence.fixed([5] * 80)
     diag = growth_diagnostics(F, window_len=10)
-    assert diag.window_sup < 0.03
+    # the window is n = 71..80, so its greatest rate is log(5) / 71 < 0.03
+    with mp.workprec(200):
+        assert extreme_decimal(max, diag.window, 38) == mp.nstr(mp.log(5) / 71, 38)
 
 
 def test_growth_diagnostics_zero_handling():
@@ -185,15 +192,17 @@ def test_equal_rates_tie_exactly_and_the_first_n_wins():
     for top in (max(diag.entries, key=lambda e: e[2]), max(diag.peaks, key=lambda e: e[2])):
         assert top[0] == 1 and (top[2].count, top[2].den) == (2, 1)
     assert [n for n, _, _ in diag.peaks] == [1, 2, 4, 5, 7]  # log 3 / 3 < log 2 is left out
-    assert (diag.window_inf.count, diag.window_inf.den) == (7, 6)  # log 7 / 6 < log 2
-    assert (diag.window_sup.count, diag.window_sup.den) == (32, 5)  # n = 5 comes before n = 7
-    assert diag.window_sup.decimal(38) == diag.entries[-1][2].decimal(38)
+    # the window is n = 5, 6, 7: it prints log 7 / 6 < log 2 and the tied log 2
+    assert [(r.count, r.den) for r in diag.window] == [(32, 5), (7, 6), (128, 7)]
+    assert extreme_decimal(min, diag.window, 38) == (LogReal(7) / 6).decimal(38)
+    assert extreme_decimal(max, diag.window, 38) == diag.entries[0][2].decimal(38)
 
 
 def test_rates_rising_by_tiny_steps_refine_only_the_window(monkeypatch):
     # log(2**n - 1) / n rises toward log 2 by about 2**-n / n, so telling two
-    # such rates apart takes about n bits: only the window's ends are
-    # compared, so no log outside the window is refined past its first ball
+    # such rates apart takes about n bits.  The window's ends print from the
+    # rates' floors and compare none, so printing them refines no ball past
+    # its first; only an argmax refines, and only the peaks
     refined = set()
     first_ball = precision._count_log_ball
 
@@ -204,8 +213,12 @@ def test_rates_rising_by_tiny_steps_refine_only_the_window(monkeypatch):
 
     monkeypatch.setattr(precision, "_count_log_ball", spy)
     diag = growth_diagnostics(CountSequence.fixed([2**n - 1 for n in range(1, 401)]), 4)
-    assert (diag.window_inf.count, diag.window_sup.count) == (2**397 - 1, 2**400 - 1)
-    assert refined and refined <= {397, 398, 399, 400}
+    assert [r.count for r in diag.window] == [2**n - 1 for n in range(397, 401)]
+    with mp.workprec(200):
+        log2 = mp.nstr(mp.log(2), 38)
+    for pick in (min, max):
+        assert extreme_decimal(pick, diag.window, 38) == log2
+    assert not refined
     # construct's argmax over the peaks refines them on read, as a max over
     # every entry would
     assert max(diag.peaks, key=lambda entry: entry[2])[0] == 400
@@ -228,6 +241,27 @@ def test_peaks_hold_the_first_top_rate(values, bits):
     peak_ns = [n for n, _, _ in diag.peaks]
     assert peak_ns == sorted(peak_ns)
     assert all(rate < top_rate for n, _, rate in diag.entries if n not in peak_ns)
+
+
+# a count, or -b for b**n at its own n: runs of one b give exactly tied rates
+# log b, and b = 1 the rate 0
+counts_with_ties = st.lists(
+    st.one_of(st.integers(0, 2**70), st.integers(-4, -1)), min_size=1, max_size=30
+).map(lambda picks: [b if b >= 0 else (-b) ** n for n, b in enumerate(picks, 1)]).filter(any)
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts_with_ties, st.integers(1, 30), st.sampled_from([8, 64, 128]))
+@example([2, 4, 3, 16, 32, 7, 128], 3, 8)  # exact ties at log 2
+@example([1, 0, 1], 2, 128)  # every rate 0
+def test_window_ends_print_the_decided_extremes(values, window_len, bits):
+    # extreme_decimal picks from the rates' floors and compares no two rates;
+    # it must print what the window's min and max, decided here, print
+    diag = growth_diagnostics(CountSequence.fixed(values), window_len, bits)
+    window, dps = list(diag.window), digits_for_bits(bits)
+    assert len(window) == min(window_len, len(diag.entries))
+    for pick in (min, max):
+        assert extreme_decimal(pick, diag.window, dps) == pick(window).decimal(dps)
 
 
 def test_rows_is_a_sequence_rebuilt_on_read():

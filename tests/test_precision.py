@@ -14,6 +14,7 @@ from perigee.precision import (
     ball_digits,
     decimal_from_floors,
     decimal_up,
+    extreme_decimal,
     log_enclosure,
 )
 
@@ -138,14 +139,14 @@ def test_log_enclosure_is_exact_at_one_and_rejects_zero():
 
 def test_log_real_balls_hold_their_value():
     # each derived real against mpmath at 400 bits: its ball at 64 bits must
-    # hold the value, including after the negation that abs() makes
+    # hold the value, including after a negation
     with mp.workprec(400):
         for real, value in (
             (LogReal(10**40), 40 * mp.log(10)),
             (LogReal(10**40) / 7, 40 * mp.log(10) / 7),
             (LogReal(3) / 2 - Fraction(1, 3), mp.log(3) / 2 - mp.mpf(1) / 3),
-            (abs(LogReal(3) / 2 - 1), 1 - mp.log(3) / 2),
-            (abs(LogReal(5) - Fraction(7, 5)), mp.log(5) - mp.mpf(7) / 5),
+            (-(LogReal(3) / 2 - 1), 1 - mp.log(3) / 2),
+            (-(LogReal(5) - Fraction(7, 5)), mp.mpf(7) / 5 - mp.log(5)),
         ):
             lo, hi = real.ball(64)
             assert lo <= value * 2**64 <= hi and hi - lo <= 3
@@ -159,20 +160,22 @@ def test_log_real_ties_decide_exactly():
     assert LogReal(8) / 3 < LogReal(3) / 1
     assert LogReal(4) - Fraction(1, 3) > LogReal(2) - Fraction(1, 2)
     # a rational point: log 1 = 0 leaves the offset, printed exactly
-    assert abs(LogReal(1) - Fraction(3, 4)).decimal(5) == "0.75"
+    assert (-(LogReal(1) - Fraction(3, 4))).decimal(5) == "0.75"
     assert LogReal(1).decimal(38) == "0.0"
     with mp.workprec(200):
         assert (LogReal(2**210) / 210).decimal(38) == mp.nstr(mp.log(2), 38)
 
 
 def test_rational_log_reals_compare_as_fractions():
-    # both counts are 1, so both reals are rationals: 10**-6000 apart lies
-    # below any ball that MAX_DECISION_BITS allows, yet compares at once
+    # both counts are 1, so every real is a rational: 10**-6000 apart lies
+    # below any ball that MAX_DECISION_BITS allows, yet the extremes print at
+    # once, picked from exact Fraction floors.  |gap| = max(gap, -gap)
     tiny = Fraction(1, 10**6000)
-    gaps = [abs(LogReal(1) - tiny * k) for k in (Fraction(3, 2), Fraction(4, 3), 1)]
-    assert max(gaps).decimal(2) == "1.5e-6000"
-    assert gaps[1] < gaps[0] and gaps[2] < gaps[1] and not gaps[0] < gaps[0]
-    assert LogReal(1) - tiny < 0 and not LogReal(1) - tiny > 0
+    gaps = [LogReal(1) - tiny * k for k in (Fraction(3, 2), Fraction(4, 3), 1)]
+    assert extreme_decimal(max, [x for gap in gaps for x in (gap, -gap)], 2) == "1.5e-6000"
+    assert extreme_decimal(min, [-gap for gap in gaps], 2) == "1.0e-6000"
+    assert extreme_decimal(max, [LogReal(1), -LogReal(1)], 2) == "0.0"
+    assert (-gaps[0]).decimal(2) == "1.5e-6000"
 
 
 PRIMES = (2, 3, 5, 7, 11, 13, 101, 7919, 2**61 - 1)

@@ -13,6 +13,7 @@ from oracles import (
     delta_n,
     det_bareiss,
     dyadic,
+    euler_phi,
     mahler_by_polyroots,
     measure_and_radius,
     realizability_check,
@@ -20,7 +21,6 @@ from oracles import (
     square_free_parts_by_euclid,
 )
 from perigee import precision, toral
-from perigee.numtheory import euler_phi
 from perigee.precision import PrecisionError, log_enclosure
 from perigee.toral import (
     DegeneracyError,
