@@ -25,7 +25,6 @@ or an output file that could not be written, 4 degenerate polynomial.
 """
 
 import argparse
-import json
 import math
 import os
 import re
@@ -33,7 +32,7 @@ import sys
 from contextlib import ExitStack, contextmanager
 from decimal import Decimal
 
-from . import construction, numtheory, orbits, toral, zeta
+from . import construction, numtheory, orbits, targets, toral, zeta  # read at call time
 from .numtheory import BudgetError
 from .precision import (
     DEFAULT_PRECISION_BITS,
@@ -47,14 +46,17 @@ from .precision import (
     extreme_decimal,
     unlimited_int_digits,
 )
-from .targets import FINITE, GrowthTarget
-from .toral import DegeneracyError, IntegerPolynomial
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_CONFIG = 2
 EXIT_BUDGET = 3
 EXIT_DEGENERATE = 4
+
+# construction's STRATEGY_* for a finite target and DEFAULT_ENUMERATION_BUDGET,
+# copied so that building the parser executes no construction
+STRATEGIES = ("paper", "compensated", "subexponential")
+DEFAULT_MAX_POINTS = 10**7
 
 
 def _emit(args, header, rows, summary, out):
@@ -72,6 +74,8 @@ def _emit(args, header, rows, summary, out):
         for key, value in summary.items():
             out.write("# %s=%s\n" % (key, value))
     else:
+        import json  # only JSON output reads it
+
         payload = {
             "command": args.command,
             "rows": [dict(zip(header, row)) for row in rows],
@@ -82,6 +86,8 @@ def _emit(args, header, rows, summary, out):
 
 def _json_int(value):
     """json's hook for construct's Decimal counts: exact, so written as ints."""
+    import json
+
     return int(value) if isinstance(value, Decimal) else json.JSONEncoder().default(value)
 
 
@@ -118,13 +124,13 @@ def _parse_target(args):
     if args.C is not None and args.target is not None:
         raise ValueError("give either --C or --target, not both")
     if args.C is not None:
-        target = GrowthTarget.parse(args.C)
-        if target.kind != FINITE:
+        target = targets.GrowthTarget.parse(args.C)
+        if target.kind != targets.FINITE:
             raise ValueError("--C must be a positive rational; use --target for zero/infinite")
         return target
     if args.target is None:
         raise ValueError("a growth target is required (--C or --target)")
-    return GrowthTarget.parse(args.target)
+    return targets.GrowthTarget.parse(args.target)
 
 
 def cmd_construct(args, out):
@@ -234,7 +240,7 @@ def _gap_ball(rate, measure, bits):
 
 
 def cmd_lehmer(args, out):
-    poly = IntegerPolynomial.parse(args.poly)
+    poly = toral.IntegerPolynomial.parse(args.poly)
     sequence = toral.toral_fix_sequence(poly, args.max_n)
     bits = args.precision_bits
     measure = toral.mahler_measure(poly, precision_bits=bits)
@@ -272,6 +278,8 @@ def cmd_zeta(args, out):
     header = ["m", "numerator", "denominator"]
     rows = ([m, c.numerator, c.denominator] for m, c in enumerate(series.coefficients))
     if args.format == "csv":
+        import json
+
         summary = {"probe": json.dumps(probe.to_json(), separators=(",", ":"))}
     else:
         summary = {"probe": probe.to_json()}
@@ -398,11 +406,7 @@ def build_parser():
     p.add_argument("--target", help="zero | infinite (or a rational, same as --C)")
     p.add_argument(
         "--strategy",
-        choices=(
-            construction.STRATEGY_PAPER,
-            construction.STRATEGY_COMPENSATED,
-            construction.STRATEGY_SUBEXPONENTIAL,
-        ),
+        choices=STRATEGIES,
         default=None,
         help="exponent strategy for a finite target; paper when omitted",
     )
@@ -422,7 +426,7 @@ def build_parser():
     p.add_argument(
         "--max-points",
         type=int,
-        default=construction.DEFAULT_ENUMERATION_BUDGET,
+        default=DEFAULT_MAX_POINTS,
         help="enumeration budget",
     )
 
@@ -472,13 +476,13 @@ def main(argv=None):
     except OutputError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_BUDGET
-    except DegeneracyError as exc:
+    except toral.DegeneracyError as exc:
         print(
             "degenerate polynomial: vanishes on cyclotomic index %d" % exc.cyclotomic_index,
             file=sys.stderr,
         )
         return EXIT_DEGENERATE
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
 

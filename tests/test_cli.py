@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -681,7 +682,8 @@ def test_exact_commands_never_import_mpmath(capsys, tmp_path):
 
 def test_cli_import_loads_every_layer_and_no_heavy_module():
     # the bench tracer reads all seven layers from sys.modules right after
-    # importing perigee.cli, so none of them may be imported lazily; and
+    # importing perigee.cli, so each must be registered there, even though
+    # the package registers them lazily and none has executed yet; and
     # dataclasses (which pulls in inspect and ast) and mpmath stay unloaded
     layers = ("numtheory", "precision", "construction", "orbits", "toral", "zeta", "cli")
     done = run_fresh(
@@ -694,14 +696,100 @@ def test_cli_import_loads_every_layer_and_no_heavy_module():
     assert done.stdout == "[]\n[]\n"
 
 
+LAYERS = ("numtheory", "precision", "orbits", "targets", "construction", "toral", "zeta")
+
+
+def executed_layers(argv):
+    """The layers (and json) that one command executes in a fresh interpreter.
+
+    A module's body sets __builtins__ in its namespace, and the namespace is
+    read through object.__getattribute__, which runs no lazy module's body.
+    """
+    done = run_fresh(
+        "import sys\n"
+        "from perigee.cli import main\n"
+        "code = main(%r)\n"
+        "def executed(name):\n"
+        "    module = sys.modules.get(name)\n"
+        "    return module is not None and "
+        "'__builtins__' in object.__getattribute__(module, '__dict__')\n"
+        "names = %r\n"
+        "sys.stderr.write(' '.join(name for name in names if executed(name)))\n"
+        "sys.exit(code)\n" % (argv, ["perigee." + layer for layer in LAYERS] + ["json"])
+    )
+    assert done.returncode == 0, done.stderr
+    return [name.rpartition(".")[2] for name in done.stderr.split()]
+
+
+def test_each_command_executes_only_the_layers_it_runs(tmp_path):
+    plan, seq = str(tmp_path / "plan.json"), str(tmp_path / "seq.csv")
+    argvs = {  # in this order: construct writes the files the others read
+        "construct": ["construct", "--C", "1", "--strategy", "compensated", "--max-n", "12",
+                      "--plan-out", plan, "--sequence-out", seq],
+        "oracle": ["oracle", "--plan", plan, "--components", "2", "--max-n", "4"],
+        "lehmer": ["lehmer", "--poly", "-1,-1,1", "--max-n", "4"],
+        "zeta": ["zeta", "--sequence", seq],
+        "analyze": ["analyze", "--sequence", seq],
+        "primes": ["primes", "--max-n", "3"],
+    }
+    planning = ["numtheory", "precision", "orbits", "targets", "construction", "json"]
+    assert {command: executed_layers(argv) for command, argv in argvs.items()} == {
+        "construct": planning,
+        "oracle": planning,
+        "lehmer": ["numtheory", "precision", "orbits", "toral"],
+        "zeta": ["numtheory", "precision", "orbits", "zeta", "json"],
+        "analyze": ["numtheory", "precision", "orbits"],
+        "primes": ["numtheory", "precision"],
+    }
+
+
+def test_python_dash_m_and_the_console_script_run_the_cli():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads(
+        (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    )
+    module, _, func = project["project"]["scripts"]["perigee"].partition(":")
+    argv = ["primes", "--max-n", "3"]
+    by_module = run_python("-m", "perigee", *argv)
+    # what the generated console script does: import the entry point and exit with it
+    by_script = run_fresh(
+        "import sys\nfrom %s import %s\nsys.argv[1:] = %r\nsys.exit(%s())\n"
+        % (module, func, argv, func)
+    )
+    for done in (by_module, by_script):
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.splitlines()[:2] == ["n,p,ratio", "1,2,2.0"]
+    assert by_module.stdout == by_script.stdout
+
+
+def test_parse_time_constants_are_constructions():
+    # cli keeps copies so that building its parser executes no construction
+    parser = cli.build_parser()
+    assert parser.parse_args(["oracle", "--plan", "p.json"]).max_points == (
+        construction.DEFAULT_ENUMERATION_BUDGET
+    )
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    strategy = next(a for a in sub.choices["construct"]._actions if a.dest == "strategy")
+    assert strategy.choices == (
+        construction.STRATEGY_PAPER,
+        construction.STRATEGY_COMPENSATED,
+        construction.STRATEGY_SUBEXPONENTIAL,
+    )
+
+
 def run_fresh(script):
     """Run a Python script in a fresh interpreter that imports this checkout's perigee."""
+    return run_python("-c", script)
+
+
+def run_python(*argv):
+    """Run a fresh interpreter with argv, importing this checkout's perigee."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))
     ))
     return subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120
     )
 
 

@@ -166,9 +166,7 @@ def unused_imports_in(paths):
 
 
 def test_no_unused_imports_in_package():
-    # __init__.py imports only to re-export, so it is exempt
-    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-    assert unused_imports_in(modules) == []
+    assert unused_imports_in(sorted(PACKAGE.glob("*.py"))) == []
 
 
 def test_no_unused_imports_in_tests():
@@ -195,7 +193,7 @@ def test_imported_modules_detector():
 
 
 def test_no_module_imports_dataclasses():
-    # every perigee process imports every layer: records are namedtuples,
+    # every layer a command runs is executed in its process: records are namedtuples,
     # which cost a tenth of a frozen dataclass to create, and the dataclasses
     # import alone pulls in inspect, ast, dis and tokenize
     importers = [
