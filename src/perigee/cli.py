@@ -36,6 +36,7 @@ from . import construction, numtheory, orbits, targets, toral, zeta  # read at c
 from .numtheory import BudgetError
 from .precision import (
     DEFAULT_PRECISION_BITS,
+    GUARD_BITS,
     MAX_DECISION_BITS,
     PrecisionError,
     ball_digits,
@@ -154,8 +155,12 @@ def cmd_construct(args, out):
             path = outputs.enter_context(_atomic_output(args.sequence_out))
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 orbits.write_sequence_csv(table, fh)  # its values are the F_n
-        diagnostics = orbits.growth_diagnostics(
-            table.factored, window_len=args.window, precision_bits=bits
+        # certified first, so its sieve is freed before log_balls builds theirs
+        deficits = (construction.deficit_report(plan)
+                    if plan.strategy == construction.STRATEGY_COMPENSATED else None)
+        diagnostics = orbits.growth_diagnostics(  # it keeps log_balls' lists as its balls
+            table.factored, window_len=args.window, precision_bits=bits,
+            logs=construction.log_balls(plan, bits + GUARD_BITS),
         )
         max_n, _, max_rate = max(diagnostics.peaks, key=lambda entry: entry[2])
         # is_prime is a proof only below DETERMINISTIC_LIMIT; above it,
@@ -172,8 +177,7 @@ def cmd_construct(args, out):
             "claimed_vs_exact_discrepancies": table.discrepancy_count,
             "probable_primes": ";".join(str(n) for n in probable) or "none",
         }
-        if plan.strategy == construction.STRATEGY_COMPENSATED:
-            deficits = construction.deficit_report(plan)
+        if deficits is not None:
             summary["deficit_unverified"] = (
                 ";".join(str(n) for n in deficits.unverified) or "none"
             )

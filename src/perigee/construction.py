@@ -25,6 +25,14 @@ Floors of (rational)/log(prime) are decided on exact integer balls (see
 precision) at escalating precision; they are never integers, so every
 decision terminates, and the precision it starts at changes no plan.
 
+The compensated budgets and log F_n = sum over d | n of K_d*log p_d are
+divisor sums, formed for every n by a sieve over multiples: once K_d is
+known, K_d times the ball of log p_d is added once to the ball of each
+multiple of d.  build_plan and deficit_report read the budgets' balls at the
+first precision tried from that sieve, and sum the divisors afresh only when
+a decision escalates; log_balls gives construct its first ball of each
+log F_n.
+
 count_table is the one place that forms the closed forms (F_n, least-period
 counts L_n by Moebius inversion, and the bound p_n**K_n - 1), for the whole
 plan or a truncation of it.  They are cross-checked by enumerating truncated
@@ -34,12 +42,12 @@ and neither the F_n product nor Moebius inversion is used.
 
 import decimal
 import itertools
-import json
 import math
 import re
 from collections import Counter, namedtuple
 from fractions import Fraction
 
+from . import precision
 from .numtheory import (
     BudgetError,
     FactoredNatural,
@@ -110,29 +118,68 @@ class ConstructionPlan(
                     raise ValueError("multiplier order below n at n = %d" % comp.n)
 
 
-def _spent(components, n):
-    """(K_d, p_d) over the proper divisors d of n with K_d > 0."""
-    return [
-        (components[d - 1].K, components[d - 1].p)
-        for d in divisors(n)
-        if d != n and components[d - 1].K > 0
-    ]
+class _LogSums:
+    """Integer balls lo[n-1] <= S_n * 2**bits <= hi[n-1] of sums S_n of
+    K_d*log p_d, one per n = 1..size, formed by a sieve over multiples:
+    add(comp, first) adds K*log_ball(p, bits) of the component at d = comp.n
+    once to the balls of first, first + d, ..., so no n's divisors are listed."""
+
+    __slots__ = ("bits", "lo", "hi")
+
+    def __init__(self, size, bits):
+        self.bits, self.lo, self.hi = bits, [0] * size, [0] * size
+
+    def add(self, comp, first):
+        if comp.K:
+            p_lo, p_hi = log_ball(comp.p, self.bits)
+            p_lo, p_hi = comp.K * p_lo, comp.K * p_hi
+            lo, hi = self.lo, self.hi
+            for m in range(first - 1, len(lo), comp.n):
+                lo[m] += p_lo
+                hi[m] += p_hi
+
+
+def log_balls(plan, bits):
+    """Lists lo, hi with lo[n-1] <= log F_n * 2**bits <= hi[n-1] for n = 1..N:
+    the sums over d | n of K_d*log_ball(p_d, bits), by one sieve over
+    multiples.  These are the integers precision sums for the factored F_n,
+    grouped by divisor rather than by prime, so the balls are equal."""
+    sums = _LogSums(plan.N, bits)
+    for comp in plan.components:
+        sums.add(comp, comp.n)
+    return sums.lo, sums.hi
+
+
+def _spent(components, n, held):
+    """bits -> integers (lo, hi) with lo <= (sum over the proper divisors d
+    of n of K_d*log p_d) * 2**bits <= hi: read from the sieve held (which
+    holds those sums) at its precision, and summed over the divisors at any
+    other, which only an escalation asks for."""
+
+    def ball(bits):
+        if bits == held.bits:
+            return held.lo[n - 1], held.hi[n - 1]
+        lo = hi = 0
+        for d in divisors(n)[:-1]:
+            comp = components[d - 1]
+            if comp.K:
+                p_lo, p_hi = log_ball(comp.p, bits)
+                lo, hi = lo + comp.K * p_lo, hi + comp.K * p_hi
+        return lo, hi
+
+    return ball
 
 
 def _budget_ball(n, C, spent, bits):
-    """Integers (lo, hi) with lo <= (n*C - sum of K_d*log p_d) * 2**bits <= hi."""
+    """Integers (lo, hi) with lo <= (n*C - spent) * 2**bits <= hi, for
+    spent(bits) a ball of the spent logs, as _spent returns."""
     scaled = C.numerator * n << bits
-    lo = scaled // C.denominator
-    hi = -(-scaled // C.denominator)
-    for k_d, p_d in spent:
-        log_lo, log_hi = log_ball(p_d, bits)
-        lo -= k_d * log_hi
-        hi -= k_d * log_lo
-    return lo, hi
+    spent_lo, spent_hi = spent(bits)
+    return scaled // C.denominator - spent_hi, -(-scaled // C.denominator) - spent_lo
 
 
 def _exponent(n, C, p, spent):
-    """max(0, floor((n*C - sum of K_d*log p_d) / log p)), certified.
+    """max(0, floor((n*C - spent) / log p)), certified, for spent as in _budget_ball.
 
     Both floor bounds are clamped at 0, so a negative budget decides K = 0
     without escalating.  The floor is exact, so it takes no precision.
@@ -205,6 +252,10 @@ def build_plan(target, strategy=None, n_max=1, gamma=None):
     C = target.value
     # every finite plan takes its p_n from one sieve; the infinite one scans above n**n
     primes = None if strategy == STRATEGY_INFINITE else least_primes_congruent_one(n_max)
+    # the compensated budgets' spent logs at the first precision tried, each
+    # K_d added to its proper multiples as soon as it is decided
+    if strategy == STRATEGY_COMPENSATED:
+        held = _LogSums(n_max, precision.DEFAULT_PRECISION_BITS)
     components = []
     for n in range(1, n_max + 1):
         p = primes[n - 1] if primes else least_prime_congruent_one(n, search_floor=n**n)
@@ -215,11 +266,13 @@ def build_plan(target, strategy=None, n_max=1, gamma=None):
         elif strategy == STRATEGY_SUBEXPONENTIAL:
             K = _power_floor(n, gamma)
         elif strategy == STRATEGY_PAPER:
-            K = _exponent(n, C, p, ())
+            K = _exponent(n, C, p, lambda bits: (0, 0))
         else:
-            K = _exponent(n, C, p, _spent(components, n))
+            K = _exponent(n, C, p, _spent(components, n, held))
         multiplier = element_of_order(p, n)
         components.append(ComponentSpec(n=n, p=p, K=K, multiplier=multiplier))
+        if strategy == STRATEGY_COMPENSATED:
+            held.add(components[-1], 2 * n)
     return ConstructionPlan(
         target=target, strategy=strategy, components=tuple(components), gamma=gamma
     )
@@ -389,10 +442,13 @@ def deficit_report(plan):
     if plan.strategy != STRATEGY_COMPENSATED:
         raise ValueError("deficit certification applies to the compensated strategy")
     C = plan.target.value
+    held = _LogSums(plan.N, precision.DEFAULT_PRECISION_BITS)  # as build_plan holds them
+    for comp in plan.components:
+        held.add(comp, 2 * comp.n)
     negative_budget, unverified = [], []
     for n in range(1, plan.N + 1):
         comp = plan.components[n - 1]
-        spent = _spent(plan.components, n)
+        spent = _spent(plan.components, n, held)
         balls = {}  # bits -> the budget ball, which in_window takes p_n**K_n off
 
         def budget_positive(bits):
@@ -482,17 +538,40 @@ def plan_from_json(obj):
                             gamma=_checked_gamma(strategy, gamma))
 
 
+# one component as json.dump(..., indent=2, sort_keys=True) writes it, every value a decimal string
+_COMPONENT_JSON = (
+    '    {\n      "K": "%d",\n      "multiplier": "%d",\n      "n": "%d",\n      "p": "%d"\n    }'
+)
+
+
+@unlimited_int_digits()
 def save_plan(plan, path):
-    """Write plan_to_json(plan) to path as JSON, indented, keys sorted."""
+    """Write plan_to_json(plan) to path as json.dump writes it, indented, keys
+    sorted, and a newline: json writes the head, and each component fills
+    _COMPONENT_JSON, as no decimal string needs escaping."""
+    import json  # only plan files read it
+
+    head = json.dumps(plan_to_json(plan._replace(components=())) | {"N": str(plan.N)},
+                      indent=2, sort_keys=True)
+    before, empty, after = head.partition('"components": []')
+    blocks = (_COMPONENT_JSON % (c.K, c.multiplier, c.n, c.p) for c in plan.components)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(plan_to_json(plan), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(before)
+        if plan.components:
+            fh.write('"components": [\n' + next(blocks))
+            fh.writelines(",\n" + block for block in blocks)
+            fh.write("\n  ]")
+        else:
+            fh.write(empty)
+        fh.write(after + "\n")
 
 
 def load_plan(path):
     """Read a plan file and validate() it, so a plan whose closed forms would
     not hold (a composite p, a multiplier of the wrong order) is rejected with
     ValueError naming n instead of being tabulated."""
+    import json
+
     with open(path, "r", encoding="utf-8") as fh:
         plan = plan_from_json(json.load(fh))
     plan.validate()

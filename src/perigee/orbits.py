@@ -17,7 +17,7 @@ import csv
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .precision import DEFAULT_PRECISION_BITS, LogReal, unlimited_int_digits
+from .precision import DEFAULT_PRECISION_BITS, GUARD_BITS, LogReal, unlimited_int_digits
 
 KIND_FIXED = "fixed"
 KIND_LEAST = "least"
@@ -116,50 +116,61 @@ class GrowthDiagnostics(namedtuple("GrowthDiagnostics", "entries skipped window 
     __slots__ = ()
 
 
-def growth_diagnostics(S, window_len=10, precision_bits=DEFAULT_PRECISION_BITS):
+def growth_diagnostics(S, window_len=10, precision_bits=DEFAULT_PRECISION_BITS, logs=None):
     """Rates (1/n) log S_n with a trailing inf/sup window.
 
     This is the one place the package turns exact counts (a CountSequence,
-    or construct's FactoredNaturals) into logs and rates.  Each log is a
-    certified ball of the exact count S_n at precision_bits plus guard bits,
-    refined on demand, so precision_bits is purely an output resolution.
-    One pass holds the first ball of each entry; entries and the window
-    rebuild each LogReal from S_n and that ball when read, and nothing here
-    compares two rates: peaks leaves out, by integer comparisons of the first
-    balls, each entry whose rate ball lies below another's, and refines
-    nothing.  Entries with S_n <= 0 are skipped and flagged; an all-zero
-    sequence has no growth rate and raises ValueError, as does a window_len
-    below 1.  A window longer than the entries is shortened to all of them.
+    or construct's FactoredNaturals) into rates.  Each log is a certified
+    ball of the exact count S_n at precision_bits plus guard bits, refined on
+    demand, so precision_bits is purely an output resolution.  One pass
+    holds the first ball of each entry, its two ends in two lists: the log
+    of each S_n, or, for counts that are all positive, logs, a pair of
+    lists (lo, hi) of those ends for every n at that precision (construct's,
+    summed by a sieve over multiples in construction.log_balls).  Entries
+    and the window rebuild each LogReal from S_n and that ball when read,
+    and nothing here compares two rates: peaks leaves out, by integer
+    comparisons of the first balls, each entry whose rate ball lies below
+    another's, and refines nothing.  Entries with S_n <= 0 are skipped and
+    flagged; an all-zero sequence has no growth rate and raises ValueError,
+    as does a window_len below 1.  A window longer than the entries is
+    shortened to all of them.
     """
     if window_len < 1:
         raise ValueError("window length must be positive")
     counts = S.values if isinstance(S, CountSequence) else S
-    kept = []  # (n, bits, lo, hi): n, then its log ball as first taken
-    skipped = []
-    for n, v in enumerate(counts, start=1):
-        if isinstance(v, int) and v <= 0:  # a FactoredNatural is positive
-            skipped.append(n)
-            continue
-        kept.append((n, *LogReal(v, precision_bits)._log))
-    if not kept:
+    bits = precision_bits + GUARD_BITS  # as LogReal takes its first ball
+    # entry i is the count at n = ns[i], whose first log ball is lows[i], highs[i]
+    if logs is not None:
+        ns, (lows, highs), skipped = range(1, len(counts) + 1), logs, ()
+    else:
+        ns, lows, highs, skipped = [], [], [], []
+        for n, v in enumerate(counts, start=1):
+            if isinstance(v, int) and v <= 0:  # a FactoredNatural is positive
+                skipped.append(n)
+                continue
+            _, lo, hi = LogReal(v, precision_bits)._log
+            ns.append(n)
+            lows.append(lo)
+            highs.append(hi)
+    if not ns:
         raise ValueError("sequence has no positive entries; growth rate undefined")
-    # the greatest lower end top_lo / top_n of a rate's first ball (one bits for all)
-    top_n, top_lo = kept[0][0], kept[0][2]
-    for n, _, lo, _ in kept:
+    # the greatest lower end top_lo / top_n of a rate's first ball
+    top_n, top_lo = ns[0], lows[0]
+    for n, lo in zip(ns, lows):
         if lo * top_n > top_lo * n:
             top_n, top_lo = n, lo
-    peaks = [i for i, (n, _, _, hi) in enumerate(kept) if hi * top_n >= top_lo * n]
+    peaks = [i for i, (n, hi) in enumerate(zip(ns, highs)) if hi * top_n >= top_lo * n]
 
     def entry(i):
-        n, *ball = kept[i]
-        lg = LogReal(counts[n - 1], log=ball)
+        n = ns[i]
+        lg = LogReal(counts[n - 1], log=[bits, lows[i], highs[i]])
         return n, lg, lg / n
 
-    start = max(0, len(kept) - window_len)
+    start = max(0, len(ns) - window_len)
     return GrowthDiagnostics(
-        entries=Rows(len(kept), entry),
+        entries=Rows(len(ns), entry),
         skipped=tuple(skipped),
-        window=Rows(len(kept) - start, lambda j: entry(start + j)[2]),
+        window=Rows(len(ns) - start, lambda j: entry(start + j)[2]),
         peaks=Rows(len(peaks), lambda j: entry(peaks[j])),
     )
 

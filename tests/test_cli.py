@@ -726,6 +726,8 @@ def test_each_command_executes_only_the_layers_it_runs(tmp_path):
     argvs = {  # in this order: construct writes the files the others read
         "construct": ["construct", "--C", "1", "--strategy", "compensated", "--max-n", "12",
                       "--plan-out", plan, "--sequence-out", seq],
+        "construct without a plan file": ["construct", "--C", "1", "--max-n", "12",
+                                          "--sequence-out", seq],
         "oracle": ["oracle", "--plan", plan, "--components", "2", "--max-n", "4"],
         "lehmer": ["lehmer", "--poly", "-1,-1,1", "--max-n", "4"],
         "zeta": ["zeta", "--sequence", seq],
@@ -735,6 +737,7 @@ def test_each_command_executes_only_the_layers_it_runs(tmp_path):
     planning = ["numtheory", "precision", "orbits", "targets", "construction", "json"]
     assert {command: executed_layers(argv) for command, argv in argvs.items()} == {
         "construct": planning,
+        "construct without a plan file": planning[:-1],  # only plan files read json
         "oracle": planning,
         "lehmer": ["numtheory", "precision", "orbits", "toral"],
         "zeta": ["numtheory", "precision", "orbits", "zeta", "json"],

@@ -21,6 +21,7 @@ from perigee.construction import (
     deficit_report,
     enumerate_oracle,
     load_plan,
+    log_balls,
     plan_from_json,
     plan_to_json,
     save_plan,
@@ -34,7 +35,7 @@ from perigee.orbits import (
     read_sequence_csv,
     write_sequence_csv,
 )
-from perigee.precision import extreme_decimal
+from perigee.precision import GUARD_BITS, _count_log_ball, extreme_decimal, log_ball
 from perigee.targets import GrowthTarget
 
 # Two rational stand-ins for log 2 = 0.693147...: one a hair below (so the
@@ -420,12 +421,104 @@ def test_low_start_precision_escalates_to_the_same_plan(monkeypatch):
     assert report == deficit_report(high)
 
 
+def _log2_times(k):
+    """The spent-log ball of k*log 2, in the form _exponent reads it."""
+    return lambda bits: tuple(k * end for end in log_ball(2, bits))
+
+
 def test_negative_budget_floors_to_zero(monkeypatch):
     # 2 - 10*log 2 < 0: the clamp decides K = 0 outright, at any precision
-    assert _exponent(2, Fraction(1), 3, [(10, 2)]) == 0
-    assert _exponent(2, Fraction(1), 3, [(1, 2)]) == 1
+    assert _exponent(2, Fraction(1), 3, _log2_times(10)) == 0
+    assert _exponent(2, Fraction(1), 3, _log2_times(1)) == 1
     monkeypatch.setattr(precision, "DEFAULT_PRECISION_BITS", 8)
-    assert _exponent(2, Fraction(1), 3, [(10, 2)]) == 0
+    assert _exponent(2, Fraction(1), 3, _log2_times(10)) == 0
+
+
+def _walked_spent(plan, n, bits):
+    """The sum over the proper divisors d of n of K_d*log_ball(p_d, bits), one divisor at a time."""
+    lo = hi = 0
+    for d in divisors(n)[:-1]:
+        comp = plan.components[d - 1]
+        p_lo, p_hi = log_ball(comp.p, bits)
+        lo, hi = lo + comp.K * p_lo, hi + comp.K * p_hi
+    return lo, hi
+
+
+@pytest.mark.parametrize("target, strategy, gamma, n_max", SMALL_PLANS)
+@pytest.mark.parametrize("bits", [8, 140])
+def test_sieved_log_balls_equal_the_factored_count_balls(target, strategy, gamma, n_max, bits):
+    # the sieve sums K_d*log p_d per divisor, precision per prime: the same integers
+    plan = build_plan(target, strategy, n_max=n_max, gamma=gamma)
+    table = count_table(plan)
+    lows, highs = log_balls(plan, bits)
+    assert len(lows) == len(highs) == plan.N
+    for n, ball in enumerate(zip(lows, highs), start=1):
+        assert ball == _count_log_ball(table.factored[n - 1], bits), n
+    # so construct's diagnostics, from those sums, are the ones the counts give
+    seeded = growth_diagnostics(table.factored, 3, bits - GUARD_BITS, logs=(lows, highs))
+    counted = growth_diagnostics(table.factored, 3, bits - GUARD_BITS)
+    for diag in (seeded, counted):
+        assert diag.skipped == ()
+    assert [(n, lg._log, lg.count) for n, lg, _ in seeded.entries] == [
+        (n, lg._log, lg.count) for n, lg, _ in counted.entries
+    ]
+    assert [n for n, _, _ in seeded.peaks] == [n for n, _, _ in counted.peaks]
+    assert [r._log for r in seeded.window] == [r._log for r in counted.window]
+
+
+@pytest.mark.parametrize("C", [Fraction(1), Fraction(7, 10), Fraction(3)])
+def test_sieved_budget_balls_equal_the_divisor_walk(C):
+    # build_plan and deficit_report read each spent-log ball from the sieve at
+    # the first precision tried and walk the divisors only above it
+    plan = build_plan(GrowthTarget.finite(C), "compensated", n_max=150)
+    base = precision.DEFAULT_PRECISION_BITS
+    held = construction._LogSums(plan.N, base)
+    for comp in plan.components:
+        held.add(comp, 2 * comp.n)
+    for n in range(1, plan.N + 1):
+        spent = construction._spent(plan.components, n, held)
+        assert (held.lo[n - 1], held.hi[n - 1]) == _walked_spent(plan, n, base)
+        for bits in (base, 2 * base):
+            assert spent(bits) == _walked_spent(plan, n, bits)
+
+
+def test_construct_walks_no_divisors_below_an_escalation(monkeypatch):
+    # build_plan and deficit_report read every budget at the first precision
+    # from the sieve; only an escalated try sums the spent logs divisor by divisor
+    tried = []  # the precision of the try running now, last
+    walked = []  # that precision, at each divisor walk
+
+    def recording(real):
+        def wrapper(callable_):
+            def counted(bits):
+                tried.append(bits)
+                return callable_(bits)
+
+            return real(counted)
+
+        return wrapper
+
+    def spy(n):
+        walked.append(tried[-1] if tried else None)
+        return divisors(n)
+
+    monkeypatch.setattr(construction, "adaptive_floor", recording(construction.adaptive_floor))
+    monkeypatch.setattr(construction, "adaptive_decide", recording(construction.adaptive_decide))
+    monkeypatch.setattr(construction, "divisors", spy)
+    target = GrowthTarget.finite(1)
+    plan = build_plan(target, "compensated", n_max=200)
+    assert deficit_report(plan) == ((), ())
+    assert len(tried) == 3 * 200 and set(tried) == {precision.DEFAULT_PRECISION_BITS}
+    assert walked == []
+    # at 8 bits some tries escalate, and those alone walk the divisors
+    monkeypatch.setattr(precision, "DEFAULT_PRECISION_BITS", 8)
+    tried.clear()
+    low = build_plan(target, "compensated", n_max=200)
+    assert deficit_report(low) == ((), ())
+    assert low == plan
+    escalated = [bits for bits in tried if bits > 8]
+    assert walked and all(bits > 8 for bits in walked)
+    assert len(walked) <= len(escalated)  # a try reuses its budget ball
 
 
 def _with_exponent(plan, n, K):
